@@ -9,6 +9,7 @@ are byte-for-byte reproducible.
 """
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass, field
@@ -55,17 +56,24 @@ def _frac(f):
     return str(f)
 
 
+def _rational(text, what):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise MaptError(f"bad {what} value {text!r}, expected a rational")
+
+
 def _parse_x_bound(values):
     if not values:
         return None
     if len(values) == 1 and "=" not in values[0]:
-        return Fraction(values[0])
+        return _rational(values[0], "--x-bound")
     out = {}
     for item in values:
         name, _, raw = item.partition("=")
         if not raw:
             raise MaptError(f"bad --x-bound entry {item!r}, expected name=value")
-        out[name.strip()] = Fraction(raw.strip())
+        out[name.strip()] = _rational(raw.strip(), "--x-bound")
     return out
 
 
@@ -172,7 +180,12 @@ def _heuristic_from(cfg, m):
     if cfg.heuristic not in registry:
         raise MaptError(f"unknown heuristic {cfg.heuristic!r}; "
                         f"available: {', '.join(sorted(registry))}")
-    return registry[cfg.heuristic](m, **cfg.heuristic_args)
+    factory = registry[cfg.heuristic]
+    try:
+        inspect.signature(factory).bind(m, **cfg.heuristic_args)
+    except TypeError as e:
+        raise MaptError(f"heuristic {cfg.heuristic!r}: {e}")
+    return factory(m, **cfg.heuristic_args)
 
 
 def _cmd_check(cfg, m):

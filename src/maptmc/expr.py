@@ -21,6 +21,7 @@ Transforms use plain arith with component names only; indicator and
 predicate arithmetic may also read agent clocks via clock(agent).
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -364,11 +365,19 @@ def parse_predicate(text):
     return node
 
 
-def _checked(value, what):
+def _checked(value, node):
+    """value, unless it outgrew the cap; node is the operation that made it
+    and is rendered only for the error message."""
     if value.numerator.bit_length() > MAGNITUDE_BITS or \
             value.denominator.bit_length() > MAGNITUDE_BITS:
-        raise Overflow(f"value in {what} exceeds {MAGNITUDE_BITS} bits")
+        raise Overflow(f"value in {to_text(node)} exceeds {MAGNITUDE_BITS} bits")
     return value
+
+
+def _divide(left, right, node):
+    if right == 0:
+        raise DivisionByZero(f"division by zero in {to_text(node)!r}")
+    return _checked(left / right, node)
 
 
 class Env:
@@ -415,14 +424,12 @@ def eval_arith(node, env):
         left = eval_arith(node.left, env)
         right = eval_arith(node.right, env)
         if node.op == "+":
-            return _checked(left + right, to_text(node))
+            return _checked(left + right, node)
         if node.op == "-":
-            return _checked(left - right, to_text(node))
+            return _checked(left - right, node)
         if node.op == "*":
-            return _checked(left * right, to_text(node))
-        if right == 0:
-            raise DivisionByZero(f"division by zero in {to_text(node)!r}")
-        return _checked(left / right, to_text(node))
+            return _checked(left * right, node)
+        return _divide(left, right, node)
     if isinstance(node, Call):
         args = [eval_arith(arg, env) for arg in node.args]
         return min(args) if node.fn == "min" else max(args)
@@ -457,6 +464,54 @@ def eval_bool(node, env):
             ">": left > right,
         }[node.op]
     raise PredicateError(f"not a boolean node: {node!r}")
+
+
+_ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_CMP_OPS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
+
+
+def compile_arith(node, index):
+    """Compile a transform expression into a function of a value tuple.
+
+    index maps each component name to its position in the tuple.  The
+    function returns what eval_arith returns over the same values, and
+    raises the same Overflow and DivisionByZero errors with the same
+    messages; the message text is rendered only when a check fails.  A
+    transform reads components only, so a name missing from index, a
+    clock or any other node outside transform arithmetic is refused here.
+    """
+    if isinstance(node, Num):
+        value = node.value
+        return lambda values: value
+    if isinstance(node, Ref):
+        if node.name not in index:
+            raise PredicateError(f"unknown component {node.name!r}")
+        return operator.itemgetter(index[node.name])
+    if isinstance(node, Neg):
+        operand = compile_arith(node.operand, index)
+        return lambda values: -operand(values)
+    if isinstance(node, Bin):
+        left = compile_arith(node.left, index)
+        right = compile_arith(node.right, index)
+        if node.op == "/":
+            return lambda values: _divide(left(values), right(values), node)
+        op = _ARITH_OPS[node.op]
+        return lambda values: _checked(op(left(values), right(values)), node)
+    if isinstance(node, Call):
+        args = tuple(compile_arith(arg, index) for arg in node.args)
+        pick = min if node.fn == "min" else max
+        return lambda values: pick([arg(values) for arg in args])
+    if isinstance(node, Ite) and isinstance(node.cond, Cmp):
+        test = _CMP_OPS[node.cond.op]
+        cond_left = compile_arith(node.cond.left, index)
+        cond_right = compile_arith(node.cond.right, index)
+        then = compile_arith(node.then, index)
+        orelse = compile_arith(node.orelse, index)
+        return lambda values: (then(values)
+                               if test(cond_left(values), cond_right(values))
+                               else orelse(values))
+    raise PredicateError(f"{to_text(node)!r} is not transform arithmetic")
 
 
 def refs(node):

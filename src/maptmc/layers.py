@@ -238,8 +238,8 @@ class CutMatcher:
     """Prepared form of a cut list for repeated border tests."""
 
     def __init__(self, m, cuts, semantics):
-        self.m = m
         self.semantics = semantics
+        self.kernel = sem.Kernel(m, semantics)
         self.configs = {cut.config() for cut in cuts}
         self.by_loc = {}
         for cut in cuts:
@@ -261,8 +261,7 @@ class CutMatcher:
         if self.semantics == "original":
             return self.on_cut(s)
         if self.on_cut(s):
-            if any(not isinstance(e, sem.Delay)
-                   for e in sem.enabled_accelerated(self.m, s)):
+            if any(not isinstance(e, sem.Delay) for e in self.kernel.enabled(s)):
                 return True
         if pre_s is None:
             return False
@@ -271,7 +270,7 @@ class CutMatcher:
         if not grew:
             return False
         if not pre_is_seed and self.on_cut(pre_s) and \
-                len(sem.enabled_accelerated(self.m, pre_s)) == 1:
+                len(self.kernel.enabled(pre_s)) == 1:
             return True
         for clocks in self.by_loc.get(s.localities, ()):
             if all(p < k <= c for p, k, c in zip(pre_s.clocks, clocks, s.clocks)):
@@ -296,6 +295,8 @@ def next_border(m, cuts, s, semantics, visitor=None, *, budget=sem.DEFAULT_BUDGE
 
 
 def _walk(m, cuts, seeds, semantics, visitor, budget, diagnostics):
+    for s in seeds:
+        sem.check_state(m, s)
     matcher = CutMatcher(m, cuts, semantics)
     queue = deque(seeds)
     seed_set = frozenset(seeds)
@@ -309,7 +310,7 @@ def _walk(m, cuts, seeds, semantics, visitor, budget, diagnostics):
             raise BudgetExceeded(f"border walk exceeded {budget} states")
         if visitor is not None:
             visitor(u)
-        for _, v in sem.successors(m, u, semantics):
+        for _, v in matcher.kernel.successors(u):
             if matcher.crosses(u, v, u in seed_set):
                 border.add(v)
                 continue

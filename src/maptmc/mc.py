@@ -160,24 +160,20 @@ class _Engine:
         self.p = p
         self.q = q
         self.semantics = semantics
-        self.x_bound = sem.normalize_x_bound(m, x_bound)
+        self.kernel = sem.Kernel(m, semantics, x_bound)
         self.budget = budget
         self.stats = CheckStats()
         self._final_cache = {}
 
     def final(self, s):
+        """X bound reached, or nothing enabled: no successor either way."""
         if s not in self._final_cache:
-            self._final_cache[s] = sem.is_final(self.m, s, self.semantics, self.x_bound)
+            self._final_cache[s] = not self.kernel.successors(s)
         return self._final_cache[s]
 
     def pred(self, node, s):
         env = StateEnv(self.m, s, lambda: self.final(s))
         return expr.eval_bool(node, env)
-
-    def successors(self, s):
-        if sem.x_reached(s, self.x_bound):
-            return ()
-        return sem.successors(m=self.m, s=s, semantics=self.semantics)
 
     def process(self, s, mark):
         """Apply the base evaluator to one state.
@@ -222,16 +218,11 @@ def _width(engine):
             return True
         if not expand:
             continue
-        for _, t in engine.successors(s):
+        for _, t in engine.kernel.successors(s):
             if t not in seen or (mark and not seen[t]):
                 seen[t] = mark or seen.get(t, False)
                 queue.append((t, mark))
     return False
-
-
-def _cluster_key(cluster_states, strong):
-    probe = next(iter(cluster_states))
-    return probe.valuation.strong_part(strong)
 
 
 def _layered(engine, cuts, strong, heuristic):
@@ -296,7 +287,7 @@ def _layered(engine, cuts, strong, heuristic):
                 return True
             if not expand:
                 continue
-            for _, t in engine.successors(s):
+            for _, t in engine.kernel.successors(s):
                 if matcher.crosses(s, t, s in seed_set):
                     border_marks[t] = border_marks.get(t, False) or mark
                     continue
@@ -393,7 +384,7 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
         except ParseError:
             nodes.append((expr.parse_predicate(text), True))
     nodes = tuple(nodes)
-    x_bound = sem.normalize_x_bound(m, x_bound)
+    kernel = sem.Kernel(m, semantics, x_bound, time_bound)
 
     def measure(s):
         env = StateEnv(m, s, lambda: False)
@@ -417,7 +408,7 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
         processed += 1
         if processed > budget:
             raise BudgetExceeded(f"sweep exceeded {budget} entries")
-        succ = sem._bounded_successors(m, s, semantics, x_bound, time_bound, elapsed)
+        succ = kernel.successors(s, elapsed)
         if not succ:
             versions.append(SweepVersion(s, bounds))
             continue
@@ -461,7 +452,10 @@ def estimated_travel_time_heuristic(m, elapsed, position, speed, goal):
     _need(m, elapsed)
     _need(m, position)
     _need(m, speed)
-    goal = Fraction(goal)
+    try:
+        goal = Fraction(goal)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"goal: cannot read a rational from {goal!r}")
 
     def weight(s):
         v = s.valuation.get(speed)

@@ -28,14 +28,22 @@ class ComponentDecl:
     positive: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarValuation:
-    """Immutable snapshot of all shared components."""
+    """Immutable snapshot of all shared components; its hash is computed
+    once, when it is built, since every state holding it hashes it."""
 
     names: tuple
     values: tuple
     x_names: frozenset
     strong_names: frozenset
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.values))
+
+    def __hash__(self):
+        return self._hash
 
     def get(self, name):
         try:

@@ -103,11 +103,13 @@ def translate(m, accelerated=False):
             f"reset {a.name}: {a.final_locality} -> {a.initial_locality} at {a.reset_period}")
 
     if accelerated:
+        zone = sem.Kernel(m, "accelerated").zone
+
         def time_guard(mk):
-            return sem.zone_info(m, decode(net, mk)).delta > 0
+            return zone(decode(net, mk)).delta > 0
 
         def time_effect(mk):
-            delta = sem.zone_info(m, decode(net, mk)).delta
+            delta = zone(decode(net, mk)).delta
             return Marking(mk.localities, tuple(c + delta for c in mk.clocks), mk.values)
 
         desc = "time: all clocks advance by the zone jump width"
@@ -155,9 +157,9 @@ class EquivResult:
     states_checked: int
 
 
-def _sem_moves(m, s, semantics):
+def _sem_moves(kernel, s):
     moves = set()
-    for e, t in sem.successors(m, s, semantics):
+    for e, t in kernel.successors(s):
         name = "time" if isinstance(e, sem.Delay) else sem.event_label(e)
         moves.add((name, t))
     return moves
@@ -181,6 +183,7 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
     if net is None:
         net = translate(m, accelerated=(semantics == "accelerated"))
     x_bound = sem.normalize_x_bound(m, x_bound)
+    kernel = sem.Kernel(m, semantics)
     init = sem.initial_state(m)
     seen = {init}
     queue = [init]
@@ -192,7 +195,7 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
         head += 1
         if sem.x_reached(s, x_bound):
             continue
-        sem_moves = _sem_moves(m, s, semantics)
+        sem_moves = _sem_moves(kernel, s)
         net_moves = _net_moves(net, encode(s))
         if sem_moves != net_moves:
             only_sem = sorted(name for name, _ in sem_moves - net_moves)

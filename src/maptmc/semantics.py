@@ -9,22 +9,32 @@ by one tick in the original semantics, by the computed zone shift in the
 accelerated one).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import expr
 from .errors import BudgetExceeded, MalformedState, NotEnabled, ValidationError
-from .model import eval_transform
 
 DEFAULT_BUDGET = 100_000
 
 SEMANTICS = ("original", "accelerated")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
+    """Immutable state; its hash is computed once, when it is built."""
+
     localities: tuple
     clocks: tuple
     valuation: object
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.localities, self.clocks, self.valuation)))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (self.localities, self.clocks, self.valuation.values)
@@ -33,17 +43,17 @@ class State:
         return (self.localities, self.clocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fire:
     transition: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reset:
     agent: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delay:
     amount: int
 
@@ -76,44 +86,6 @@ def check_state(m, s):
         raise MalformedState("valuation components do not match the model")
 
 
-def _delay_allowed(m, s):
-    """Original time rule: every agent can still use this tick."""
-    for a, loc, c in zip(m.agents, s.localities, s.clocks):
-        if loc == a.final_locality:
-            if c < a.reset_period:
-                continue
-            return False
-        if any(c < t.upper for t in a.outgoing(loc)):
-            continue
-        return False
-    return True
-
-
-def _fires(m, s):
-    events = []
-    for a, loc, c in zip(m.agents, s.localities, s.clocks):
-        for t in a.outgoing(loc):
-            if t.lower <= c <= t.upper:
-                events.append(Fire(t.id))
-    return events
-
-
-def _resets(m, s):
-    events = []
-    for a, loc, c in zip(m.agents, s.localities, s.clocks):
-        if loc == a.final_locality and c == a.reset_period:
-            events.append(Reset(a.name))
-    return events
-
-
-def enabled_original(m, s):
-    check_state(m, s)
-    events = _fires(m, s) + _resets(m, s)
-    if _delay_allowed(m, s):
-        events.append(Delay(1))
-    return tuple(events)
-
-
 @dataclass(frozen=True)
 class ZoneInfo:
     b_per_agent: tuple
@@ -122,8 +94,43 @@ class ZoneInfo:
     delta: int
 
 
-def zone_info(m, s):
-    """Horizon b, next-activation distance a and jump width delta.
+@dataclass(frozen=True, slots=True)
+class _Row:
+    """What one agent can do at one locality.
+
+    exits holds (lower, upper, Fire event, target, compiled transform) per
+    outgoing transition in declaration order.  cap is the last clock value
+    at which time may still pass: the reset period at the final locality,
+    the latest exit bound elsewhere.  lowers and uppers are the window
+    bounds the zone computation reads (the reset period at the final
+    locality).  reset is the Reset event at the final locality, else None.
+    """
+
+    exits: tuple
+    cap: int
+    lowers: tuple
+    uppers: tuple
+    reset: object
+    restart: str
+
+
+def _compile_transform(f, index):
+    """Apply transform f to a value tuple; all effects read the old values."""
+    effects = sorted((index[name], expr.compile_arith(node, index))
+                     for name, node in f.effects.items())
+
+    def apply(values):
+        out = list(values)
+        for i, effect in effects:
+            out[i] = effect(values)
+        return tuple(out)
+
+    return apply
+
+
+def _zone(rows, clocks):
+    """Horizon b per agent and overall, next-activation distance a and jump
+    width delta.
 
     b caps the jump so no agent runs past its last exit or its reset; a is
     the distance to the earliest newly-enabled fire or reset within b;
@@ -131,102 +138,157 @@ def zone_info(m, s):
     first maximal action zone).  a == 0 means nothing new opens within the
     horizon and delta is 0 as well.
     """
-    check_state(m, s)
-    b_per_agent = []
-    for a_, loc, c in zip(m.agents, s.localities, s.clocks):
-        if loc == a_.final_locality:
-            b_per_agent.append(a_.reset_period - c)
-        else:
-            b_per_agent.append(max(t.upper - c for t in a_.outgoing(loc)))
+    b_per_agent = tuple([row.cap - c for row, c in zip(rows, clocks)])
     horizon = min(b_per_agent)
+    start = 0
+    for row, c in zip(rows, clocks):
+        for low in row.lowers:
+            d = low - c
+            if 0 < d <= horizon and (not start or d < start):
+                start = d
+    if not start:
+        return b_per_agent, horizon, 0, 0
+    # the agent that sets the horizon closes there, so delta <= horizon
+    delta = horizon
+    for row, c in zip(rows, clocks):
+        for up in row.uppers:
+            d = up - c
+            if start <= d < delta:
+                delta = d
+    return b_per_agent, horizon, start, delta
 
-    opens = []
-    for a_, loc, c in zip(m.agents, s.localities, s.clocks):
-        if loc == a_.final_locality:
-            d = a_.reset_period - c
-            if c < a_.reset_period and d <= horizon:
-                opens.append(d)
+
+class Kernel:
+    """The successors of a state, for one model under one semantics.
+
+    Every exploring call builds one.  It holds a table per agent and
+    locality of the outgoing transitions, with their Fire, Reset and
+    Delay events shared and their transforms compiled by
+    expr.compile_arith, so a state's successors come out of one pass with
+    one zone computation.  It never validates a state: the public
+    functions below run check_state on the state they are given, and the
+    exploring loops only feed it states it produced.
+
+    Events come out in a fixed order: fires by agent and then in
+    declaration order, then resets by agent, then the delay.  With an X
+    bound a state that has reached it has no successors; with a time
+    bound a delay is dropped when it would take the run past it.
+    """
+
+    def __init__(self, m, semantics, x_bound=None, time_bound=None):
+        if semantics not in SEMANTICS:
+            raise ValueError(f"unknown semantics {semantics!r}")
+        self.accelerated = semantics == "accelerated"
+        index = {name: i for i, name in enumerate(m.component_names)}
+        self.x_bound = tuple((index[name], bound) for name, bound in
+                             (normalize_x_bound(m, x_bound) or {}).items())
+        self.time_bound = time_bound
+        transforms = {fid: _compile_transform(f, index)
+                      for fid, f in m.transforms.items()}
+        self._tables = []
+        for a in m.agents:
+            table = {}
+            for loc in a.localities:
+                exits = tuple((t.lower, t.upper, Fire(t.id), t.target,
+                               transforms[t.transform])
+                              for t in a.outgoing(loc))
+                if loc == a.final_locality:
+                    period = (a.reset_period,)
+                    table[loc] = _Row(exits, a.reset_period, period, period,
+                                      Reset(a.name), a.initial_locality)
+                else:
+                    table[loc] = _Row(exits, max(t[1] for t in exits),
+                                      tuple(t[0] for t in exits),
+                                      tuple(t[1] for t in exits), None, "")
+            self._tables.append(table)
+        self._delays = {}
+
+    def _rows(self, s):
+        return [table[loc] for table, loc in zip(self._tables, s.localities)]
+
+    def zone(self, s):
+        return ZoneInfo(*_zone(self._rows(s), s.clocks))
+
+    def successors(self, s, elapsed=0):
+        """(event, target) pairs for every event enabled in s within the
+        bounds; elapsed is the time distance of s from the start."""
+        locs, clocks, valuation = s.localities, s.clocks, s.valuation
+        if self.x_bound and all(valuation.values[i] >= bound
+                                for i, bound in self.x_bound):
+            return []
+        rows = self._rows(s)
+        out = []
+        resets = []
+        for i, (row, c) in enumerate(zip(rows, clocks)):
+            for lower, upper, event, target, apply in row.exits:
+                if lower <= c <= upper:
+                    out.append((event, State(
+                        locs[:i] + (target,) + locs[i + 1:], clocks,
+                        valuation.with_values(apply(valuation.values)))))
+            if row.reset is not None and c == row.cap:
+                resets.append((row.reset, State(
+                    locs[:i] + (row.restart,) + locs[i + 1:],
+                    clocks[:i] + (0,) + clocks[i + 1:], valuation)))
+        out += resets
+        if self.accelerated:
+            amount = _zone(rows, clocks)[3]
         else:
-            for t in a_.outgoing(loc):
-                d = t.lower - c
-                if c < t.lower and d <= horizon:
-                    opens.append(d)
-    start = min(opens) if opens else 0
+            amount = 1 if all(c < row.cap for row, c in zip(rows, clocks)) else 0
+        if amount and (self.time_bound is None or elapsed + amount <= self.time_bound):
+            event = self._delays.get(amount)
+            if event is None:
+                event = self._delays[amount] = Delay(amount)
+            out.append((event, State(locs, tuple([c + amount for c in clocks]),
+                                     valuation)))
+        return out
 
-    delta = 0
-    if start > 0:
-        closes = []
-        for a_, loc, c in zip(m.agents, s.localities, s.clocks):
-            if loc == a_.final_locality:
-                d = a_.reset_period - c
-                if d <= horizon:
-                    closes.append(d)
-            else:
-                for t in a_.outgoing(loc):
-                    d = t.upper - c
-                    if start <= d <= horizon:
-                        closes.append(d)
-        delta = min(closes)
-    return ZoneInfo(tuple(b_per_agent), horizon, start, delta)
-
-
-def enabled_accelerated(m, s):
-    check_state(m, s)
-    events = _fires(m, s) + _resets(m, s)
-    delta = zone_info(m, s).delta
-    if delta > 0:
-        events.append(Delay(delta))
-    return tuple(events)
+    def enabled(self, s):
+        return tuple(e for e, _ in self.successors(s))
 
 
 def enabled(m, s, semantics):
-    if semantics == "original":
-        return enabled_original(m, s)
-    if semantics == "accelerated":
-        return enabled_accelerated(m, s)
-    raise ValueError(f"unknown semantics {semantics!r}")
+    check_state(m, s)
+    return Kernel(m, semantics).enabled(s)
+
+
+def enabled_original(m, s):
+    return enabled(m, s, "original")
+
+
+def enabled_accelerated(m, s):
+    return enabled(m, s, "accelerated")
+
+
+def zone_info(m, s):
+    """Horizon, next-activation distance and jump width of s (see _zone)."""
+    check_state(m, s)
+    return Kernel(m, "accelerated").zone(s)
 
 
 def step(m, s, e):
-    """Execute one event; raises NotEnabled if it cannot happen in s."""
+    """Execute one event; raises NotEnabled if it cannot happen in s.
+
+    A delay is accepted when either semantics enables it: one tick, or
+    the accelerated jump width.
+    """
     check_state(m, s)
     if isinstance(e, Fire):
-        agent, t = m.transition(e.transition)
-        i = m.agent_index(agent.name)
-        if s.localities[i] != t.source:
-            raise NotEnabled(f"{t.id!r}: agent {agent.name!r} is not at {t.source!r}")
-        if not t.lower <= s.clocks[i] <= t.upper:
-            raise NotEnabled(f"{t.id!r}: clock {s.clocks[i]} outside [{t.lower}, {t.upper}]")
-        localities = list(s.localities)
-        localities[i] = t.target
-        valuation = eval_transform(m.transform(t.transform), s.valuation)
-        return State(tuple(localities), s.clocks, valuation)
-    if isinstance(e, Reset):
-        a = m.agent(e.agent)
-        i = m.agent_index(a.name)
-        if s.localities[i] != a.final_locality:
-            raise NotEnabled(f"agent {a.name!r} is not at its final locality")
-        if s.clocks[i] != a.reset_period:
-            raise NotEnabled(f"agent {a.name!r}: clock {s.clocks[i]} != {a.reset_period}")
-        localities = list(s.localities)
-        clocks = list(s.clocks)
-        localities[i] = a.initial_locality
-        clocks[i] = 0
-        return State(tuple(localities), tuple(clocks), s.valuation)
-    if isinstance(e, Delay):
-        if e.amount < 1:
-            raise NotEnabled("delay must be positive")
-        ok = (e.amount == 1 and _delay_allowed(m, s)) or \
-            (e.amount == zone_info(m, s).delta)
-        if not ok:
-            raise NotEnabled(f"delay of {e.amount} is not enabled here")
-        clocks = tuple(c + e.amount for c in s.clocks)
-        return State(s.localities, clocks, s.valuation)
-    raise NotEnabled(f"unknown event {e!r}")
+        m.transition(e.transition)
+    elif isinstance(e, Reset):
+        m.agent(e.agent)
+    elif not isinstance(e, Delay):
+        raise NotEnabled(f"unknown event {e!r}")
+    for semantics in SEMANTICS:
+        for event, t in Kernel(m, semantics).successors(s):
+            if event == e:
+                return t
+    raise NotEnabled(f"{event_label(e)} is not enabled at "
+                     f"localities={s.localities} clocks={s.clocks}")
 
 
 def successors(m, s, semantics):
-    return tuple((e, step(m, s, e)) for e in enabled(m, s, semantics))
+    check_state(m, s)
+    return tuple(Kernel(m, semantics).successors(s))
 
 
 def project_word(trace):
@@ -258,20 +320,6 @@ def x_reached(s, x_bound):
     return all(s.valuation.get(n) >= b for n, b in x_bound.items())
 
 
-def is_final(m, s, semantics, x_bound):
-    return x_reached(s, x_bound) or not enabled(m, s, semantics)
-
-
-def _bounded_successors(m, s, semantics, x_bound, time_bound, elapsed):
-    if x_reached(s, x_bound):
-        return ()
-    out = successors(m, s, semantics)
-    if time_bound is not None:
-        out = tuple((e, t) for e, t in out
-                    if not isinstance(e, Delay) or elapsed + e.amount <= time_bound)
-    return out
-
-
 @dataclass(frozen=True)
 class Exploration:
     states: dict          # state -> time distance from the initial state
@@ -286,7 +334,7 @@ def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGE
     from the start; a state found at two distances means the model is not
     acyclic and exploration stops with ValidationError.
     """
-    x_bound = normalize_x_bound(m, x_bound)
+    kernel = Kernel(m, semantics, x_bound, time_bound)
     init = initial_state(m)
     dist = {init: 0}
     edges = []
@@ -299,7 +347,7 @@ def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGE
         s = queue[head]
         head += 1
         elapsed = dist[s]
-        succ = _bounded_successors(m, s, semantics, x_bound, time_bound, elapsed)
+        succ = kernel.successors(s, elapsed)
         if not succ:
             finals.add(s)
             continue
@@ -326,7 +374,7 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
     event remains within the bounds.  Delays never extend the word, so
     the two semantics can be compared through the returned mapping.
     """
-    x_bound = normalize_x_bound(m, x_bound)
+    kernel = Kernel(m, semantics, x_bound, time_bound)
     init = initial_state(m)
     out = {}
     seen = {(init, ())}
@@ -337,7 +385,7 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
             raise BudgetExceeded(f"abstract exploration exceeded {budget} entries")
         s, word, elapsed = queue[head]
         head += 1
-        succ = _bounded_successors(m, s, semantics, x_bound, time_bound, elapsed)
+        succ = kernel.successors(s, elapsed)
         if not succ:
             label = (s.localities, s.valuation.values)
             if word in out and out[word] != label:

@@ -179,6 +179,50 @@ def test_check_bad_x_bound(capsys):
     assert "x-bound" in err
 
 
+def assert_one_error_line(code, err):
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_check_zero_denominator_x_bound(capsys):
+    code, _, err = run_cli(
+        capsys, "check", TWO_TASKS, "EF load >= 2", "--x-bound", "count=1/0")
+    assert_one_error_line(code, err)
+    assert "--x-bound" in err
+
+
+def test_check_zero_denominator_bare_x_bound(capsys):
+    code, _, err = run_cli(
+        capsys, "check", TWO_TASKS, "EF load >= 2", "--x-bound", "1/0")
+    assert_one_error_line(code, err)
+    assert "--x-bound" in err
+
+
+def test_check_zero_denominator_heuristic_arg(capsys):
+    code, _, err = run_cli(
+        capsys, "check", VEHICLES, "EF pos_a >= 4",
+        "--x-bound", "pos_a=8", "--x-bound", "pos_b=8",
+        "--heuristic", "estimated_travel_time",
+        "--heuristic-arg", "elapsed=elapsed", "--heuristic-arg", "position=pos_b",
+        "--heuristic-arg", "speed=speed_b", "--heuristic-arg", "goal=1/0")
+    assert_one_error_line(code, err)
+    assert "goal" in err
+
+
+def test_check_unknown_heuristic_arg(capsys):
+    code, _, err = run_cli(
+        capsys, "check", VEHICLES, "EF(pos_a>=4)",
+        "--heuristic", "distance", "--heuristic-arg", "foo=pos_a")
+    assert_one_error_line(code, err)
+    code, _, err = run_cli(
+        capsys, "check", VEHICLES, "EF(pos_a>=4)", "--heuristic", "distance",
+        "--heuristic-arg", "ahead=pos_a", "--heuristic-arg", "behind=pos_b",
+        "--heuristic-arg", "foo=pos_a")
+    assert_one_error_line(code, err)
+    assert "'foo'" in err
+
+
 def test_check_with_cuts_file(capsys, tmp_path, two_tasks):
     path = tmp_path / "cuts.txt"
     path.write_text(layers.format_cuts(layers.find_cuts(two_tasks)),

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from maptmc import expr
 from maptmc.errors import DivisionByZero, Overflow, ParseError, PredicateError
@@ -161,14 +161,19 @@ def test_parse_error_carries_position():
 
 
 def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero) as err:
         ev("1 / (x - 2)", x=Fraction(2))
+    assert str(err.value) == "division by zero in '1 / (x - 2)'"
 
 
 def test_overflow_guard():
     big = Fraction(2) ** 40000
-    with pytest.raises(Overflow):
+    with pytest.raises(Overflow) as err:
         ev("x * x", x=big)
+    assert str(err.value) == "value in x * x exceeds 65536 bits"
+    with pytest.raises(Overflow) as err:
+        ev("-(x + 1) / 3 - x * x", x=big)
+    assert str(err.value) == "value in x * x exceeds 65536 bits"
 
 
 def test_map_env_unknown_component():
@@ -212,6 +217,68 @@ def arith_trees():
 def test_to_text_round_trip(tree):
     text = expr.to_text(tree)
     assert expr.parse_arith(text) == tree
+
+
+COMPONENTS = ("a", "b", "c")
+HUGE = Fraction(2) ** 40000
+
+
+def small_fractions():
+    return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def transform_trees():
+    """Every node kind a transform can hold."""
+    leaves = st.one_of(
+        small_fractions().map(expr.Num),
+        st.sampled_from(COMPONENTS).map(expr.Ref),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), children, children).map(
+                lambda t: expr.Bin(t[0], t[1], t[2])
+            ),
+            children.map(expr.Neg),
+            st.tuples(st.sampled_from(("min", "max")), children, children).map(
+                lambda t: expr.Call(t[0], (t[1], t[2]))
+            ),
+            st.tuples(st.sampled_from(("<", "<=", "=", ">=", ">")),
+                      children, children, children, children).map(
+                lambda t: expr.Ite(expr.Cmp(t[0], t[1], t[2]), t[3], t[4])
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def outcome(evaluate):
+    try:
+        return ("value", evaluate())
+    except (DivisionByZero, Overflow) as e:
+        return (type(e), str(e))
+
+
+@example(expr.parse_arith("a / (b - b)"), (Fraction(1), Fraction(2), Fraction(0)), False)
+@example(expr.parse_arith("a / 0 / (b / 0)"), (Fraction(1), Fraction(2), Fraction(0)), False)
+@example(expr.parse_arith("-(a * 2) + c * c"), (Fraction(1), Fraction(0), Fraction(0)), True)
+@given(transform_trees(), st.tuples(small_fractions(), small_fractions(),
+                                    small_fractions()), st.booleans())
+def test_compile_arith_matches_eval_arith(tree, values, huge):
+    # zeros reach DivisionByZero, and a product of HUGE with itself Overflow;
+    # HUGE is set here because its repr exceeds Python's int-to-text limit
+    if huge:
+        values = values[:2] + (HUGE,)
+    env = expr.MapEnv(dict(zip(COMPONENTS, values)))
+    compiled = expr.compile_arith(tree, {n: i for i, n in enumerate(COMPONENTS)})
+    assert outcome(lambda: compiled(values)) == \
+        outcome(lambda: expr.eval_arith(tree, env))
+
+
+@pytest.mark.parametrize("text", ["y + 1", "clock(task_a) + 1"])
+def test_compile_arith_refuses_non_transform_nodes(text):
+    with pytest.raises(PredicateError):
+        expr.compile_arith(expr.parse_arith(text, allow_clock=True), {"x": 0})
 
 
 PRED_ROUND_TRIP = [
