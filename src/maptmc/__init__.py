@@ -5,8 +5,8 @@ from .errors import (BudgetExceeded, DivisionByZero, MalformedModel,
                      Overflow, ParseError, PredicateError, UnknownReference,
                      ValidationError)
 from .layers import (CutSpec, MandatoryChain, best_cut, clustered_next_border,
-                     find_cuts, format_cuts, is_cut, load_cuts, mandatory_chain,
-                     next_border, parse_cuts)
+                     find_cuts, format_cuts, load_cuts, mandatory_chain, next_border,
+                     parse_cuts)
 from .mc import (CheckResult, CheckStats, Heuristic, SweepResult, builtin_heuristics,
                  check, parse_query, sweep_indicators)
 from .model import (Agent, MaptModel, Transform, Transition, ValidationReport,

@@ -535,25 +535,6 @@ def refs(node):
     return out
 
 
-def clock_refs(node):
-    """All agent names whose clock an expression reads."""
-    out = set()
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, ClockRef):
-            out.add(cur.agent)
-        elif isinstance(cur, (Neg, Not)):
-            stack.append(cur.operand)
-        elif isinstance(cur, (Bin, BoolBin, Cmp)):
-            stack.extend((cur.left, cur.right))
-        elif isinstance(cur, Call):
-            stack.extend(cur.args)
-        elif isinstance(cur, Ite):
-            stack.extend((cur.cond, cur.then, cur.orelse))
-    return out
-
-
 _PREC = {"||": 1, "&&": 2, "+": 5, "-": 5, "*": 6, "/": 6}
 
 

@@ -11,11 +11,12 @@ cuts well defined in both semantics.
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from math import inf
 
 from . import semantics as sem
 from .errors import BudgetExceeded, MalformedState, ValidationError
-from .model import lcm_periods
+from .model import lcm_periods, topo_order
 
 PRE = "pre"
 POST = "post"
@@ -44,23 +45,9 @@ class CutSpec:
         return (self.localities, self.clocks)
 
 
-def _topo_order(agent):
-    indeg = {l: len(agent.incoming(l)) for l in agent.localities}
-    order = []
-    ready = [l for l in agent.localities if indeg[l] == 0]
-    while ready:
-        loc = ready.pop(0)
-        order.append(loc)
-        for t in agent.outgoing(loc):
-            indeg[t.target] -= 1
-            if indeg[t.target] == 0:
-                ready.append(t.target)
-    return order
-
-
 def mandatory_chain(agent):
     """Localities lying on every source-to-sink path, in path order."""
-    order = _topo_order(agent)
+    order = topo_order(agent)
     start = agent.initial_locality
     goal = agent.final_locality
     into = {l: 0 for l in agent.localities}
@@ -278,54 +265,81 @@ class CutMatcher:
         return False
 
 
-def is_cut(m, cuts, pre_s, s, semantics):
-    return CutMatcher(m, cuts, semantics).crosses(pre_s, s)
+def walk(kernel, seeds, visit, crosses):
+    """Width-first walk over (state, mark) pairs from seeds up to the next
+    border.
 
-
-def next_border(m, cuts, s, semantics, visitor=None, *, budget=sem.DEFAULT_BUDGET,
-                diagnostics=None):
-    """Width-first walk from s up to the next border; returns the border.
-
-    The seed itself is not border-tested, only states discovered from it.
-    Every expanded state is passed to visitor.  diagnostics, if given,
-    counts discovered states that sit on a cut configuration without
-    matching any border case ('unmatched_at_cut').
+    visit(state, mark) returns (stop, expand, mark): stop ends the walk,
+    and only an expanded state passes its new mark on to its successors.
+    A successor t of u for which crosses(u, t, u is a seed) holds is on
+    the border and is not walked; any other is queued when new, or again
+    when it comes marked after being queued unmarked.  Returns the border,
+    mapping each state to whether it was reached marked (None when visit
+    stopped the walk), and the longest queue seen.
     """
-    return _walk(m, cuts, [s], semantics, visitor, budget, diagnostics)
+    queue = deque(seeds)
+    seen = dict(seeds)
+    seed_set = frozenset(seen)
+    border = {}
+    peak = 0
+    while queue:
+        peak = max(peak, len(queue))
+        s, mark = queue.popleft()
+        stop, expand, mark = visit(s, mark)
+        if stop:
+            return None, peak
+        if not expand:
+            continue
+        from_seed = s in seed_set
+        for _, t in kernel.successors(s):
+            if crosses(s, t, from_seed):
+                border[t] = border.get(t, False) or mark
+            elif t not in seen or (mark and not seen[t]):
+                seen[t] = mark
+                queue.append((t, mark))
+    return border, peak
 
 
-def _walk(m, cuts, seeds, semantics, visitor, budget, diagnostics):
+def clusters(border, strong):
+    """Split a border (state -> mark) into clusters of equal strong-component
+    valuations, in valuation order; each is a tuple of (state, mark) pairs
+    in state order."""
+    groups = {}
+    for t, mark in border.items():
+        groups.setdefault(t.valuation.strong_part(strong), []).append((t, mark))
+    return [tuple(sorted(groups[key], key=lambda kv: kv[0].sort_key()))
+            for key in sorted(groups)]
+
+
+def _border(m, cuts, seeds, semantics, visitor, budget):
     for s in seeds:
         sem.check_state(m, s)
     matcher = CutMatcher(m, cuts, semantics)
-    queue = deque(seeds)
-    seed_set = frozenset(seeds)
-    seen = set(seeds)
-    border = set()
-    processed = 0
-    while queue:
-        u = queue.popleft()
-        processed += 1
-        if processed > budget:
+    taken = count(1)
+
+    def visit(s, mark):
+        if next(taken) > budget:
             raise BudgetExceeded(f"border walk exceeded {budget} states")
         if visitor is not None:
-            visitor(u)
-        for _, v in matcher.kernel.successors(u):
-            if matcher.crosses(u, v, u in seed_set):
-                border.add(v)
-                continue
-            if diagnostics is not None and matcher.on_cut(v):
-                diagnostics["unmatched_at_cut"] = \
-                    diagnostics.get("unmatched_at_cut", 0) + 1
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return frozenset(border)
+            visitor(s)
+        return False, True, mark
+
+    border, _ = walk(matcher.kernel, [(s, False) for s in seeds], visit,
+                     matcher.crosses)
+    return border
+
+
+def next_border(m, cuts, s, semantics, visitor=None, *, budget=sem.DEFAULT_BUDGET):
+    """Width-first walk from s up to the next border; returns the border.
+
+    The seed itself is not border-tested, only states discovered from it.
+    Every expanded state is passed to visitor.
+    """
+    return frozenset(_border(m, cuts, [s], semantics, visitor, budget))
 
 
 def clustered_next_border(m, cuts, cluster, semantics, visitor=None, *,
-                          strong_set=None, budget=sem.DEFAULT_BUDGET,
-                          diagnostics=None):
+                          strong_set=None, budget=sem.DEFAULT_BUDGET):
     """Walk from a whole cluster at once and split the border into clusters
     of equal strong-component valuations.
 
@@ -334,8 +348,5 @@ def clustered_next_border(m, cuts, cluster, semantics, visitor=None, *,
     """
     strong = frozenset(m.strong_names if strong_set is None else strong_set)
     seeds = sorted(cluster, key=lambda st: st.sort_key())
-    border = _walk(m, cuts, seeds, semantics, visitor, budget, diagnostics)
-    groups = {}
-    for st in border:
-        groups.setdefault(st.valuation.strong_part(strong), set()).add(st)
-    return tuple(frozenset(groups[key]) for key in sorted(groups))
+    border = _border(m, cuts, seeds, semantics, visitor, budget)
+    return tuple(frozenset(t for t, _ in c) for c in clusters(border, strong))

@@ -18,9 +18,9 @@ verdict never depends on the strategy, only the visit order does.
 
 import heapq
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from . import expr, layers
 from . import semantics as sem
@@ -208,103 +208,48 @@ class _Engine:
 
 def _width(engine):
     init = sem.initial_state(engine.m)
-    queue = deque([(init, False)])
-    seen = {init: False}
-    while queue:
-        engine.stats.peak_frontier = max(engine.stats.peak_frontier, len(queue))
-        s, mark = queue.popleft()
-        found, expand, mark = engine.process(s, mark)
-        if found:
-            return True
-        if not expand:
-            continue
-        for _, t in engine.kernel.successors(s):
-            if t not in seen or (mark and not seen[t]):
-                seen[t] = mark or seen.get(t, False)
-                queue.append((t, mark))
-    return False
+    border, engine.stats.peak_frontier = layers.walk(
+        engine.kernel, [(init, False)], engine.process, lambda pre, s, seed: False)
+    return border is None
 
 
 def _layered(engine, cuts, strong, heuristic):
+    """Walk cluster by cluster, each up to the next border.
+
+    Pending clusters sit in one heap.  Without a heuristic the key is
+    -borders_crossed when the cluster was found, so the latest border's
+    clusters come first, in the order found: depth-first across borders,
+    FIFO over the clusters of one border.
+    """
     matcher = layers.CutMatcher(engine.m, cuts, engine.semantics)
-    init = sem.initial_state(engine.m)
-    first = ((init, False),)
+    stats = engine.stats
+    heap = []
+    seq = count()
 
-    if heuristic is None:
-        stack = [deque([first])]
-
-        def pending():
-            return sum(len(d) for d in stack)
-
-        def pop():
-            while stack and not stack[-1]:
-                stack.pop()
-            if not stack:
-                return None
-            return stack[-1].popleft()
-
-        def push(clusters):
-            if clusters:
-                stack.append(deque(clusters))
-    else:
-        heap = []
-        seq = [0]
-
-        def weigh(cluster):
+    def push(cluster):
+        if heuristic is None:
+            key = -stats.borders_crossed
+        else:
             rep = min((s for s, _ in cluster),
                       key=lambda st: (st.valuation.values, st.sort_key()))
             w = heuristic.weight(rep)
-            return -w if heuristic.order == "ascending" else w
+            key = -w if heuristic.order == "ascending" else w
+        heapq.heappush(heap, (key, next(seq), cluster))
 
-        def pending():
-            return len(heap)
-
-        def pop():
-            if not heap:
-                return None
-            return heapq.heappop(heap)[2]
-
-        def push(clusters):
-            for cluster in clusters:
-                heapq.heappush(heap, (weigh(cluster), seq[0], cluster))
-                seq[0] += 1
-
-        push([first])
-
-    while True:
-        engine.stats.peak_frontier = max(engine.stats.peak_frontier, pending())
-        cluster = pop()
-        if cluster is None:
-            return False
-        border_marks = {}
-        queue = deque(cluster)
-        seed_set = frozenset(s for s, _ in cluster)
-        local_seen = {s: mk for s, mk in cluster}
-        while queue:
-            s, mark = queue.popleft()
-            found, expand, mark = engine.process(s, mark)
-            if found:
-                return True
-            if not expand:
-                continue
-            for _, t in engine.kernel.successors(s):
-                if matcher.crosses(s, t, s in seed_set):
-                    border_marks[t] = border_marks.get(t, False) or mark
-                    continue
-                if t not in local_seen or (mark and not local_seen[t]):
-                    local_seen[t] = mark or local_seen.get(t, False)
-                    queue.append((t, mark))
-        engine.stats.borders_crossed += 1
-        groups = {}
-        for t, mk in border_marks.items():
-            groups.setdefault(t.valuation.strong_part(strong), {})[t] = mk
-        clusters = []
-        for key in sorted(groups):
-            entries = tuple(sorted(groups[key].items(),
-                                   key=lambda kv: kv[0].sort_key()))
-            clusters.append(entries)
-        engine.stats.clusters_formed += len(clusters)
-        push(clusters)
+    push(((sem.initial_state(engine.m), False),))
+    while heap:
+        stats.peak_frontier = max(stats.peak_frontier, len(heap))
+        cluster = heapq.heappop(heap)[2]
+        border, _ = layers.walk(engine.kernel, cluster, engine.process,
+                                matcher.crosses)
+        if border is None:
+            return True
+        stats.borders_crossed += 1
+        found = layers.clusters(border, strong)
+        stats.clusters_formed += len(found)
+        for c in found:
+            push(c)
+    return False
 
 
 def check(m, query, x_bound=None, semantics="accelerated", strategy="layered-dfs",
@@ -384,7 +329,6 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
         except ParseError:
             nodes.append((expr.parse_predicate(text), True))
     nodes = tuple(nodes)
-    kernel = sem.Kernel(m, semantics, x_bound, time_bound)
 
     def measure(s):
         env = StateEnv(m, s, lambda: False)
@@ -396,31 +340,15 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
                 out.append(expr.eval_arith(node, env))
         return tuple(out)
 
+    def widen(bounds, e, t):
+        return tuple([(min(lo, v), max(hi, v))
+                      for (lo, hi), v in zip(bounds, measure(t))])
+
     init = sem.initial_state(m)
-    first = measure(init)
-    start = (init, tuple((v, v) for v in first))
-    seen = {start}
-    queue = deque([(init, start[1], 0)])
-    versions = []
-    processed = 0
-    while queue:
-        s, bounds, elapsed = queue.popleft()
-        processed += 1
-        if processed > budget:
-            raise BudgetExceeded(f"sweep exceeded {budget} entries")
-        succ = kernel.successors(s, elapsed)
-        if not succ:
-            versions.append(SweepVersion(s, bounds))
-            continue
-        for e, t in succ:
-            vals = measure(t)
-            nb = tuple((min(lo, v), max(hi, v))
-                       for (lo, hi), v in zip(bounds, vals))
-            key = (t, nb)
-            if key not in seen:
-                seen.add(key)
-                gain = e.amount if isinstance(e, sem.Delay) else 0
-                queue.append((t, nb, elapsed + gain))
+    steps = sem.walk(sem.Kernel(m, semantics, x_bound, time_bound), init,
+                     tuple((v, v) for v in measure(init)), widen, budget=budget,
+                     message=f"sweep exceeded {budget} entries")
+    versions = [SweepVersion(s, bounds) for s, bounds, succ in steps if not succ]
     versions.sort(key=lambda v: (v.state.sort_key(), v.bounds))
     return SweepResult(names, tuple(versions))
 

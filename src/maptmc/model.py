@@ -423,25 +423,25 @@ def _int(raw, what, minimum=None):
     return raw
 
 
+def topo_order(agent):
+    """The agent's localities in topological order; a locality on a cycle,
+    or reachable from one, is left out."""
+    indeg = {l: len(agent.incoming(l)) for l in agent.localities}
+    order = []
+    ready = [l for l in agent.localities if indeg[l] == 0]
+    while ready:
+        loc = ready.pop(0)
+        order.append(loc)
+        for t in agent.outgoing(loc):
+            indeg[t.target] -= 1
+            if indeg[t.target] == 0:
+                ready.append(t.target)
+    return order
+
+
 def _check_locality_dag(agent):
     nodes = agent.localities
-    edges = [(t.source, t.target) for t in agent.transitions]
-    indeg = {n: 0 for n in nodes}
-    out = {n: [] for n in nodes}
-    for src, dst in edges:
-        indeg[dst] += 1
-        out[src].append(dst)
-    order = [n for n in nodes if indeg[n] == 0]
-    seen = 0
-    queue = list(order)
-    while queue:
-        n = queue.pop(0)
-        seen += 1
-        for nxt in out[n]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if seen != len(nodes):
+    if len(topo_order(agent)) != len(nodes):
         raise MalformedModel(f"agent {agent.name!r}: locality graph has a cycle")
     sources = [n for n in nodes if not agent.incoming(n)]
     sinks = [n for n in nodes if not agent.outgoing(n)]

@@ -5,15 +5,17 @@ vector, the clock vector and the shared valuation.  Every model
 transition becomes a net transition guarded on its agent's position and
 clock window; every agent contributes one reset transition; one global
 time transition advances all clocks together (by one tick, or by the
-accelerated jump width when the net is built accelerated).  A marking is
-a bijective re-packaging of a state, so the lockstep comparison in
-state_space_equiv is a strong bisimulation check.
+accelerated jump width when the net is built accelerated).  The jump is
+derived here from the marking and the agents' windows, never from the
+semantics module the net is checked against.  A marking is a bijective
+re-packaging of a state, so the lockstep comparison in state_space_equiv
+is a strong bisimulation check.
 """
 
 from dataclasses import dataclass, field
 
 from . import semantics as sem
-from .errors import BudgetExceeded, MalformedModel, NotEnabled
+from .errors import MalformedModel, NotEnabled
 from .model import VarValuation, eval_transform
 
 PLACES = ("localities", "clocks", "valuation")
@@ -65,6 +67,31 @@ def _headroom(agent, loc, clock):
     return any(clock < t.upper for t in agent.outgoing(loc))
 
 
+def _jump(m, mk):
+    """Width of the accelerated time step at mk, from the agents' windows.
+
+    An agent acts in the windows of its outgoing transitions, or at its
+    reset instant at the final locality.  Time may pass until the first
+    agent leaves its last window behind (the horizon); the step ends the
+    first action zone: from the earliest window opening within the
+    horizon to the first window closing at or after it.  0 when nothing
+    opens within the horizon.
+    """
+    spans = []
+    for a, loc, c in zip(m.agents, mk.localities, mk.clocks):
+        if loc == a.final_locality:
+            spans.append([(a.reset_period - c, a.reset_period - c)])
+        else:
+            spans.append([(t.lower - c, t.upper - c) for t in a.outgoing(loc)])
+    horizon = min(max(close for _, close in span) for span in spans)
+    opens = [o for span in spans for o, _ in span if 0 < o <= horizon]
+    if not opens:
+        return 0
+    start = min(opens)
+    return min(close for span in spans for _, close in span
+               if start <= close <= horizon)
+
+
 def translate(m, accelerated=False):
     net = HlNet(model=m, accelerated=accelerated)
     names = {"time"} | {f"reset_{a.name}" for a in m.agents}
@@ -103,13 +130,11 @@ def translate(m, accelerated=False):
             f"reset {a.name}: {a.final_locality} -> {a.initial_locality} at {a.reset_period}")
 
     if accelerated:
-        zone = sem.Kernel(m, "accelerated").zone
-
         def time_guard(mk):
-            return zone(decode(net, mk)).delta > 0
+            return _jump(m, mk) > 0
 
         def time_effect(mk):
-            delta = zone(decode(net, mk)).delta
+            delta = _jump(m, mk)
             return Marking(mk.localities, tuple(c + delta for c in mk.clocks), mk.values)
 
         desc = "time: all clocks advance by the zone jump width"
@@ -157,21 +182,6 @@ class EquivResult:
     states_checked: int
 
 
-def _sem_moves(kernel, s):
-    moves = set()
-    for e, t in kernel.successors(s):
-        name = "time" if isinstance(e, sem.Delay) else sem.event_label(e)
-        moves.add((name, t))
-    return moves
-
-
-def _net_moves(net, mk):
-    moves = set()
-    for name in enabled_net(net, mk):
-        moves.add((name, decode(net, fire(net, mk, name))))
-    return moves
-
-
 def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
                       budget=sem.DEFAULT_BUDGET):
     """Walk model and net in lockstep, comparing moves state by state.
@@ -183,28 +193,20 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
     if net is None:
         net = translate(m, accelerated=(semantics == "accelerated"))
     x_bound = sem.normalize_x_bound(m, x_bound)
-    kernel = sem.Kernel(m, semantics)
-    init = sem.initial_state(m)
-    seen = {init}
-    queue = [init]
-    head = 0
-    while head < len(queue):
-        if head >= budget:
-            raise BudgetExceeded(f"equivalence walk exceeded {budget} states")
-        s = queue[head]
-        head += 1
+    steps = sem.walk(sem.Kernel(m, semantics, x_bound), sem.initial_state(m),
+                     budget=budget, message=f"equivalence walk exceeded {budget} states")
+    for checked, (s, _, succ) in enumerate(steps, 1):
         if sem.x_reached(s, x_bound):
             continue
-        sem_moves = _sem_moves(kernel, s)
-        net_moves = _net_moves(net, encode(s))
+        mk = encode(s)
+        sem_moves = {("time" if isinstance(e, sem.Delay) else sem.event_label(e), t)
+                     for e, t in succ}
+        net_moves = {(name, decode(net, fire(net, mk, name)))
+                     for name in enabled_net(net, mk)}
         if sem_moves != net_moves:
             only_sem = sorted(name for name, _ in sem_moves - net_moves)
             only_net = sorted(name for name, _ in net_moves - sem_moves)
             detail = (f"divergence at localities={s.localities} clocks={s.clocks}: "
                       f"model-only moves {only_sem}, net-only moves {only_net}")
-            return EquivResult(False, detail, head)
-        for _, t in sorted(sem_moves, key=lambda mv: (mv[0], mv[1].sort_key())):
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return EquivResult(True, "", head)
+            return EquivResult(False, detail, checked)
+    return EquivResult(True, "", checked)

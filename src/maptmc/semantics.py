@@ -9,6 +9,7 @@ by one tick in the original semantics, by the computed zone shift in the
 accelerated one).
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -320,6 +321,41 @@ def x_reached(s, x_bound):
     return all(s.valuation.get(n) >= b for n, b in x_bound.items())
 
 
+def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None):
+    """Width-first walk over the kernel's successors from start; yields
+    (state, tag, successors) per entry, in FIFO order.
+
+    Without fold an entry is a state.  With fold it is a (state, tag)
+    pair, and a successor's tag is fold(tag, event, successor).  seen maps
+    each entry found to its time distance from start (pass a dict to keep
+    it); an entry found at two distances means the model is not acyclic.
+    Taking more than budget entries raises BudgetExceeded(message).
+    """
+    seen = {} if seen is None else seen
+    seen[start if fold is None else (start, tag)] = 0
+    queue = deque([(start, tag, 0)])
+    taken = 0
+    while queue:
+        if taken >= budget:
+            raise BudgetExceeded(message)
+        taken += 1
+        s, tag, elapsed = queue.popleft()
+        succ = kernel.successors(s, elapsed)
+        yield s, tag, succ
+        for e, t in succ:
+            t_elapsed = elapsed + e.amount if isinstance(e, Delay) else elapsed
+            t_tag = None if fold is None else fold(tag, e, t)
+            key = t if fold is None else (t, t_tag)
+            known = seen.get(key)
+            if known is None:
+                seen[key] = t_elapsed
+                queue.append((t, t_tag, t_elapsed))
+            elif known != t_elapsed:
+                raise ValidationError(
+                    "a state was reached at two distinct time distances "
+                    f"({known} and {t_elapsed}); the model is not acyclic")
+
+
 @dataclass(frozen=True)
 class Exploration:
     states: dict          # state -> time distance from the initial state
@@ -334,34 +370,16 @@ def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGE
     from the start; a state found at two distances means the model is not
     acyclic and exploration stops with ValidationError.
     """
-    kernel = Kernel(m, semantics, x_bound, time_bound)
-    init = initial_state(m)
-    dist = {init: 0}
+    dist = {}
     edges = []
     finals = set()
-    queue = [init]
-    head = 0
-    while head < len(queue):
-        if head >= budget:
-            raise BudgetExceeded(f"exploration exceeded {budget} states")
-        s = queue[head]
-        head += 1
-        elapsed = dist[s]
-        succ = kernel.successors(s, elapsed)
+    for s, _, succ in walk(Kernel(m, semantics, x_bound, time_bound),
+                           initial_state(m), budget=budget, seen=dist,
+                           message=f"exploration exceeded {budget} states"):
         if not succ:
             finals.add(s)
-            continue
         for e, t in succ:
             edges.append((s, e, t))
-            t_elapsed = elapsed + (e.amount if isinstance(e, Delay) else 0)
-            if t in dist:
-                if dist[t] != t_elapsed:
-                    raise ValidationError(
-                        "a state was reached at two distinct time distances "
-                        f"({dist[t]} and {t_elapsed}); the model is not acyclic")
-            else:
-                dist[t] = t_elapsed
-                queue.append(t)
     return Exploration(dist, tuple(edges), frozenset(finals))
 
 
@@ -374,31 +392,16 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
     event remains within the bounds.  Delays never extend the word, so
     the two semantics can be compared through the returned mapping.
     """
-    kernel = Kernel(m, semantics, x_bound, time_bound)
-    init = initial_state(m)
     out = {}
-    seen = {(init, ())}
-    queue = [(init, (), 0)]
-    head = 0
-    while head < len(queue):
-        if head >= budget:
-            raise BudgetExceeded(f"abstract exploration exceeded {budget} entries")
-        s, word, elapsed = queue[head]
-        head += 1
-        succ = kernel.successors(s, elapsed)
-        if not succ:
-            label = (s.localities, s.valuation.values)
-            if word in out and out[word] != label:
-                raise ValidationError(
-                    f"word {[event_label(e) for e in word]} determined two labels")
-            out[word] = label
+    for s, word, succ in walk(
+            Kernel(m, semantics, x_bound, time_bound), initial_state(m), (),
+            lambda word, e, t: word if isinstance(e, Delay) else word + (e,),
+            budget=budget, message=f"abstract exploration exceeded {budget} entries"):
+        if succ:
             continue
-        for e, t in succ:
-            if isinstance(e, Delay):
-                entry = (t, word, elapsed + e.amount)
-            else:
-                entry = (t, word + (e,), elapsed)
-            if (entry[0], entry[1]) not in seen:
-                seen.add((entry[0], entry[1]))
-                queue.append(entry)
+        label = (s.localities, s.valuation.values)
+        if word in out and out[word] != label:
+            raise ValidationError(
+                f"word {[event_label(e) for e in word]} determined two labels")
+        out[word] = label
     return out

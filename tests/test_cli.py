@@ -69,6 +69,27 @@ def test_assume_acyclic_waives_growth_proof(capsys, tmp_path, two_tasks):
     assert code == 0
 
 
+def drop_count(data):
+    for name in ("double_and_tally", "shift_and_tally"):
+        del data["transforms"][name]["count"]
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("explore", []),
+    ("petri-check", []),
+    ("sweep", ["--indicator", "load=load"]),
+])
+def test_cyclic_model_stops_with_error(capsys, tmp_path, two_tasks, command, extra):
+    # without the count tally the runs come back to the initial state one
+    # period later, so the walk meets a state at two time distances
+    path = broken_model(tmp_path, two_tasks, drop_count)
+    code, out, err = run_cli(capsys, command, path, "--assume-acyclic", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.rstrip().endswith("the model is not acyclic")
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "validate", "/no/such/model.json")
     assert code == 2

@@ -305,7 +305,6 @@ def test_min_max_agree_with_python(a, b):
     assert got == a + b
 
 
-def test_refs_and_clock_refs():
+def test_refs():
     node = expr.parse_predicate("x + clock(task_a) < y && at(task_b, b_end)")
     assert expr.refs(node) == {"x", "y"}
-    assert expr.clock_refs(node) == {"task_a"}

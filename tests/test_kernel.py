@@ -1,5 +1,5 @@
 """The compiled successor kernel against the naive oracle, and the Petri
-cross-check against a miscompiled kernel."""
+cross-check against a miscompiled kernel and a wrong zone."""
 
 from fractions import Fraction
 
@@ -71,3 +71,19 @@ def test_cross_check_covers_compiled_transforms(monkeypatch, two_tasks):
     res = petri.state_space_equiv(two_tasks, {"count": 1})
     assert not res.equal
     assert "early_b" in res.detail or "late_b" in res.detail
+
+
+def test_cross_check_covers_zone(monkeypatch, two_tasks):
+    # The accelerated net derives its jump on its own: a zone computation
+    # off by one in the semantics must show as a divergence of the time move.
+    zone = sem._zone
+
+    def off_by_one(rows, clocks):
+        b_per_agent, horizon, start, delta = zone(rows, clocks)
+        return b_per_agent, horizon, start, delta + 1 if delta else 0
+
+    assert petri.state_space_equiv(two_tasks, {"count": 1}, "accelerated").equal
+    monkeypatch.setattr(sem, "_zone", off_by_one)
+    res = petri.state_space_equiv(two_tasks, {"count": 1}, "accelerated")
+    assert not res.equal
+    assert "time" in res.detail

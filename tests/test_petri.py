@@ -1,10 +1,14 @@
 """High-level net translation and the lockstep equivalence check."""
 
+from fractions import Fraction
+
 import pytest
 
 from maptmc import petri, semantics as sem
 from maptmc.errors import BudgetExceeded, NotEnabled
 from maptmc.model import model_from_dict
+
+import oracle
 
 
 def test_two_tasks_net_structure(two_tasks):
@@ -63,6 +67,29 @@ def test_accelerated_time_jumps(two_tasks):
     mk = net.initial_marking()
     mk = petri.fire(net, mk, "time")
     assert mk.clocks == (2, 2)
+
+
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+@pytest.mark.parametrize("fixture,x_bound", [
+    ("two_tasks", {"count": 3}),
+    ("staged", {"cycles": 2}),
+    ("vehicles", {"pos_a": 8, "pos_b": 8}),
+])
+def test_accelerated_time_matches_oracle_zone(request, fixture, x_bound, semantics):
+    # every state of the bounded space: the net's time transition jumps by
+    # the oracle's zone width, and is disabled where that width is 0
+    m = request.getfixturevalue(fixture)
+    raw = request.getfixturevalue(f"raw_{fixture}")
+    net = petri.translate(m, accelerated=True)
+    bound = {n: Fraction(v) for n, v in x_bound.items()}
+    dist, _, _ = oracle.build_graph(raw, semantics, bound)
+    for state in dist:
+        mk = petri.Marking(*state)
+        delta = oracle.zone_delta(raw, state)
+        assert ("time" in petri.enabled_net(net, mk)) == (delta > 0)
+        if delta:
+            assert petri.fire(net, mk, "time").clocks == \
+                tuple(c + delta for c in mk.clocks)
 
 
 @pytest.mark.parametrize("semantics", ["original", "accelerated"])

@@ -236,6 +236,10 @@ def test_explore_frozen_staged_counts(staged):
 def test_explore_budget(staged):
     with pytest.raises(BudgetExceeded):
         sem.explore(staged, "original", time_bound=30, budget=10)
+    # the budget counts expanded states: the 116-state space fits exactly
+    assert len(sem.explore(staged, "original", time_bound=30, budget=116).states) == 116
+    with pytest.raises(BudgetExceeded, match="^exploration exceeded 115 states$"):
+        sem.explore(staged, "original", time_bound=30, budget=115)
 
 
 def test_abstract_words_first_period(two_tasks):
