@@ -17,7 +17,7 @@ from .model import (Agent, MaptModel, Transform, Transition, ValidationReport,
 from .petri import (EquivResult, HlNet, Marking, enabled_net, fire,
                     state_space_equiv, structure_text, translate)
 from .semantics import (Delay, Exploration, Fire, Reset, State, ZoneInfo,
-                        abstract_reachable, enabled_accelerated, enabled_original,
-                        explore, initial_state, project_word, step, zone_info)
+                        abstract_reachable, explore, initial_state, project_word,
+                        step, zone_info)
 
 __version__ = "0.1.0"

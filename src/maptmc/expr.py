@@ -19,6 +19,11 @@ deliberately tiny:
 NUMBER literals may be integers, decimals (kept exact) or p/q rationals.
 Transforms use plain arith with component names only; indicator and
 predicate arithmetic may also read agent clocks via clock(agent).
+
+Every expression is compiled once by compile_expr into a closure; the
+caller supplies how a name, clock, at or final is read.  eval_arith, a
+plain interpreter of transform arithmetic, is kept only as the reference
+the compiled transforms are checked against.
 """
 
 import operator
@@ -380,49 +385,105 @@ def _divide(left, right, node):
     return _checked(left / right, node)
 
 
-class Env:
-    """Evaluation context: component values plus optional state observers.
+_ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_CMP_OPS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
+_BOOL_NODES = (Cmp, BoolLit, Not, BoolBin, At, FinalTest)
+_LEAVES = (Ref, ClockRef, At, FinalTest)
 
-    component(name) -> Fraction is always required.  clock/at/final are
-    only needed when evaluating predicates or clock-reading indicators.
+
+def compile_expr(node, leaf, boolean=False):
+    """Compile an arithmetic expression, or with boolean a predicate, into
+    a function of one argument.
+
+    leaf(node) compiles each Ref, ClockRef, At and FinalTest: the caller
+    says what the argument is and how a leaf reads it, and refuses a leaf
+    by raising.  Every other node is compiled here, so each name is
+    resolved once, before anything is evaluated, also in a branch that is
+    never taken.  Arithmetic raises Overflow and DivisionByZero with the
+    same messages as eval_arith, rendered only when a check fails; && and
+    || short-circuit.  A node of the wrong kind raises PredicateError.
     """
+    if isinstance(node, _BOOL_NODES) != boolean:
+        raise PredicateError(
+            f"not {'a boolean' if boolean else 'an arithmetic'} node: {node!r}")
+    if isinstance(node, _LEAVES):
+        return leaf(node)
+    if isinstance(node, (Num, BoolLit)):
+        value = node.value
+        return lambda arg: value
+    if isinstance(node, Neg):
+        operand = compile_expr(node.operand, leaf)
+        return lambda arg: -operand(arg)
+    if isinstance(node, Not):
+        operand = compile_expr(node.operand, leaf, True)
+        return lambda arg: not operand(arg)
+    if isinstance(node, Bin):
+        left = compile_expr(node.left, leaf)
+        right = compile_expr(node.right, leaf)
+        if node.op == "/":
+            return lambda arg: _divide(left(arg), right(arg), node)
+        op = _ARITH_OPS[node.op]
+        return lambda arg: _checked(op(left(arg), right(arg)), node)
+    if isinstance(node, Cmp):
+        test = _CMP_OPS[node.op]
+        left = compile_expr(node.left, leaf)
+        right = compile_expr(node.right, leaf)
+        return lambda arg: test(left(arg), right(arg))
+    if isinstance(node, BoolBin):
+        left = compile_expr(node.left, leaf, True)
+        right = compile_expr(node.right, leaf, True)
+        if node.op == "&&":
+            return lambda arg: left(arg) and right(arg)
+        return lambda arg: left(arg) or right(arg)
+    if isinstance(node, Call):
+        args = tuple(compile_expr(arg, leaf) for arg in node.args)
+        pick = min if node.fn == "min" else max
+        return lambda arg: pick([a(arg) for a in args])
+    if isinstance(node, Ite):
+        cond = compile_expr(node.cond, leaf, True)
+        then = compile_expr(node.then, leaf)
+        orelse = compile_expr(node.orelse, leaf)
+        return lambda arg: then(arg) if cond(arg) else orelse(arg)
+    raise PredicateError(f"not an arithmetic node: {node!r}")
 
-    def component(self, name):
-        raise NotImplementedError
 
-    def clock(self, agent):
-        raise PredicateError("clock(...) not available in this context")
+def compile_arith(node, index):
+    """Compile a transform expression into a function of a value tuple.
 
-    def at(self, agent, locality):
-        raise PredicateError("at(...) not available in this context")
+    index maps each component name to its position in the tuple.  A
+    transform reads components only, so a name missing from index or a
+    clock, at or final is refused here.
+    """
+    def leaf(ref):
+        if not isinstance(ref, Ref):
+            raise PredicateError(f"{to_text(ref)!r} is not transform arithmetic")
+        if ref.name not in index:
+            raise PredicateError(f"unknown component {ref.name!r}")
+        return operator.itemgetter(index[ref.name])
 
-    def is_final(self):
-        raise PredicateError("'final' not available in this context")
-
-
-class MapEnv(Env):
-    def __init__(self, values):
-        self.values = values
-
-    def component(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise PredicateError(f"unknown component {name!r}")
+    return compile_expr(node, leaf)
 
 
-def eval_arith(node, env):
+def eval_arith(node, values):
+    """Interpret transform arithmetic over a name -> value mapping.
+
+    This is the reference the compiled transforms are checked against
+    (model.eval_transform, and so petri-check): it shares nothing with
+    compile_expr but the overflow and division checks.
+    """
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Ref):
-        return env.component(node.name)
-    if isinstance(node, ClockRef):
-        return Fraction(env.clock(node.agent))
+        try:
+            return values[node.name]
+        except KeyError:
+            raise PredicateError(f"unknown component {node.name!r}")
     if isinstance(node, Neg):
-        return -eval_arith(node.operand, env)
+        return -eval_arith(node.operand, values)
     if isinstance(node, Bin):
-        left = eval_arith(node.left, env)
-        right = eval_arith(node.right, env)
+        left = eval_arith(node.left, values)
+        right = eval_arith(node.right, values)
         if node.op == "+":
             return _checked(left + right, node)
         if node.op == "-":
@@ -431,87 +492,20 @@ def eval_arith(node, env):
             return _checked(left * right, node)
         return _divide(left, right, node)
     if isinstance(node, Call):
-        args = [eval_arith(arg, env) for arg in node.args]
+        args = [eval_arith(arg, values) for arg in node.args]
         return min(args) if node.fn == "min" else max(args)
-    if isinstance(node, Ite):
-        if eval_bool(node.cond, env):
-            return eval_arith(node.then, env)
-        return eval_arith(node.orelse, env)
-    raise PredicateError(f"not an arithmetic node: {node!r}")
-
-
-def eval_bool(node, env):
-    if isinstance(node, BoolLit):
-        return node.value
-    if isinstance(node, FinalTest):
-        return env.is_final()
-    if isinstance(node, At):
-        return env.at(node.agent, node.locality)
-    if isinstance(node, Not):
-        return not eval_bool(node.operand, env)
-    if isinstance(node, BoolBin):
-        if node.op == "&&":
-            return eval_bool(node.left, env) and eval_bool(node.right, env)
-        return eval_bool(node.left, env) or eval_bool(node.right, env)
-    if isinstance(node, Cmp):
-        left = eval_arith(node.left, env)
-        right = eval_arith(node.right, env)
-        return {
+    if isinstance(node, Ite) and isinstance(node.cond, Cmp):
+        left = eval_arith(node.cond.left, values)
+        right = eval_arith(node.cond.right, values)
+        holds = {
             "<": left < right,
             "<=": left <= right,
             "=": left == right,
             ">=": left >= right,
             ">": left > right,
-        }[node.op]
-    raise PredicateError(f"not a boolean node: {node!r}")
-
-
-_ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_CMP_OPS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
-            ">=": operator.ge, ">": operator.gt}
-
-
-def compile_arith(node, index):
-    """Compile a transform expression into a function of a value tuple.
-
-    index maps each component name to its position in the tuple.  The
-    function returns what eval_arith returns over the same values, and
-    raises the same Overflow and DivisionByZero errors with the same
-    messages; the message text is rendered only when a check fails.  A
-    transform reads components only, so a name missing from index, a
-    clock or any other node outside transform arithmetic is refused here.
-    """
-    if isinstance(node, Num):
-        value = node.value
-        return lambda values: value
-    if isinstance(node, Ref):
-        if node.name not in index:
-            raise PredicateError(f"unknown component {node.name!r}")
-        return operator.itemgetter(index[node.name])
-    if isinstance(node, Neg):
-        operand = compile_arith(node.operand, index)
-        return lambda values: -operand(values)
-    if isinstance(node, Bin):
-        left = compile_arith(node.left, index)
-        right = compile_arith(node.right, index)
-        if node.op == "/":
-            return lambda values: _divide(left(values), right(values), node)
-        op = _ARITH_OPS[node.op]
-        return lambda values: _checked(op(left(values), right(values)), node)
-    if isinstance(node, Call):
-        args = tuple(compile_arith(arg, index) for arg in node.args)
-        pick = min if node.fn == "min" else max
-        return lambda values: pick([arg(values) for arg in args])
-    if isinstance(node, Ite) and isinstance(node.cond, Cmp):
-        test = _CMP_OPS[node.cond.op]
-        cond_left = compile_arith(node.cond.left, index)
-        cond_right = compile_arith(node.cond.right, index)
-        then = compile_arith(node.then, index)
-        orelse = compile_arith(node.orelse, index)
-        return lambda values: (then(values)
-                               if test(cond_left(values), cond_right(values))
-                               else orelse(values))
-    raise PredicateError(f"{to_text(node)!r} is not transform arithmetic")
+        }[node.cond.op]
+        return eval_arith(node.then if holds else node.orelse, values)
+    raise PredicateError(f"not an arithmetic node: {node!r}")
 
 
 def refs(node):

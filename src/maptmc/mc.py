@@ -99,33 +99,41 @@ def _normalize(query):
     return ("EFEG", query.p, expr.Not(query.q), True)
 
 
-class StateEnv(expr.Env):
-    def __init__(self, m, state, final_fn):
-        self.m = m
-        self.state = state
-        self.final_fn = final_fn
+def compile_state_expr(m, node, boolean=False, final=None):
+    """Compile a predicate (boolean) or an indicator of m into a function
+    of a state.
 
-    def component(self, name):
-        return self.state.valuation.get(name)
+    Components and clocks are read by position and at() by locality name;
+    final(s) answers 'final', which is refused when final is None.  Every
+    name is resolved here, so a bad one is reported before any state is
+    seen, also in a branch that is never taken.
+    """
+    index = {name: i for i, name in enumerate(m.component_names)}
+    agents = {a.name: (i, a) for i, a in enumerate(m.agents)}
 
-    def clock(self, agent):
-        try:
-            return self.state.clocks[self.m.agent_index(agent)]
-        except UnknownReference:
-            raise PredicateError(f"unknown agent {agent!r} in clock(...)")
-
-    def at(self, agent, locality):
-        try:
-            a = self.m.agent(agent)
-        except UnknownReference:
-            raise PredicateError(f"unknown agent {agent!r} in at(...)")
-        if locality not in a.localities:
+    def leaf(node):
+        if isinstance(node, expr.Ref):
+            if node.name not in index:
+                raise UnknownReference(f"unknown component {node.name!r}")
+            i = index[node.name]
+            return lambda s: s.valuation.values[i]
+        if isinstance(node, expr.FinalTest):
+            if final is None:
+                raise PredicateError("'final' is not available in an indicator")
+            return final
+        atom = "clock" if isinstance(node, expr.ClockRef) else "at"
+        if node.agent not in agents:
+            raise PredicateError(f"unknown agent {node.agent!r} in {atom}(...)")
+        i, agent = agents[node.agent]
+        if atom == "clock":
+            return lambda s: Fraction(s.clocks[i])
+        locality = node.locality
+        if locality not in agent.localities:
             raise PredicateError(
-                f"{locality!r} is not a locality of agent {agent!r}")
-        return self.state.localities[self.m.agent_index(agent)] == locality
+                f"{locality!r} is not a locality of agent {node.agent!r}")
+        return lambda s: s.localities[i] == locality
 
-    def is_final(self):
-        return self.final_fn()
+    return expr.compile_expr(node, leaf, boolean)
 
 
 @dataclass
@@ -157,23 +165,19 @@ class _Engine:
     def __init__(self, m, kind, p, q, semantics, x_bound, budget):
         self.m = m
         self.kind = kind
-        self.p = p
-        self.q = q
         self.semantics = semantics
         self.kernel = sem.Kernel(m, semantics, x_bound)
         self.budget = budget
         self.stats = CheckStats()
         self._final_cache = {}
+        self.p = compile_state_expr(m, p, True, self.final)
+        self.q = None if q is None else compile_state_expr(m, q, True, self.final)
 
     def final(self, s):
         """X bound reached, or nothing enabled: no successor either way."""
         if s not in self._final_cache:
             self._final_cache[s] = not self.kernel.successors(s)
         return self._final_cache[s]
-
-    def pred(self, node, s):
-        env = StateEnv(self.m, s, lambda: self.final(s))
-        return expr.eval_bool(node, env)
 
     def process(self, s, mark):
         """Apply the base evaluator to one state.
@@ -185,22 +189,22 @@ class _Engine:
         if self.stats.states_expanded > self.budget:
             raise BudgetExceeded(f"check exceeded {self.budget} states")
         if self.kind == "EF":
-            if self.pred(self.p, s):
+            if self.p(s):
                 return (True, False, False)
             return (False, True, False)
         if self.kind == "EG":
-            if not self.pred(self.p, s):
+            if not self.p(s):
                 return (False, False, False)
             if self.final(s):
                 return (True, False, False)
             return (False, True, False)
         if self.kind == "EFEF":
-            mark = mark or self.pred(self.p, s)
-            if mark and self.pred(self.q, s):
+            mark = mark or self.p(s)
+            if mark and self.q(s):
                 return (True, False, mark)
             return (False, True, mark)
-        holds_q = self.pred(self.q, s)
-        mark = holds_q and (mark or self.pred(self.p, s))
+        holds_q = self.q(s)
+        mark = holds_q and (mark or self.p(s))
         if mark and self.final(s):
             return (True, False, mark)
         return (False, True, mark)
@@ -310,9 +314,10 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
     """Track per-run [min, max] envelopes of named expressions.
 
     indicators is a mapping or list of (name, expression) pairs; each
-    expression may read components and clocks.  A version is one final
-    state together with the envelope its run history produced; distinct
-    histories with different envelopes survive deduplication separately.
+    expression may read components, clocks and at(), but not final, and
+    is compiled once.  A version is one final state together with the
+    envelope its run history produced; distinct histories with different
+    envelopes survive deduplication separately.
     """
     if isinstance(indicators, dict):
         items = list(indicators.items())
@@ -328,24 +333,23 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
             nodes.append((expr.parse_arith(text, allow_clock=True), False))
         except ParseError:
             nodes.append((expr.parse_predicate(text), True))
-    nodes = tuple(nodes)
+    kernel = sem.Kernel(m, semantics, x_bound, time_bound)
+    readers = []
+    for node, boolean in nodes:
+        read = compile_state_expr(m, node, boolean)
+        if boolean:
+            read = lambda s, holds=read: Fraction(holds(s))
+        readers.append(read)
 
     def measure(s):
-        env = StateEnv(m, s, lambda: False)
-        out = []
-        for node, boolean in nodes:
-            if boolean:
-                out.append(Fraction(1 if expr.eval_bool(node, env) else 0))
-            else:
-                out.append(expr.eval_arith(node, env))
-        return tuple(out)
+        return tuple([read(s) for read in readers])
 
     def widen(bounds, e, t):
         return tuple([(min(lo, v), max(hi, v))
                       for (lo, hi), v in zip(bounds, measure(t))])
 
     init = sem.initial_state(m)
-    steps = sem.walk(sem.Kernel(m, semantics, x_bound, time_bound), init,
+    steps = sem.walk(kernel, init,
                      tuple((v, v) for v in measure(init)), widen, budget=budget,
                      message=f"sweep exceeded {budget} entries")
     versions = [SweepVersion(s, bounds) for s, bounds, succ in steps if not succ]
@@ -357,19 +361,20 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
 
 
 def _need(m, name):
+    """The position of component name in a state's values."""
     try:
-        m.component(name)
-    except UnknownReference:
+        return m.component_names.index(name)
+    except ValueError:
         raise MissingComponent(f"model declares no component {name!r}")
 
 
 def distance_heuristic(m, ahead, behind):
     """Gap between two position components; widest gap explored first."""
-    _need(m, ahead)
-    _need(m, behind)
+    i, j = _need(m, ahead), _need(m, behind)
 
     def weight(s):
-        return s.valuation.get(ahead) - s.valuation.get(behind)
+        values = s.valuation.values
+        return values[i] - values[j]
 
     return Heuristic(f"distance({ahead},{behind})", "ascending", weight)
 
@@ -377,19 +382,20 @@ def distance_heuristic(m, ahead, behind):
 def estimated_travel_time_heuristic(m, elapsed, position, speed, goal):
     """Predicted arrival time at a goal position; latest arrival first.
     A non-positive speed predicts no arrival at all (+inf)."""
-    _need(m, elapsed)
-    _need(m, position)
-    _need(m, speed)
+    i_elapsed = _need(m, elapsed)
+    i_position = _need(m, position)
+    i_speed = _need(m, speed)
     try:
         goal = Fraction(goal)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"goal: cannot read a rational from {goal!r}")
 
     def weight(s):
-        v = s.valuation.get(speed)
+        values = s.valuation.values
+        v = values[i_speed]
         if v <= 0:
             return math.inf
-        return s.valuation.get(elapsed) + (goal - s.valuation.get(position)) / v
+        return values[i_elapsed] + (goal - values[i_position]) / v
 
     return Heuristic(f"estimated_travel_time({position})", "ascending", weight)
 
@@ -397,12 +403,13 @@ def estimated_travel_time_heuristic(m, elapsed, position, speed, goal):
 def time_to_overtake_heuristic(m, lead_pos, lead_speed, chase_pos, chase_speed):
     """Time until the chasing component catches the leading one at current
     speeds; soonest overtake explored first, diverging pairs never."""
-    for name in (lead_pos, lead_speed, chase_pos, chase_speed):
-        _need(m, name)
+    i_lead_pos, i_lead_speed, i_chase_pos, i_chase_speed = (
+        _need(m, name) for name in (lead_pos, lead_speed, chase_pos, chase_speed))
 
     def weight(s):
-        gap = s.valuation.get(lead_pos) - s.valuation.get(chase_pos)
-        closing = s.valuation.get(chase_speed) - s.valuation.get(lead_speed)
+        values = s.valuation.values
+        gap = values[i_lead_pos] - values[i_chase_pos]
+        closing = values[i_chase_speed] - values[i_lead_speed]
         if gap == 0:
             return Fraction(0)
         if closing == 0:

@@ -136,12 +136,6 @@ class MaptModel:
                 return a
         raise UnknownReference(f"unknown agent {name!r}")
 
-    def agent_index(self, name):
-        for i, a in enumerate(self.agents):
-            if a.name == name:
-                return i
-        raise UnknownReference(f"unknown agent {name!r}")
-
     def component(self, name):
         for c in self.components:
             if c.name == name:
@@ -172,7 +166,7 @@ class MaptModel:
 
 def eval_transform(f, v):
     """Apply transform f to valuation v; all effects read the old values."""
-    env = expr.MapEnv(v.as_dict())
+    env = v.as_dict()
     values = []
     for name, old in zip(v.names, v.values):
         node = f.effects.get(name)

@@ -252,14 +252,6 @@ def enabled(m, s, semantics):
     return Kernel(m, semantics).enabled(s)
 
 
-def enabled_original(m, s):
-    return enabled(m, s, "original")
-
-
-def enabled_accelerated(m, s):
-    return enabled(m, s, "accelerated")
-
-
 def zone_info(m, s):
     """Horizon, next-activation distance and jump width of s (see _zone)."""
     check_state(m, s)

@@ -294,6 +294,16 @@ def test_check_bad_query(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("query", ["EF (true || at(nobody, x))",
+                                   "EF(false && EF at(nobody, x))"])
+def test_check_unknown_name_in_untaken_branch(capsys, query):
+    code, out, err = run_cli(
+        capsys, "check", TWO_TASKS, query, "--x-bound", "count=1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown agent 'nobody' in at(...)\n"
+
+
 def test_sweep_output(capsys):
     args = ("sweep", TWO_TASKS, "--time-bound", "5",
             "--indicator", "load=load", "--indicator", "big=load >= 2")
@@ -304,6 +314,14 @@ def test_sweep_output(capsys):
     assert len([l for l in out1.splitlines() if l.startswith("version")]) == 6
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_sweep_refuses_final_indicator(capsys):
+    code, out, err = run_cli(capsys, "sweep", TWO_TASKS, "--indicator",
+                             "done=final", "--x-bound", "count=1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 'final' is not available in an indicator\n"
 
 
 def test_sweep_requires_indicator(capsys):

@@ -1,40 +1,32 @@
-"""Tokenizer, parser and evaluator for arithmetic and predicate expressions."""
+"""Tokenizer, parser, compiler and reference interpreter for arithmetic
+and predicate expressions."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from maptmc import expr
-from maptmc.errors import DivisionByZero, Overflow, ParseError, PredicateError
-
-
-class DictEnv(expr.Env):
-    def __init__(self, values, clocks=None, ats=(), final=False):
-        self.values = values
-        self.clocks = clocks or {}
-        self.ats = set(ats)
-        self.final = final
-
-    def component(self, name):
-        return self.values[name]
-
-    def clock(self, agent):
-        return self.clocks[agent]
-
-    def at(self, agent, locality):
-        return (agent, locality) in self.ats
-
-    def is_final(self):
-        return self.final
+from maptmc import expr, mc
+from maptmc.errors import (DivisionByZero, Overflow, ParseError, PredicateError,
+                           UnknownReference)
+from maptmc.semantics import State
 
 
 def ev(text, **values):
-    return expr.eval_arith(expr.parse_arith(text), DictEnv(values))
+    return expr.eval_arith(expr.parse_arith(text), values)
 
 
-def evb(text, env=None):
-    return expr.eval_bool(expr.parse_predicate(text), env or DictEnv({}))
+def fixture_state(m):
+    """two_tasks with task_a at a_end, clocks 3 and 0, load 4, count 1."""
+    valuation = m.initial_valuation().with_values((Fraction(4), Fraction(1)))
+    return State(("a_end", "b_start"), (3, 0), valuation)
+
+
+def evb(m, text, final=False):
+    """A predicate compiled over two_tasks, read at fixture_state."""
+    holds = mc.compile_state_expr(m, expr.parse_predicate(text), True,
+                                  lambda s: final)
+    return holds(fixture_state(m))
 
 
 def test_tokenize_positions():
@@ -72,7 +64,11 @@ ARITH_CASES = [
 
 @pytest.mark.parametrize("text,env,expected", ARITH_CASES)
 def test_arith_eval(text, env, expected):
-    assert ev(text, **env) == expected
+    node = expr.parse_arith(text)
+    assert expr.eval_arith(node, env) == expected
+    names = sorted(env)
+    compiled = expr.compile_arith(node, {n: i for i, n in enumerate(names)})
+    assert compiled(tuple(env[n] for n in names)) == expected
 
 
 def test_exact_decimals_stay_fractions():
@@ -99,31 +95,56 @@ PRED_CASES = [
 
 
 @pytest.mark.parametrize("text,expected", PRED_CASES)
-def test_predicate_eval(text, expected):
-    assert evb(text) is expected
+def test_predicate_eval(two_tasks, text, expected):
+    assert evb(two_tasks, text) is expected
 
 
-def test_predicate_state_atoms():
-    env = DictEnv(
-        {"x": Fraction(4)},
-        clocks={"task_a": Fraction(3)},
-        ats=[("task_a", "a_end")],
-        final=True,
-    )
-    assert expr.eval_bool(expr.parse_predicate("at(task_a, a_end)"), env)
-    assert not expr.eval_bool(expr.parse_predicate("at(task_a, a_start)"), env)
-    assert expr.eval_bool(expr.parse_predicate("clock(task_a) = 3"), env)
-    assert expr.eval_bool(expr.parse_predicate("final"), env)
-    assert not expr.eval_bool(expr.parse_predicate("!final"), env)
+def test_predicate_state_atoms(two_tasks):
+    assert evb(two_tasks, "load = 4 && count = 1")
+    assert evb(two_tasks, "at(task_a, a_end)")
+    assert not evb(two_tasks, "at(task_a, a_start)")
+    assert evb(two_tasks, "at(task_b, b_start)")
+    assert evb(two_tasks, "clock(task_a) = 3 && clock(task_b) = 0")
+    assert evb(two_tasks, "final", final=True)
+    assert not evb(two_tasks, "!final", final=True)
+    assert not evb(two_tasks, "final")
 
 
-def test_clock_rejected_outside_predicates():
+def test_clock_rejected_outside_predicates(two_tasks):
     with pytest.raises(ParseError):
         expr.parse_arith("clock(task_a) + 1")
     # opt-in flag used by indicator expressions
-    node = expr.parse_arith("clock(task_a) + 1", allow_clock=True)
-    env = DictEnv({}, clocks={"task_a": Fraction(2)})
-    assert expr.eval_arith(node, env) == Fraction(3)
+    node = expr.parse_arith("clock(task_a) / 2 + 1", allow_clock=True)
+    value = mc.compile_state_expr(two_tasks, node)(fixture_state(two_tasks))
+    assert value == Fraction(5, 2)
+    assert isinstance(value, Fraction)
+
+
+STATE_NAME_ERRORS = [
+    ("nothing > 1", UnknownReference, "unknown component 'nothing'"),
+    ("clock(nobody) > 1", PredicateError, "unknown agent 'nobody' in clock(...)"),
+    ("at(nobody, x)", PredicateError, "unknown agent 'nobody' in at(...)"),
+    ("at(task_a, b_end)", PredicateError,
+     "'b_end' is not a locality of agent 'task_a'"),
+    # a branch that is never taken is resolved all the same
+    ("true || at(nobody, x)", PredicateError, "unknown agent 'nobody' in at(...)"),
+    ("false && ite(load > 0, 1, nothing) = 1", UnknownReference,
+     "unknown component 'nothing'"),
+]
+
+
+@pytest.mark.parametrize("text,error,message", STATE_NAME_ERRORS)
+def test_state_names_resolved_when_compiled(two_tasks, text, error, message):
+    with pytest.raises(error) as err:
+        mc.compile_state_expr(two_tasks, expr.parse_predicate(text), True,
+                              lambda s: False)
+    assert str(err.value) == message
+
+
+def test_final_refused_without_a_final_test(two_tasks):
+    with pytest.raises(PredicateError) as err:
+        mc.compile_state_expr(two_tasks, expr.parse_predicate("!final"), True)
+    assert str(err.value) == "'final' is not available in an indicator"
 
 
 PARSE_ERROR_CASES = [
@@ -176,15 +197,22 @@ def test_overflow_guard():
     assert str(err.value) == "value in x * x exceeds 65536 bits"
 
 
-def test_map_env_unknown_component():
+def test_eval_arith_unknown_component():
     node = expr.parse_arith("y + 1")
     with pytest.raises(PredicateError):
-        expr.eval_arith(node, expr.MapEnv({"x": Fraction(1)}))
+        expr.eval_arith(node, {"x": Fraction(1)})
 
 
-def test_eval_bool_rejects_arith_nodes():
-    with pytest.raises(PredicateError):
-        expr.eval_bool(expr.parse_arith("1 + 1"), DictEnv({}))
+def test_compile_rejects_wrong_node_kind(two_tasks):
+    with pytest.raises(PredicateError) as err:
+        mc.compile_state_expr(two_tasks, expr.parse_arith("1 + 1"), True)
+    assert str(err.value).startswith("not a boolean node: ")
+    with pytest.raises(PredicateError) as err:
+        mc.compile_state_expr(two_tasks, expr.parse_predicate("1 < 2"))
+    assert str(err.value).startswith("not an arithmetic node: ")
+    with pytest.raises(PredicateError) as err:
+        expr.eval_arith(expr.parse_predicate("1 < 2"), {})
+    assert str(err.value).startswith("not an arithmetic node: ")
 
 
 def names():
@@ -269,7 +297,7 @@ def test_compile_arith_matches_eval_arith(tree, values, huge):
     # HUGE is set here because its repr exceeds Python's int-to-text limit
     if huge:
         values = values[:2] + (HUGE,)
-    env = expr.MapEnv(dict(zip(COMPONENTS, values)))
+    env = dict(zip(COMPONENTS, values))
     compiled = expr.compile_arith(tree, {n: i for i, n in enumerate(COMPONENTS)})
     assert outcome(lambda: compiled(values)) == \
         outcome(lambda: expr.eval_arith(tree, env))

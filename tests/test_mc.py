@@ -9,6 +9,7 @@ from maptmc.errors import (
     BudgetExceeded,
     MissingComponent,
     ParseError,
+    PredicateError,
     ValidationError,
 )
 from maptmc.mc import LeadsToQuery, NestedQuery, SimpleQuery
@@ -102,6 +103,15 @@ def test_check_argument_validation(two_tasks):
                  strategy="width", heuristic=h)
     with pytest.raises(ValidationError):
         mc.check(two_tasks, "EF load > 4", x_bound=1, cuts=())
+
+
+@pytest.mark.parametrize("strategy", mc.STRATEGIES)
+def test_query_names_resolved_before_any_state(two_tasks, strategy):
+    # with a budget of 0 the first state expanded would raise BudgetExceeded
+    for query in ("EF (true || at(nobody, x))", "EF(false && EF at(nobody, x))"):
+        with pytest.raises(PredicateError):
+            mc.check(two_tasks, query, x_bound={"count": 1}, strategy=strategy,
+                     budget=0)
 
 
 def test_check_budget(vehicles):
@@ -257,3 +267,9 @@ def test_sweep_clock_indicator(two_tasks):
     sw = mc.sweep_indicators(
         two_tasks, [("ca", "clock(task_a)")], time_bound=5)
     assert sw.overall("ca") == (Fraction(0), Fraction(5))
+
+
+def test_sweep_at_indicator(two_tasks):
+    sw = mc.sweep_indicators(
+        two_tasks, [("a_done", "at(task_a, a_end)")], x_bound={"count": 1})
+    assert sw.overall("a_done") == (Fraction(0), Fraction(1))

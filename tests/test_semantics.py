@@ -47,15 +47,15 @@ def test_zone_trace(two_tasks, clocks, b_per_agent, b, a, delta):
 
 def test_initial_enabled_events(two_tasks):
     s0 = sem.initial_state(two_tasks)
-    assert sem.enabled_original(two_tasks, s0) == (Delay(1),)
-    assert sem.enabled_accelerated(two_tasks, s0) == (Delay(2),)
+    assert sem.enabled(two_tasks, s0, "original") == (Delay(1),)
+    assert sem.enabled(two_tasks, s0, "accelerated") == (Delay(2),)
 
 
 def test_enabled_after_opening(two_tasks):
     s = advance(two_tasks, sem.initial_state(two_tasks), Delay(2))
-    fires = {e for e in sem.enabled_original(two_tasks, s) if isinstance(e, Fire)}
+    fires = {e for e in sem.enabled(two_tasks, s, "original") if isinstance(e, Fire)}
     assert fires == {Fire("early_a"), Fire("early_b")}
-    assert Delay(1) in sem.enabled_original(two_tasks, s)
+    assert Delay(1) in sem.enabled(two_tasks, s, "original")
 
 
 def test_delay_stops_at_urgent_window(two_tasks):
@@ -63,10 +63,10 @@ def test_delay_stops_at_urgent_window(two_tasks):
     s = advance(two_tasks, sem.initial_state(two_tasks), Delay(2), Delay(1))
     assert s.clocks == (3, 3)
     assert not any(
-        isinstance(e, Delay) for e in sem.enabled_original(two_tasks, s)
+        isinstance(e, Delay) for e in sem.enabled(two_tasks, s, "original")
     )
     assert not any(
-        isinstance(e, Delay) for e in sem.enabled_accelerated(two_tasks, s)
+        isinstance(e, Delay) for e in sem.enabled(two_tasks, s, "accelerated")
     )
 
 
@@ -289,7 +289,7 @@ def test_fires_commute_with_other_agents_resets(two_tasks):
     ex = sem.explore(two_tasks, "original", time_bound=10)
     checked = 0
     for s in ex.states:
-        events = sem.enabled_original(two_tasks, s)
+        events = sem.enabled(two_tasks, s, "original")
         fires = [e for e in events if isinstance(e, Fire)]
         resets = [e for e in events if isinstance(e, Reset)]
         for f in fires:
