@@ -1,7 +1,7 @@
 """Small expression language used by transforms, predicates and indicators.
 
-Arithmetic is exact: every value is a fractions.Fraction.  The grammar is
-deliberately tiny:
+Arithmetic is exact: every value is a fractions.Fraction, or an int where a
+predicate reads a clock.  The grammar is deliberately tiny:
 
     arith  := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -382,6 +382,9 @@ def _checked(value, node):
 def _divide(left, right, node):
     if right == 0:
         raise DivisionByZero(f"division by zero in {to_text(node)!r}")
+    if type(right) is int:
+        # a clock: int / int would be a float
+        return _checked(Fraction(left, right), node)
     return _checked(left / right, node)
 
 

@@ -265,21 +265,32 @@ class CutMatcher:
         return False
 
 
-def walk(kernel, seeds, visit, crosses):
+def unwalked(seen, s, mark):
+    """Is (s, mark) still to walk: s is new to seen, or comes marked after
+    being walked unmarked?"""
+    return s not in seen or (mark and not seen[s])
+
+
+def walk(kernel, seeds, visit, crosses, seen=None):
     """Width-first walk over (state, mark) pairs from seeds up to the next
     border.
 
-    visit(state, mark) returns (stop, expand, mark): stop ends the walk,
-    and only an expanded state passes its new mark on to its successors.
-    A successor t of u for which crosses(u, t, u is a seed) holds is on
-    the border and is not walked; any other is queued when new, or again
-    when it comes marked after being queued unmarked.  Returns the border,
-    mapping each state to whether it was reached marked (None when visit
-    stopped the walk), and the longest queue seen.
+    seen maps each state walked so far to its strongest mark; a caller
+    passes one dict to several walks to share it, otherwise each walk
+    starts afresh.  A seed, and any successor t of u for which
+    crosses(u, t, u is a seed) does not hold, is walked only when
+    unwalked(seen, ...); a successor for which it holds is on the border
+    and is not walked.  visit(state, mark) returns (stop, expand, mark):
+    stop ends the walk, and only an expanded state passes its new mark on
+    to its successors.  Returns the border, mapping each state to whether
+    it was reached marked (None when visit stopped the walk), and the
+    longest queue seen.
     """
-    queue = deque(seeds)
-    seen = dict(seeds)
-    seed_set = frozenset(seen)
+    if seen is None:
+        seen = {}
+    queue = deque((s, mark) for s, mark in seeds if unwalked(seen, s, mark))
+    seen.update(queue)
+    seed_set = frozenset(s for s, _ in queue)
     border = {}
     peak = 0
     while queue:
@@ -294,7 +305,7 @@ def walk(kernel, seeds, visit, crosses):
         for _, t in kernel.successors(s):
             if crosses(s, t, from_seed):
                 border[t] = border.get(t, False) or mark
-            elif t not in seen or (mark and not seen[t]):
+            elif unwalked(seen, t, mark):
                 seen[t] = mark
                 queue.append((t, mark))
     return border, peak

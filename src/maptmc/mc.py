@@ -12,8 +12,10 @@ carried a self loop, so EG holds there whenever its operand does.
 
 The layered-dfs strategy walks border to border over a coherent cut,
 depth-first across borders and FIFO over the clusters of one border; a
-heuristic replaces that discipline with a weight-ordered frontier.  The
-verdict never depends on the strategy, only the visit order does.
+heuristic replaces that discipline with a weight-ordered frontier.  One
+seen map spans every cluster walk of a check, so each state is expanded
+at most once unmarked and once marked.  The verdict never depends on the
+strategy, only the visit order does.
 """
 
 import heapq
@@ -104,6 +106,7 @@ def compile_state_expr(m, node, boolean=False, final=None):
     of a state.
 
     Components and clocks are read by position and at() by locality name;
+    a clock reads as a plain int, which expr keeps exact under division.
     final(s) answers 'final', which is refused when final is None.  Every
     name is resolved here, so a bad one is reported before any state is
     seen, also in a branch that is never taken.
@@ -126,7 +129,7 @@ def compile_state_expr(m, node, boolean=False, final=None):
             raise PredicateError(f"unknown agent {node.agent!r} in {atom}(...)")
         i, agent = agents[node.agent]
         if atom == "clock":
-            return lambda s: Fraction(s.clocks[i])
+            return lambda s: s.clocks[i]
         locality = node.locality
         if locality not in agent.localities:
             raise PredicateError(
@@ -224,9 +227,19 @@ def _layered(engine, cuts, strong, heuristic):
     -borders_crossed when the cluster was found, so the latest border's
     clusters come first, in the order found: depth-first across borders,
     FIFO over the clusters of one border.
+
+    Every cluster walk shares one seen map, from each state walked to its
+    strongest mark, so a state reached through several clusters is
+    expanded once, or twice when it comes marked after an unmarked walk.
+    That is sound because the verdict is existential over every reachable
+    (state, mark) pair, a mark subsumes no mark, and every successor of a
+    walked state is walked or lands on a border that is walked later.  A
+    popped cluster with nothing left to walk is dropped and crosses no
+    border.
     """
     matcher = layers.CutMatcher(engine.m, cuts, engine.semantics)
     stats = engine.stats
+    seen = {}
     heap = []
     seq = count()
 
@@ -244,8 +257,10 @@ def _layered(engine, cuts, strong, heuristic):
     while heap:
         stats.peak_frontier = max(stats.peak_frontier, len(heap))
         cluster = heapq.heappop(heap)[2]
+        if not any(layers.unwalked(seen, s, mark) for s, mark in cluster):
+            continue
         border, _ = layers.walk(engine.kernel, cluster, engine.process,
-                                matcher.crosses)
+                                matcher.crosses, seen)
         if border is None:
             return True
         stats.borders_crossed += 1

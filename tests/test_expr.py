@@ -120,6 +120,26 @@ def test_clock_rejected_outside_predicates(two_tasks):
     assert isinstance(value, Fraction)
 
 
+@pytest.mark.parametrize("text", ["clock(task_a) / clock(task_b)", "clock(task_a) / 2"])
+def test_clock_division_is_exact(two_tasks, text):
+    s = fixture_state(two_tasks)
+    s = State(s.localities, (3, 2), s.valuation)
+    read = mc.compile_state_expr(two_tasks, expr.parse_arith(text, allow_clock=True))
+    value = read(s)
+    assert value == Fraction(3, 2)
+    assert isinstance(value, Fraction)
+    holds = mc.compile_state_expr(two_tasks, expr.parse_predicate(f"{text} = 3/2"),
+                                  True, lambda s: False)
+    assert holds(s)
+
+
+def test_clock_division_by_a_zero_clock(two_tasks):
+    read = mc.compile_state_expr(
+        two_tasks, expr.parse_arith("clock(task_a) / clock(task_b)", allow_clock=True))
+    with pytest.raises(DivisionByZero, match="division by zero"):
+        read(fixture_state(two_tasks))
+
+
 STATE_NAME_ERRORS = [
     ("nothing > 1", UnknownReference, "unknown component 'nothing'"),
     ("clock(nobody) > 1", PredicateError, "unknown agent 'nobody' in clock(...)"),

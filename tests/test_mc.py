@@ -135,6 +135,53 @@ def test_unreachable_query_reports_false(two_tasks):
     assert got.verdict is False
 
 
+# per fixture: its x bound and a (p, q) pair for the seven query forms
+LAYERED_CASES = {
+    "two_tasks": ({"count": 2}, "count >= 1", "load < 9"),
+    "staged": ({"cycles": 2}, "at(stage_b, b3)", "cycles <= 1"),
+    "vehicles": ({"pos_a": 8, "pos_b": 8}, "pos_a >= 8", "lane_b <= 1"),
+}
+QUERY_FORMS = ("EF {p}", "EG {q}", "AF {p}", "AG {q}", "EF ({p} && EF {q})",
+               "EF ({p} && EG {q})", "{p} --> {q}")
+LAYERED_RUNS = [(name, False) for name in LAYERED_CASES] + [("vehicles", True)]
+
+
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+@pytest.mark.parametrize("name,guided", LAYERED_RUNS,
+                         ids=[n + ("-distance" if g else "") for n, g in LAYERED_RUNS])
+def test_layered_expands_each_state_at_most_twice(request, name, guided, semantics):
+    """One seen map across the cluster walks: each state is walked at most
+    once unmarked and once marked, and exactly once when the query visits
+    the whole space.  (Not "at most width": a marked query can walk a
+    state twice where width, width-first, reaches it marked first.)"""
+    import oracle
+
+    m = request.getfixturevalue(name)
+    bound, p, q = LAYERED_CASES[name]
+    size = len(oracle.build_graph(request.getfixturevalue("raw_" + name),
+                                  semantics, bound)[0])
+    h = mc.distance_heuristic(m, "pos_a", "pos_b") if guided else None
+    for form in QUERY_FORMS:
+        query = form.format(p=p, q=q)
+        got = mc.check(m, query, x_bound=bound, semantics=semantics, heuristic=h)
+        width = mc.check(m, query, x_bound=bound, semantics=semantics,
+                         strategy="width")
+        assert got.verdict is width.verdict, query
+        assert got.stats.states_expanded <= 2 * size, query
+    whole = mc.check(m, "AG true", x_bound=bound, semantics=semantics, heuristic=h)
+    assert whole.verdict is True
+    assert whole.stats.states_expanded == size
+
+
+def test_default_strategy_finishes_where_width_does(vehicles):
+    bound = {"pos_a": 20, "pos_b": 20}
+    width = mc.check(vehicles, "AG (true)", x_bound=bound, strategy="width")
+    assert width.stats.states_expanded == 12375
+    got = mc.check(vehicles, "AG (true)", x_bound=bound)
+    assert got.verdict is True
+    assert got.stats.states_expanded == width.stats.states_expanded
+
+
 def test_builtin_heuristic_registry():
     names = set(mc.builtin_heuristics())
     assert names == {"distance", "estimated_travel_time", "time_to_overtake"}
