@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import layers, mc, petri
+from . import expr, layers, mc, petri
 from . import semantics as sem
 from .errors import MaptError
 from .model import load_model, validate
@@ -50,15 +50,9 @@ def _q(text):
     return json.dumps(text)
 
 
-def _frac(f):
-    if isinstance(f, Fraction) and f.denominator != 1:
-        return f"{f.numerator}/{f.denominator}"
-    return str(f)
-
-
 def _rational(text, what):
     try:
-        return Fraction(text)
+        return expr.exact(Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise MaptError(f"bad {what} value {text!r}, expected a rational")
 
@@ -78,8 +72,7 @@ def _parse_x_bound(values):
 
 
 def _state_fields(m, s):
-    vals = ",".join(f"{n}={_frac(v)}" for n, v in zip(s.valuation.names,
-                                                     s.valuation.values))
+    vals = ",".join(f"{n}={v}" for n, v in zip(s.valuation.names, s.valuation.values))
     return (f"localities={','.join(s.localities)} "
             f"clocks={','.join(str(c) for c in s.clocks)} values={vals}")
 
@@ -143,7 +136,7 @@ def _write_dot(path, result):
     index = {s: i for i, s in enumerate(order)}
     lines = ["digraph reachable {"]
     for s in order:
-        vals = ",".join(_frac(v) for v in s.valuation.values)
+        vals = ",".join(map(str, s.valuation.values))
         label = f"{','.join(s.localities)}|{','.join(map(str, s.clocks))}|{vals}"
         shape = ' shape=doublecircle' if s in result.finals else ""
         lines.append(f'  n{index[s]} [label="{label}"{shape}];')
@@ -224,12 +217,12 @@ def _cmd_sweep(cfg, m):
                                  time_bound=cfg.time_bound, budget=cfg.budget)
     for v in result.versions:
         spans = " ".join(
-            f"{name}=[{_frac(lo)},{_frac(hi)}]"
+            f"{name}=[{lo},{hi}]"
             for name, (lo, hi) in zip(result.names, v.bounds))
         print(f"version {_state_fields(m, v.state)} {spans}")
     for name in result.names:
         lo, hi = result.overall(name)
-        print(f"overall {name}=[{_frac(lo)},{_frac(hi)}]")
+        print(f"overall {name}=[{lo},{hi}]")
     return 0
 
 

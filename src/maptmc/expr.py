@@ -1,7 +1,10 @@
 """Small expression language used by transforms, predicates and indicators.
 
-Arithmetic is exact: every value is a fractions.Fraction, or an int where a
-predicate reads a clock.  The grammar is deliberately tiny:
+Arithmetic is exact, and every number has one canonical form: an int when
+it is whole, a fractions.Fraction otherwise (see exact).  Literals,
+component values, clocks and the result of every operation keep that
+form, so the values of an all-integer model stay ints.  The grammar is
+deliberately tiny:
 
     arith  := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -44,7 +47,7 @@ RESERVED = {
 
 @dataclass(frozen=True)
 class Num:
-    value: Fraction
+    value: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -241,7 +244,7 @@ class Parser:
         if tok.kind == "NUM":
             self.next()
             try:
-                return Num(Fraction(tok.text))
+                return Num(exact(Fraction(tok.text)))
             except ValueError:
                 raise ParseError(f"bad number {tok.text!r}", tok.line, tok.column)
         if tok.kind == "(":
@@ -370,20 +373,27 @@ def parse_predicate(text):
     return node
 
 
+def exact(value):
+    """The canonical form of an int or Fraction: an int when it is whole.
+    A whole value compares, hashes and prints alike in either type; as an
+    int it keeps arithmetic and hashing off the slow Fraction path."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def _checked(value, node):
-    """value, unless it outgrew the cap; node is the operation that made it
-    and is rendered only for the error message."""
+    """value in canonical form, unless it outgrew the cap; node is the
+    operation that made it and is rendered only for the error message."""
     if value.numerator.bit_length() > MAGNITUDE_BITS or \
             value.denominator.bit_length() > MAGNITUDE_BITS:
         raise Overflow(f"value in {to_text(node)} exceeds {MAGNITUDE_BITS} bits")
-    return value
+    return exact(value)
 
 
 def _divide(left, right, node):
     if right == 0:
         raise DivisionByZero(f"division by zero in {to_text(node)!r}")
     if type(right) is int:
-        # a clock: int / int would be a float
+        # int / int would be a float
         return _checked(Fraction(left, right), node)
     return _checked(left / right, node)
 
@@ -412,7 +422,10 @@ def compile_expr(node, leaf, boolean=False):
             f"not {'a boolean' if boolean else 'an arithmetic'} node: {node!r}")
     if isinstance(node, _LEAVES):
         return leaf(node)
-    if isinstance(node, (Num, BoolLit)):
+    if isinstance(node, Num):
+        value = exact(node.value)
+        return lambda arg: value
+    if isinstance(node, BoolLit):
         value = node.value
         return lambda arg: value
     if isinstance(node, Neg):
@@ -476,7 +489,7 @@ def eval_arith(node, values):
     compile_expr but the overflow and division checks.
     """
     if isinstance(node, Num):
-        return node.value
+        return exact(node.value)
     if isinstance(node, Ref):
         try:
             return values[node.name]

@@ -353,7 +353,7 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
     for node, boolean in nodes:
         read = compile_state_expr(m, node, boolean)
         if boolean:
-            read = lambda s, holds=read: Fraction(holds(s))
+            read = lambda s, holds=read: int(holds(s))
         readers.append(read)
 
     def measure(s):
@@ -401,7 +401,7 @@ def estimated_travel_time_heuristic(m, elapsed, position, speed, goal):
     i_position = _need(m, position)
     i_speed = _need(m, speed)
     try:
-        goal = Fraction(goal)
+        goal = expr.exact(Fraction(goal))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"goal: cannot read a rational from {goal!r}")
 
@@ -410,7 +410,7 @@ def estimated_travel_time_heuristic(m, elapsed, position, speed, goal):
         v = values[i_speed]
         if v <= 0:
             return math.inf
-        return values[i_elapsed] + (goal - values[i_position]) / v
+        return expr.exact(values[i_elapsed] + Fraction(goal - values[i_position], v))
 
     return Heuristic(f"estimated_travel_time({position})", "ascending", weight)
 
@@ -426,10 +426,10 @@ def time_to_overtake_heuristic(m, lead_pos, lead_speed, chase_pos, chase_speed):
         gap = values[i_lead_pos] - values[i_chase_pos]
         closing = values[i_chase_speed] - values[i_lead_speed]
         if gap == 0:
-            return Fraction(0)
+            return 0
         if closing == 0:
             return math.inf
-        tau = gap / closing
+        tau = expr.exact(Fraction(gap, closing))
         return tau if tau > 0 else math.inf
 
     return Heuristic(f"time_to_overtake({lead_pos},{chase_pos})", "descending", weight)

@@ -22,7 +22,7 @@ _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 @dataclass(frozen=True)
 class ComponentDecl:
     name: str
-    init: Fraction
+    init: int | Fraction
     is_x: bool = False
     strong: bool = True
     positive: bool = False
@@ -282,7 +282,7 @@ def _effect_class(node, comp, positive):
         elif node.op == "/":
             if isinstance(left, expr.Ref) and left.name == comp and \
                     isinstance(right, expr.Num) and right.value != 0:
-                scale = 1 / right.value
+                scale = Fraction(1, right.value)
     if shift is not None:
         if shift > 0:
             return "strict"
@@ -387,15 +387,14 @@ def validate(m):
 
 
 def _fraction(raw, what):
+    """raw as an exact number in canonical form (see expr.exact)."""
     if isinstance(raw, bool):
         raise MalformedModel(f"{what}: expected a number, got a boolean")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, Fraction):
-        return raw
+    if isinstance(raw, (int, Fraction)):
+        return expr.exact(raw)
     if isinstance(raw, str):
         try:
-            return Fraction(raw)
+            return expr.exact(Fraction(raw))
         except (ValueError, ZeroDivisionError):
             raise MalformedModel(f"{what}: cannot read rational from {raw!r}")
     raise MalformedModel(f"{what}: expected a number, got {type(raw).__name__}")
@@ -564,12 +563,9 @@ def model_from_dict(data):
 
 
 def model_to_dict(m):
-    def frac_text(f):
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
     return {
         "components": [
-            {"name": c.name, "init": frac_text(c.init), "x": c.is_x,
+            {"name": c.name, "init": str(c.init), "x": c.is_x,
              "strong": c.strong, "positive": c.positive}
             for c in m.components
         ],

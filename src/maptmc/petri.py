@@ -192,11 +192,11 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
     """
     if net is None:
         net = translate(m, accelerated=(semantics == "accelerated"))
-    x_bound = sem.normalize_x_bound(m, x_bound)
-    steps = sem.walk(sem.Kernel(m, semantics, x_bound), sem.initial_state(m),
+    kernel = sem.Kernel(m, semantics, x_bound)
+    steps = sem.walk(kernel, sem.initial_state(m),
                      budget=budget, message=f"equivalence walk exceeded {budget} states")
     for checked, (s, _, succ) in enumerate(steps, 1):
-        if sem.x_reached(s, x_bound):
+        if kernel.reached(s):
             continue
         mk = encode(s)
         sem_moves = {("time" if isinstance(e, sem.Delay) else sem.event_label(e), t)

@@ -210,13 +210,19 @@ class Kernel:
     def zone(self, s):
         return ZoneInfo(*_zone(self._rows(s), s.clocks))
 
+    def reached(self, s):
+        """True when s has reached the X bound: every bounded component is
+        at or past its bound."""
+        values = s.valuation.values
+        return bool(self.x_bound) and all(values[i] >= bound
+                                          for i, bound in self.x_bound)
+
     def successors(self, s, elapsed=0):
         """(event, target) pairs for every event enabled in s within the
         bounds; elapsed is the time distance of s from the start."""
-        locs, clocks, valuation = s.localities, s.clocks, s.valuation
-        if self.x_bound and all(valuation.values[i] >= bound
-                                for i, bound in self.x_bound):
+        if self.reached(s):
             return []
+        locs, clocks, valuation = s.localities, s.clocks, s.valuation
         rows = self._rows(s)
         out = []
         resets = []
@@ -294,7 +300,7 @@ def normalize_x_bound(m, x_bound):
     if x_bound is None:
         return None
     if isinstance(x_bound, (int, Fraction, str)):
-        bound = Fraction(x_bound)
+        bound = expr.exact(Fraction(x_bound))
         names = sorted(m.x_names)
         if not names:
             raise ValidationError("model has no X components to bound")
@@ -302,15 +308,8 @@ def normalize_x_bound(m, x_bound):
     out = {}
     for name, raw in x_bound.items():
         m.component(name)
-        out[name] = Fraction(raw)
+        out[name] = expr.exact(Fraction(raw))
     return out
-
-
-def x_reached(s, x_bound):
-    """True when every bounded component has reached its bound."""
-    if not x_bound:
-        return False
-    return all(s.valuation.get(n) >= b for n, b in x_bound.items())
 
 
 def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None):

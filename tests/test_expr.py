@@ -76,6 +76,16 @@ def test_exact_decimals_stay_fractions():
     assert ev("x + 1.3", x=Fraction(1, 2)) == Fraction(9, 5)
 
 
+def test_whole_literals_are_ints():
+    two = expr.parse_arith("2.0")
+    assert two == expr.Num(2) and type(two.value) is int
+    half = expr.parse_arith("2.5")
+    assert type(half.value) is Fraction and half.value == Fraction(5, 2)
+    # a tree built through the API is canonical once compiled
+    compiled = expr.compile_arith(expr.Num(Fraction(6, 3)), {})
+    assert type(compiled(())) is int
+
+
 PRED_CASES = [
     ("1 < 2", True),
     ("2 <= 2", True),
@@ -215,6 +225,10 @@ def test_overflow_guard():
     with pytest.raises(Overflow) as err:
         ev("-(x + 1) / 3 - x * x", x=big)
     assert str(err.value) == "value in x * x exceeds 65536 bits"
+    # the cap holds for whole values, which are plain ints
+    with pytest.raises(Overflow) as err:
+        ev("x * x", x=2 ** 40000)
+    assert str(err.value) == "value in x * x exceeds 65536 bits"
 
 
 def test_eval_arith_unknown_component():
@@ -317,10 +331,16 @@ def test_compile_arith_matches_eval_arith(tree, values, huge):
     # HUGE is set here because its repr exceeds Python's int-to-text limit
     if huge:
         values = values[:2] + (HUGE,)
+    # component values are canonical, as in every state
+    values = tuple(map(expr.exact, values))
     env = dict(zip(COMPONENTS, values))
     compiled = expr.compile_arith(tree, {n: i for i, n in enumerate(COMPONENTS)})
-    assert outcome(lambda: compiled(values)) == \
-        outcome(lambda: expr.eval_arith(tree, env))
+    got = outcome(lambda: compiled(values))
+    assert got == outcome(lambda: expr.eval_arith(tree, env))
+    if got[0] == "value":
+        reference = expr.eval_arith(tree, env)
+        assert type(got[1]) is type(reference)
+        assert type(reference) is (int if reference.denominator == 1 else Fraction)
 
 
 @pytest.mark.parametrize("text", ["y + 1", "clock(task_a) + 1"])

@@ -1,5 +1,6 @@
 """Query parsing, reachability checking, heuristics and indicator sweeps."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,26 @@ def test_time_to_overtake_heuristic(vehicles):
     assert h.weight(_restate(vehicles, s0, pos_a=2)) == Fraction(0)
     # already ahead counts as never overtaking
     assert h.weight(_restate(vehicles, s0, pos_a=5, speed_a=3)) == float("inf")
+
+
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+def test_heuristic_weights_stay_exact(vehicles, semantics):
+    # all-integer values must not turn a division into a float
+    heuristics = [
+        mc.time_to_overtake_heuristic(vehicles, "pos_b", "speed_b", "pos_a", "speed_a"),
+        mc.estimated_travel_time_heuristic(vehicles, "elapsed", "pos_b", "speed_b", 20),
+    ]
+    kinds = set()
+    for s in sem.explore(vehicles, semantics, {"pos_a": 8, "pos_b": 8}).states:
+        for h in heuristics:
+            w = h.weight(s)
+            if w == math.inf:
+                kinds.add("inf")
+            else:
+                assert type(w) is not float, (h.name, w)
+                assert type(w) is (int if w.denominator == 1 else Fraction), (h.name, w)
+                kinds.add(type(w))
+    assert kinds == {int, Fraction, "inf"}
 
 
 def test_heuristic_binding_checks_components(two_tasks):

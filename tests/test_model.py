@@ -56,6 +56,17 @@ def test_fraction_inits_survive_json(two_tasks):
     assert loads_model(text).component("load").init == Fraction(1, 2)
 
 
+def test_inits_are_canonical(mutated_two_tasks):
+    def set_inits(data):
+        data["components"][0]["init"] = "6/3"
+        data["components"][1]["init"] = "1/2"
+
+    m = mutated_two_tasks(set_inits)
+    whole, half = (c.init for c in m.components[:2])
+    assert type(whole) is int and whole == 2
+    assert type(half) is Fraction and half == Fraction(1, 2)
+
+
 def test_parse_error_reports_line():
     bad = '{\n "components": [\n'
     with pytest.raises(ParseError) as err:

@@ -148,6 +148,27 @@ def test_normalize_x_bound(two_tasks, staged):
     assert sem.normalize_x_bound(staged, None) is None
 
 
+@pytest.mark.parametrize("raw", [7, "7", Fraction(14, 2)])
+def test_normalize_x_bound_gives_ints_for_whole_bounds(two_tasks, raw):
+    bound = sem.normalize_x_bound(two_tasks, raw)["count"]
+    assert type(bound) is int and bound == 7
+
+
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+def test_all_integer_model_explores_ints_only(vehicles, semantics):
+    reached = sem.explore(vehicles, semantics, {"pos_a": 20, "pos_b": 20}).states
+    assert {type(v) for s in reached for v in s.valuation.values} == {int}
+
+
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+def test_explored_values_are_int_exactly_when_whole(two_tasks, semantics):
+    reached = sem.explore(two_tasks, semantics, 5).states
+    values = {v for s in reached for v in s.valuation.values}
+    assert any(v.denominator != 1 for v in values)
+    for v in values:
+        assert (type(v) is int) == (v.denominator == 1), v
+
+
 def test_scalar_x_bound_needs_x_components():
     from maptmc.model import model_from_dict
 
@@ -173,14 +194,14 @@ def test_scalar_x_bound_needs_x_components():
 
 def test_x_reached_needs_every_component():
     m = _two_counter_model()
+    kernel = sem.Kernel(m, "original", 1)
     s = sem.initial_state(m)
-    bound = sem.normalize_x_bound(m, 1)
-    assert not sem.x_reached(s, bound)
+    assert not kernel.reached(s)
     s = advance(m, s, Delay(1), Fire("ta"))
     # only one of the two bounded components has grown
-    assert not sem.x_reached(s, bound)
+    assert not kernel.reached(s)
     s = advance(m, s, Fire("tb"))
-    assert sem.x_reached(s, bound)
+    assert kernel.reached(s)
 
 
 def _two_counter_model():
