@@ -209,10 +209,6 @@ class Parser:
                              tok.line, tok.column)
         return self.next()
 
-    def at_name(self, word):
-        tok = self.peek()
-        return tok.kind == "NAME" and tok.text == word
-
     def fail(self, message):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column)

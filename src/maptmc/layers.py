@@ -31,9 +31,6 @@ class MandatoryChain:
     localities: tuple
     intervals: tuple
 
-    def __len__(self):
-        return len(self.localities)
-
 
 @dataclass(frozen=True)
 class CutSpec:
@@ -135,10 +132,10 @@ def find_cuts(m, exclude_endpoints=False, endpoint_choice=None):
     return tuple(cuts)
 
 
-def best_cut(m, exclude_endpoints=False):
+def best_cut(m):
     """The coherent cut farthest from every event window; used when the
     caller supplies no cuts of their own."""
-    cuts = find_cuts(m, exclude_endpoints)
+    cuts = find_cuts(m)
     if not cuts:
         raise ValidationError("no coherent cut offset exists for this model")
     chains = {a.name: mandatory_chain(a) for a in m.agents}
@@ -222,11 +219,11 @@ def validate_cuts(m, cuts):
 
 
 class CutMatcher:
-    """Prepared form of a cut list for repeated border tests."""
+    """Prepared form of a cut list for repeated border tests; it reads the
+    semantics and the enabled fires and resets from the walk's kernel."""
 
-    def __init__(self, m, cuts, semantics):
-        self.semantics = semantics
-        self.kernel = sem.Kernel(m, semantics)
+    def __init__(self, kernel, cuts):
+        self.kernel = kernel
         self.configs = {cut.config() for cut in cuts}
         self.by_loc = {}
         for cut in cuts:
@@ -244,20 +241,21 @@ class CutMatcher:
         Walks set pre_is_seed on edges leaving their seeds: a seed sitting
         on a cut configuration is the border just crossed, not the next
         one, so the jump-from-cut case must not retrigger there.
+
+        An edge whose clocks grew is a delay, so its pre_s enables only that
+        delay exactly when no fire or reset is enabled there (kernel.acts).
         """
-        if self.semantics == "original":
+        if not self.kernel.accelerated:
             return self.on_cut(s)
-        if self.on_cut(s):
-            if any(not isinstance(e, sem.Delay) for e in self.kernel.enabled(s)):
-                return True
+        if self.on_cut(s) and self.kernel.acts(s):
+            return True
         if pre_s is None:
             return False
         grew = pre_s.localities == s.localities and \
             all(p < c for p, c in zip(pre_s.clocks, s.clocks))
         if not grew:
             return False
-        if not pre_is_seed and self.on_cut(pre_s) and \
-                len(self.kernel.enabled(pre_s)) == 1:
+        if not pre_is_seed and self.on_cut(pre_s) and not self.kernel.acts(pre_s):
             return True
         for clocks in self.by_loc.get(s.localities, ()):
             if all(p < k <= c for p, k, c in zip(pre_s.clocks, clocks, s.clocks)):
@@ -311,6 +309,14 @@ def walk(kernel, seeds, visit, crosses, seen=None):
     return border, peak
 
 
+def strong_components(m, strong_set=None):
+    """The strong component names: the model's own, or strong_set once each
+    name in it is found to be a component (else UnknownReference)."""
+    if strong_set is None:
+        return m.strong_names
+    return frozenset(m.component(name).name for name in strong_set)
+
+
 def clusters(border, strong):
     """Split a border (state -> mark) into clusters of equal strong-component
     valuations, in valuation order; each is a tuple of (state, mark) pairs
@@ -325,7 +331,8 @@ def clusters(border, strong):
 def _border(m, cuts, seeds, semantics, visitor, budget):
     for s in seeds:
         sem.check_state(m, s)
-    matcher = CutMatcher(m, cuts, semantics)
+    kernel = sem.Kernel(m, semantics)
+    matcher = CutMatcher(kernel, cuts)
     taken = count(1)
 
     def visit(s, mark):
@@ -335,8 +342,7 @@ def _border(m, cuts, seeds, semantics, visitor, budget):
             visitor(s)
         return False, True, mark
 
-    border, _ = walk(matcher.kernel, [(s, False) for s in seeds], visit,
-                     matcher.crosses)
+    border, _ = walk(kernel, [(s, False) for s in seeds], visit, matcher.crosses)
     return border
 
 
@@ -357,7 +363,7 @@ def clustered_next_border(m, cuts, cluster, semantics, visitor=None, *,
     With an empty strong set everything lands in one cluster, which makes
     the traversal collapse to the plain width-first one.
     """
-    strong = frozenset(m.strong_names if strong_set is None else strong_set)
+    strong = strong_components(m, strong_set)
     seeds = sorted(cluster, key=lambda st: st.sort_key())
     border = _border(m, cuts, seeds, semantics, visitor, budget)
     return tuple(frozenset(t for t, _ in c) for c in clusters(border, strong))

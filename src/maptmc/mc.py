@@ -28,6 +28,7 @@ from . import expr, layers
 from . import semantics as sem
 from .errors import (BudgetExceeded, MissingComponent, ParseError,
                      PredicateError, UnknownReference, ValidationError)
+from .model import _IDENT
 
 STRATEGIES = ("width", "layered-dfs")
 
@@ -237,7 +238,7 @@ def _layered(engine, cuts, strong, heuristic):
     popped cluster with nothing left to walk is dropped and crosses no
     border.
     """
-    matcher = layers.CutMatcher(engine.m, cuts, engine.semantics)
+    matcher = layers.CutMatcher(engine.kernel, cuts)
     stats = engine.stats
     seen = {}
     heap = []
@@ -288,6 +289,7 @@ def check(m, query, x_bound=None, semantics="accelerated", strategy="layered-dfs
         raise ValueError("a heuristic requires the layered-dfs strategy")
     kind, p, q, negate = _normalize(query)
     engine = _Engine(m, kind, p, q, semantics, x_bound, budget)
+    strong = layers.strong_components(m, strong_set)
     if strategy == "width":
         verdict = _width(engine)
     else:
@@ -295,7 +297,6 @@ def check(m, query, x_bound=None, semantics="accelerated", strategy="layered-dfs
             cuts = (layers.best_cut(m),)
         if not cuts:
             raise ValidationError("layered-dfs needs at least one cut")
-        strong = frozenset(m.strong_names if strong_set is None else strong_set)
         verdict = _layered(engine, cuts, strong, heuristic)
     if negate:
         verdict = not verdict
@@ -332,13 +333,19 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
     expression may read components, clocks and at(), but not final, and
     is compiled once.  A version is one final state together with the
     envelope its run history produced; distinct histories with different
-    envelopes survive deduplication separately.
+    envelopes survive deduplication separately.  Each name must be an
+    identifier, given once.
     """
     if isinstance(indicators, dict):
         items = list(indicators.items())
     else:
         items = list(indicators)
     names = tuple(name for name, _ in items)
+    for name in names:
+        if not isinstance(name, str) or not _IDENT.match(name):
+            raise ParseError(f"indicator name {name!r} is not an identifier")
+        if names.count(name) > 1:
+            raise ParseError(f"indicator name {name!r} is given twice")
     nodes = []
     for _, text in items:
         if not isinstance(text, str):

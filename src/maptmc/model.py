@@ -35,8 +35,6 @@ class VarValuation:
 
     names: tuple
     values: tuple
-    x_names: frozenset
-    strong_names: frozenset
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,11 +53,10 @@ class VarValuation:
         return dict(zip(self.names, self.values))
 
     def with_values(self, values):
-        return VarValuation(self.names, tuple(values), self.x_names, self.strong_names)
+        return VarValuation(self.names, tuple(values))
 
-    def strong_part(self, strong_names=None):
-        chosen = self.strong_names if strong_names is None else strong_names
-        return tuple(v for n, v in zip(self.names, self.values) if n in chosen)
+    def strong_part(self, strong_names):
+        return tuple(v for n, v in zip(self.names, self.values) if n in strong_names)
 
 
 @dataclass(eq=True)
@@ -126,10 +123,6 @@ class MaptModel:
     def strong_names(self):
         return frozenset(c.name for c in self.components if c.strong)
 
-    @property
-    def agent_names(self):
-        return tuple(a.name for a in self.agents)
-
     def agent(self, name):
         for a in self.agents:
             if a.name == name:
@@ -156,12 +149,8 @@ class MaptModel:
         raise UnknownReference(f"unknown transition {tid!r}")
 
     def initial_valuation(self):
-        return VarValuation(
-            self.component_names,
-            tuple(c.init for c in self.components),
-            self.x_names,
-            self.strong_names,
-        )
+        return VarValuation(self.component_names,
+                            tuple(c.init for c in self.components))
 
 
 def eval_transform(f, v):

@@ -57,8 +57,8 @@ def encode(s):
 
 def decode(net, mk):
     m = net.model
-    return sem.State(mk.localities, mk.clocks, VarValuation(
-        m.component_names, mk.values, m.x_names, m.strong_names))
+    return sem.State(mk.localities, mk.clocks,
+                     VarValuation(m.component_names, mk.values))
 
 
 def _headroom(agent, loc, clock):
@@ -106,7 +106,7 @@ def translate(m, accelerated=False):
             def effect(mk, i=i, t=t):
                 localities = list(mk.localities)
                 localities[i] = t.target
-                v = VarValuation(m.component_names, mk.values, m.x_names, m.strong_names)
+                v = VarValuation(m.component_names, mk.values)
                 v = eval_transform(m.transform(t.transform), v)
                 return Marking(tuple(localities), mk.clocks, v.values)
 

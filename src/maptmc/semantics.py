@@ -210,6 +210,12 @@ class Kernel:
     def zone(self, s):
         return ZoneInfo(*_zone(self._rows(s), s.clocks))
 
+    def acts(self, s):
+        """True when a fire or a reset is enabled in s, whatever the bounds."""
+        return any((row.reset is not None and c == row.cap)
+                   or any(lower <= c <= upper for lower, upper, *_ in row.exits)
+                   for row, c in zip(self._rows(s), s.clocks))
+
     def reached(self, s):
         """True when s has reached the X bound: every bounded component is
         at or past its bound."""
@@ -249,13 +255,10 @@ class Kernel:
                                      valuation)))
         return out
 
-    def enabled(self, s):
-        return tuple(e for e, _ in self.successors(s))
-
 
 def enabled(m, s, semantics):
     check_state(m, s)
-    return Kernel(m, semantics).enabled(s)
+    return tuple(e for e, _ in Kernel(m, semantics).successors(s))
 
 
 def zone_info(m, s):
@@ -268,7 +271,10 @@ def step(m, s, e):
     """Execute one event; raises NotEnabled if it cannot happen in s.
 
     A delay is accepted when either semantics enables it: one tick, or
-    the accelerated jump width.
+    the accelerated jump width.  Both semantics enable the same fires and
+    resets, and a jump of width 1 or more leaves every clock below its cap,
+    so one tick is enabled too; only a longer delay needs the accelerated
+    kernel.
     """
     check_state(m, s)
     if isinstance(e, Fire):
@@ -277,10 +283,10 @@ def step(m, s, e):
         m.agent(e.agent)
     elif not isinstance(e, Delay):
         raise NotEnabled(f"unknown event {e!r}")
-    for semantics in SEMANTICS:
-        for event, t in Kernel(m, semantics).successors(s):
-            if event == e:
-                return t
+    jump = isinstance(e, Delay) and e.amount != 1
+    for event, t in Kernel(m, "accelerated" if jump else "original").successors(s):
+        if event == e:
+            return t
     raise NotEnabled(f"{event_label(e)} is not enabled at "
                      f"localities={s.localities} clocks={s.clocks}")
 

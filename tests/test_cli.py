@@ -193,31 +193,70 @@ def test_check_bare_x_bound(capsys):
     assert code == 0
 
 
-def test_check_bad_x_bound(capsys):
-    code, _, err = run_cli(
-        capsys, "check", TWO_TASKS, "EF load >= 2", "--x-bound", "count=")
-    assert code == 2
-    assert "x-bound" in err
-
-
 def assert_one_error_line(code, err):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
 
 
-def test_check_zero_denominator_x_bound(capsys):
-    code, _, err = run_cli(
-        capsys, "check", TWO_TASKS, "EF load >= 2", "--x-bound", "count=1/0")
-    assert_one_error_line(code, err)
-    assert "--x-bound" in err
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["check", TWO_TASKS, "EF load >= 2", "--x-bound", "count="],
+                 "error: bad --x-bound entry 'count=', expected name=value",
+                 id="x-bound-no-value"),
+    pytest.param(["check", TWO_TASKS, "EF load >= 2", "--x-bound", "1/0"],
+                 "error: bad --x-bound value '1/0', expected a rational",
+                 id="x-bound-bare-zero-denominator"),
+    pytest.param(["check", TWO_TASKS, "EF load >= 2", "--x-bound", "count=1/0"],
+                 "error: bad --x-bound value '1/0', expected a rational",
+                 id="x-bound-zero-denominator"),
+    pytest.param(["check", TWO_TASKS, "EF load >= 2",
+                  "--x-bound", "1", "--x-bound", "count=1"],
+                 "error: bad --x-bound entry '1', expected name=value",
+                 id="x-bound-bare-among-named"),
+    pytest.param(["check", TWO_TASKS, "EF load >= 2", "--heuristic", "distance",
+                  "--heuristic-arg", "ahead"],
+                 "error: bad --heuristic-arg 'ahead'", id="heuristic-arg"),
+    pytest.param(["sweep", TWO_TASKS, "--indicator", "bad"],
+                 "error: bad --indicator 'bad', expected name=expr", id="indicator"),
+    # argument errors come before the model is read
+    pytest.param(["sweep", "/no/such/model.json", "--indicator", "bad"],
+                 "error: bad --indicator 'bad', expected name=expr",
+                 id="indicator-before-load"),
+    pytest.param(["check", "/no/such/model.json", "EF x", "--x-bound", "count="],
+                 "error: bad --x-bound entry 'count=', expected name=value",
+                 id="x-bound-before-load"),
+    pytest.param(["check", TWO_TASKS, "EF load >= 2",
+                  "--strong-set", "load", "--weak-set", "count"],
+                 "maptmc check: error: argument --weak-set: "
+                 "not allowed with argument --strong-set", id="strong-and-weak-set"),
+])
+def test_argument_errors(capsys, argv, message):
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert lines[-1] == message
+    # only argparse's own errors print its usage above the error line
+    assert len(lines) == 1 or message.startswith("maptmc ")
 
 
-def test_check_zero_denominator_bare_x_bound(capsys):
-    code, _, err = run_cli(
-        capsys, "check", TWO_TASKS, "EF load >= 2", "--x-bound", "1/0")
-    assert_one_error_line(code, err)
-    assert "--x-bound" in err
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", TWO_TASKS, "--indicator", "a=load", "--indicator", "a=count"],
+     "error: indicator name 'a' is given twice"),
+    (["sweep", TWO_TASKS, "--indicator", "=load"],
+     "error: indicator name '' is not an identifier"),
+    (["sweep", TWO_TASKS, "--indicator", "a b=load"],
+     "error: indicator name 'a b' is not an identifier"),
+    (["check", TWO_TASKS, "EF(load>=2)", "--strong-set", "nosuch"],
+     "error: unknown component 'nosuch'"),
+    (["check", TWO_TASKS, "EF(load>=2)", "--weak-set", "load,nosuch"],
+     "error: unknown component 'nosuch'"),
+])
+def test_bad_names_are_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--x-bound", "count=1")
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_check_zero_denominator_heuristic_arg(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from maptmc import expr, petri
+from maptmc import expr, mc, petri
 from maptmc import semantics as sem
 from maptmc.semantics import Delay, Fire, Kernel, Reset
 
@@ -49,7 +49,10 @@ def test_kernel_matches_oracle_on_bounded_space(request, semantics, fixture,
     for locs, clocks, values in dist:
         s = sem.State(locs, clocks, start.with_values(values))
         state = (locs, clocks, values)
-        assert _plain(plain.successors(s)) == oracle.successors(raw, state, semantics)
+        expected = oracle.successors(raw, state, semantics)
+        assert _plain(plain.successors(s)) == expected
+        acts = any(kind != "delay" for (kind, _), _ in expected)
+        assert plain.acts(s) == bounded.acts(s) == acts
         assert _plain(bounded.successors(s, dist[state])) == oracle.bounded_successors(
             raw, state, semantics, bound, time_bound, dist[state])
 
@@ -87,3 +90,17 @@ def test_cross_check_covers_zone(monkeypatch, two_tasks):
     res = petri.state_space_equiv(two_tasks, {"count": 1}, "accelerated")
     assert not res.equal
     assert "time" in res.detail
+
+
+@pytest.mark.parametrize("strategy", mc.STRATEGIES)
+def test_one_kernel_per_check(monkeypatch, two_tasks, strategy):
+    built = []
+    init = Kernel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Kernel, "__init__", counting)
+    mc.check(two_tasks, "AG load <= 18/5", x_bound={"count": 2}, strategy=strategy)
+    assert len(built) == 1

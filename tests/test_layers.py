@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from maptmc import layers, semantics as sem
-from maptmc.errors import BudgetExceeded, MalformedState, ParseError
+from maptmc.errors import (BudgetExceeded, MalformedState, ParseError,
+                           UnknownReference)
 from maptmc.layers import CutSpec
 
 import oracle
@@ -246,12 +247,13 @@ def test_border_past_reset_cut_accelerated(two_tasks):
 
 def test_matcher_seed_suppression(two_tasks):
     cuts = (CutSpec(5, ("a_start", "b_start"), (0, 0)),)
-    matcher = layers.CutMatcher(two_tasks, cuts, "accelerated")
+    matcher = layers.CutMatcher(sem.Kernel(two_tasks, "accelerated"), cuts)
     s0 = sem.initial_state(two_tasks)
     jumped = sem.step(two_tasks, s0, sem.Delay(2))
     assert matcher.crosses(s0, jumped)
     assert not matcher.crosses(s0, jumped, pre_is_seed=True)
-    assert not layers.CutMatcher(two_tasks, cuts, "original").crosses(s0, jumped)
+    original = layers.CutMatcher(sem.Kernel(two_tasks, "original"), cuts)
+    assert not original.crosses(s0, jumped)
 
 
 def test_clustered_border_partitions(two_tasks):
@@ -277,3 +279,10 @@ def test_clustered_border_partitions(two_tasks):
 
     for groups in (by_default, merged, by_count, by_load):
         assert frozenset().union(*groups) == whole
+
+
+def test_clustered_border_rejects_unknown_strong_name(two_tasks):
+    cuts = (cut_at(layers.find_cuts(two_tasks), 4),)
+    with pytest.raises(UnknownReference, match="'nosuch'"):
+        layers.clustered_next_border(two_tasks, cuts, [sem.initial_state(two_tasks)],
+                                     "original", strong_set={"nosuch"})

@@ -11,6 +11,7 @@ from maptmc.errors import (
     MissingComponent,
     ParseError,
     PredicateError,
+    UnknownReference,
     ValidationError,
 )
 from maptmc.mc import LeadsToQuery, NestedQuery, SimpleQuery
@@ -129,6 +130,13 @@ def test_explicit_cuts_and_strong_set(two_tasks):
             cuts=cuts, strong_set=strong_set,
         )
         assert got.verdict is False
+
+
+@pytest.mark.parametrize("strategy", mc.STRATEGIES)
+def test_unknown_strong_name_is_an_error(two_tasks, strategy):
+    with pytest.raises(UnknownReference, match="'nosuch'"):
+        mc.check(two_tasks, "EF load >= 2", x_bound={"count": 1},
+                 strategy=strategy, strong_set={"count", "nosuch"})
 
 
 def test_unreachable_query_reports_false(two_tasks):
@@ -300,6 +308,18 @@ def test_sweep_indicators(two_tasks):
         assert len(version.bounds) == 3
         for lo, hi in version.bounds:
             assert lo <= hi
+
+
+@pytest.mark.parametrize("indicators,message", [
+    ([("a", "load"), ("a", "count")], "indicator name 'a' is given twice"),
+    ({"": "load"}, "indicator name '' is not an identifier"),
+    ([("a b", "load")], "indicator name 'a b' is not an identifier"),
+    ([("1a", "load")], "indicator name '1a' is not an identifier"),
+])
+def test_sweep_rejects_bad_indicator_names(two_tasks, indicators, message):
+    with pytest.raises(ParseError) as exc:
+        mc.sweep_indicators(two_tasks, indicators, {"count": 1})
+    assert str(exc.value) == message
 
 
 def test_sweep_matches_semantics(two_tasks):
