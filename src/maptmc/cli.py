@@ -68,6 +68,19 @@ def _indicator(item):
     return name.strip(), text
 
 
+def _whole(option):
+    """A whole number, 0 or more, for option (--budget, --time-bound)."""
+    def convert(text):
+        try:
+            value = int(text)
+            if value >= 0:
+                return value
+        except ValueError:
+            pass
+        raise MaptError(f"bad {option} value {text!r}, expected a whole number >= 0")
+    return convert
+
+
 def _state_fields(s):
     vals = ",".join(f"{n}={v}" for n, v in zip(s.valuation.names, s.valuation.values))
     return (f"localities={','.join(s.localities)} "
@@ -254,7 +267,7 @@ def _build_parser():
         p.set_defaults(run=run)
         p.add_argument("model", help="model file (JSON)")
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--budget", type=int, default=sem.DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_whole("--budget"), default=sem.DEFAULT_BUDGET,
                        help="node budget for explorations")
         p.add_argument("--assume-acyclic", action="store_true",
                        help="waive a failed acyclicity proof")
@@ -271,7 +284,7 @@ def _build_parser():
 
     p = sub.add_parser("explore", help="build the bounded reachable graph")
     common(p, _cmd_explore)
-    p.add_argument("--time-bound", type=int, default=None)
+    p.add_argument("--time-bound", type=_whole("--time-bound"), default=None)
     p.add_argument("--dot", dest="dot_path", default="",
                    help="write the graph in DOT format (refused above "
                         f"{DOT_NODE_CAP} nodes)")
@@ -302,7 +315,7 @@ def _build_parser():
     common(p, _cmd_sweep)
     p.add_argument("--indicator", type=_indicator, action="append", default=[],
                    metavar="NAME=EXPR", help="named expression; repeatable")
-    p.add_argument("--time-bound", type=int, default=None)
+    p.add_argument("--time-bound", type=_whole("--time-bound"), default=None)
 
     p = sub.add_parser("petri-check", help="compare model and net in lockstep")
     common(p, _cmd_petri_check)
@@ -314,6 +327,8 @@ def _build_parser():
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "heuristic_arg", None) and not args.heuristic:
+            raise MaptError("--heuristic-arg needs --heuristic")
         args.x_bound = _parse_x_bound(getattr(args, "x_bound", None))
         return args.run(args, load_model(args.model))
     except (MaptError, ValueError, OSError) as e:

@@ -220,7 +220,10 @@ def validate_cuts(m, cuts):
 
 class CutMatcher:
     """Prepared form of a cut list for repeated border tests; it reads the
-    semantics and the enabled fires and resets from the walk's kernel."""
+    semantics and the enabled fires and resets from the walk's kernel.
+
+    A border test reads configurations only, so each answer is kept per
+    (pre_s configuration, s configuration, pre_is_seed)."""
 
     def __init__(self, kernel, cuts):
         self.kernel = kernel
@@ -228,6 +231,7 @@ class CutMatcher:
         self.by_loc = {}
         for cut in cuts:
             self.by_loc.setdefault(cut.localities, []).append(cut.clocks)
+        self._answers = {}
 
     def on_cut(self, s):
         return s.config() in self.configs
@@ -247,6 +251,14 @@ class CutMatcher:
         """
         if not self.kernel.accelerated:
             return self.on_cut(s)
+        key = (None if pre_s is None else (pre_s.localities, pre_s.clocks),
+               s.localities, s.clocks, pre_is_seed)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._answers[key] = self._crosses(pre_s, s, pre_is_seed)
+        return answer
+
+    def _crosses(self, pre_s, s, pre_is_seed):
         if self.on_cut(s) and self.kernel.acts(s):
             return True
         if pre_s is None:

@@ -173,15 +173,10 @@ class _Engine:
         self.kernel = sem.Kernel(m, semantics, x_bound)
         self.budget = budget
         self.stats = CheckStats()
-        self._final_cache = {}
+        # X bound reached, or nothing enabled: no successor either way
+        self.final = self.kernel.final
         self.p = compile_state_expr(m, p, True, self.final)
         self.q = None if q is None else compile_state_expr(m, q, True, self.final)
-
-    def final(self, s):
-        """X bound reached, or nothing enabled: no successor either way."""
-        if s not in self._final_cache:
-            self._final_cache[s] = not self.kernel.successors(s)
-        return self._final_cache[s]
 
     def process(self, s, mark):
         """Apply the base evaluator to one state.

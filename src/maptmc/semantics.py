@@ -163,12 +163,16 @@ class Kernel:
     """The successors of a state, for one model under one semantics.
 
     Every exploring call builds one.  It holds a table per agent and
-    locality of the outgoing transitions, with their Fire, Reset and
-    Delay events shared and their transforms compiled by
-    expr.compile_arith, so a state's successors come out of one pass with
-    one zone computation.  It never validates a state: the public
-    functions below run check_state on the state they are given, and the
-    exploring loops only feed it states it produced.
+    locality of the outgoing transitions, with their Fire and Reset events
+    shared and their transforms compiled by expr.compile_arith.  Which
+    fires, resets and delay a state can take depends only on its
+    configuration, its (localities, clocks) pair, so the kernel plans each
+    configuration once, the first time it sees it: the enabled events,
+    their target localities and clocks and, when accelerated, the one zone
+    computation.  Per state only the X bound, the time bound and the
+    transforms are left.  It never validates a state: the public functions
+    below run check_state on the state they are given, and the exploring
+    loops only feed it states it produced.
 
     Events come out in a fixed order: fires by agent and then in
     declaration order, then resets by agent, then the delay.  With an X
@@ -202,57 +206,92 @@ class Kernel:
                                       tuple(t[0] for t in exits),
                                       tuple(t[1] for t in exits), None, "")
             self._tables.append(table)
-        self._delays = {}
+        self._plans = {}
 
     def _rows(self, s):
         return [table[loc] for table, loc in zip(self._tables, s.localities)]
+
+    def _plan(self, s):
+        """The moves of s's configuration, whatever its valuation and the
+        bounds: (fires, resets, delay).  A fire is (event, localities,
+        clocks, transform), a reset (event, localities, clocks) and the
+        delay (event, localities, clocks), or None when time cannot pass.
+        Every state of one configuration shares these tuples."""
+        key = (s.localities, s.clocks)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        locs, clocks = key
+        rows = self._rows(s)
+        fires = []
+        resets = []
+        for i, (row, c) in enumerate(zip(rows, clocks)):
+            for lower, upper, event, target, apply in row.exits:
+                if lower <= c <= upper:
+                    fires.append((event, locs[:i] + (target,) + locs[i + 1:],
+                                  clocks, apply))
+            if row.reset is not None and c == row.cap:
+                resets.append((row.reset, locs[:i] + (row.restart,) + locs[i + 1:],
+                               clocks[:i] + (0,) + clocks[i + 1:]))
+        if self.accelerated:
+            amount = _zone(rows, clocks)[3]
+        else:
+            amount = 1 if all(c < row.cap for row, c in zip(rows, clocks)) else 0
+        delay = None
+        if amount:
+            delay = (Delay(amount), locs, tuple([c + amount for c in clocks]))
+        plan = self._plans[key] = (tuple(fires), tuple(resets), delay)
+        return plan
 
     def zone(self, s):
         return ZoneInfo(*_zone(self._rows(s), s.clocks))
 
     def acts(self, s):
         """True when a fire or a reset is enabled in s, whatever the bounds."""
-        return any((row.reset is not None and c == row.cap)
-                   or any(lower <= c <= upper for lower, upper, *_ in row.exits)
-                   for row, c in zip(self._rows(s), s.clocks))
+        fires, resets, _ = self._plan(s)
+        return bool(fires or resets)
 
     def reached(self, s):
         """True when s has reached the X bound: every bounded component is
         at or past its bound."""
         values = s.valuation.values
-        return bool(self.x_bound) and all(values[i] >= bound
-                                          for i, bound in self.x_bound)
+        for i, bound in self.x_bound:
+            if values[i] < bound:
+                return False
+        return bool(self.x_bound)
+
+    def _delay(self, delay, elapsed):
+        """The planned delay, unless it would take a run at time distance
+        elapsed past the time bound."""
+        if delay is not None and (self.time_bound is None or
+                                  elapsed + delay[0].amount <= self.time_bound):
+            return delay
+        return None
+
+    def final(self, s, elapsed=0):
+        """True when s has no successor within the bounds, the same as
+        not self.successors(s, elapsed), without building any."""
+        if self.reached(s):
+            return True
+        fires, resets, delay = self._plan(s)
+        return not (fires or resets or self._delay(delay, elapsed))
 
     def successors(self, s, elapsed=0):
         """(event, target) pairs for every event enabled in s within the
         bounds; elapsed is the time distance of s from the start."""
         if self.reached(s):
             return []
-        locs, clocks, valuation = s.localities, s.clocks, s.valuation
-        rows = self._rows(s)
-        out = []
-        resets = []
-        for i, (row, c) in enumerate(zip(rows, clocks)):
-            for lower, upper, event, target, apply in row.exits:
-                if lower <= c <= upper:
-                    out.append((event, State(
-                        locs[:i] + (target,) + locs[i + 1:], clocks,
-                        valuation.with_values(apply(valuation.values)))))
-            if row.reset is not None and c == row.cap:
-                resets.append((row.reset, State(
-                    locs[:i] + (row.restart,) + locs[i + 1:],
-                    clocks[:i] + (0,) + clocks[i + 1:], valuation)))
-        out += resets
-        if self.accelerated:
-            amount = _zone(rows, clocks)[3]
-        else:
-            amount = 1 if all(c < row.cap for row, c in zip(rows, clocks)) else 0
-        if amount and (self.time_bound is None or elapsed + amount <= self.time_bound):
-            event = self._delays.get(amount)
-            if event is None:
-                event = self._delays[amount] = Delay(amount)
-            out.append((event, State(locs, tuple([c + amount for c in clocks]),
-                                     valuation)))
+        fires, resets, delay = self._plan(s)
+        valuation = s.valuation
+        values = valuation.values
+        out = [(event, State(locs, clocks, valuation.with_values(apply(values))))
+               for event, locs, clocks, apply in fires]
+        out += [(event, State(locs, clocks, valuation))
+                for event, locs, clocks in resets]
+        delay = self._delay(delay, elapsed)
+        if delay is not None:
+            event, locs, clocks = delay
+            out.append((event, State(locs, clocks, valuation)))
         return out
 
 

@@ -229,6 +229,26 @@ def assert_one_error_line(code, err):
                   "--strong-set", "load", "--weak-set", "count"],
                  "maptmc check: error: argument --weak-set: "
                  "not allowed with argument --strong-set", id="strong-and-weak-set"),
+    pytest.param(["check", TWO_TASKS, "EF(load>=2)", "--x-bound", "count=1",
+                  "--heuristic-arg", "ahead=load"],
+                 "error: --heuristic-arg needs --heuristic",
+                 id="heuristic-arg-without-heuristic"),
+    pytest.param(["check", "/no/such/model.json", "EF x",
+                  "--heuristic-arg", "ahead=load"],
+                 "error: --heuristic-arg needs --heuristic",
+                 id="heuristic-arg-without-heuristic-before-load"),
+    pytest.param(["explore", TWO_TASKS, "--budget", "-5"],
+                 "error: bad --budget value '-5', expected a whole number >= 0",
+                 id="negative-budget"),
+    pytest.param(["explore", TWO_TASKS, "--budget", "1.5"],
+                 "error: bad --budget value '1.5', expected a whole number >= 0",
+                 id="fractional-budget"),
+    pytest.param(["explore", TWO_TASKS, "--time-bound", "-1"],
+                 "error: bad --time-bound value '-1', expected a whole number >= 0",
+                 id="negative-explore-time-bound"),
+    pytest.param(["sweep", TWO_TASKS, "--indicator", "l=load", "--time-bound", "-3"],
+                 "error: bad --time-bound value '-3', expected a whole number >= 0",
+                 id="negative-sweep-time-bound"),
 ])
 def test_argument_errors(capsys, argv, message):
     try:
@@ -240,6 +260,15 @@ def test_argument_errors(capsys, argv, message):
     assert lines[-1] == message
     # only argparse's own errors print its usage above the error line
     assert len(lines) == 1 or message.startswith("maptmc ")
+
+
+def test_zero_bounds_are_valid(capsys):
+    # 0 is a bound like any other: no time passes, and no state fits
+    assert run_cli(capsys, "explore", TWO_TASKS, "--time-bound", "0",
+                   "--x-bound", "count=1", "--format", "machine") == (
+        0, "explored semantics=accelerated states=1 edges=0 finals=1\n", "")
+    assert run_cli(capsys, "explore", TWO_TASKS, "--budget", "0") == (
+        2, "", "error: exploration exceeded 0 states\n")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -104,3 +104,80 @@ def test_one_kernel_per_check(monkeypatch, two_tasks, strategy):
     monkeypatch.setattr(Kernel, "__init__", counting)
     mc.check(two_tasks, "AG load <= 18/5", x_bound={"count": 2}, strategy=strategy)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+def test_plan_depends_only_on_configuration(semantics, two_tasks, raw_two_tasks):
+    # The kernel plans each (localities, clocks) pair once, but the X bound
+    # reads the values and the time bound reads elapsed: whichever state of a
+    # configuration comes first, neither test may be frozen into its plan.
+    x_bound, time_bound = {"count": 2}, 12
+    bound = {"count": Fraction(2)}
+    dist = sem.explore(two_tasks, semantics, time_bound=time_bound).states
+    count = two_tasks.component_names.index("count")
+    by_config = {}
+    for s in sorted(dist, key=lambda s: (s.valuation.values[count], s.sort_key())):
+        by_config.setdefault(s.config(), []).append(s)
+    at, below = next((group[-1], group[0]) for group in by_config.values()
+                     if group[-1].valuation.values[count] >= 2
+                     > group[0].valuation.values[count]
+                     and Kernel(two_tasks, semantics).successors(group[0]))
+
+    def expected(s, elapsed):
+        state = (s.localities, s.clocks, s.valuation.values)
+        return oracle.bounded_successors(raw_two_tasks, state, semantics, bound,
+                                         time_bound, elapsed)
+
+    for order in ((at, below), (below, at)):
+        kernel = Kernel(two_tasks, semantics, x_bound, time_bound)
+        for s in order:
+            got = _plain(kernel.successors(s, dist[s]))
+            assert kernel.final(s, dist[s]) == (not got)
+            assert got == ([] if s is at else expected(s, dist[s]))
+        assert kernel.successors(below, dist[below])
+
+    amount = next(e.amount for e, _ in Kernel(two_tasks, semantics).successors(below)
+                  if isinstance(e, Delay))
+    within, past = time_bound - amount, time_bound - amount + 1
+    for order in ((within, past), (past, within)):
+        kernel = Kernel(two_tasks, semantics, x_bound, time_bound)
+        for elapsed in order:
+            got = _plain(kernel.successors(below, elapsed))
+            assert got == expected(below, elapsed)
+            assert (("delay", amount) in [event for event, _ in got]) == (elapsed == within)
+
+
+@pytest.mark.parametrize("fixture,x_bound,states,zones", [
+    ("two_tasks", {"count": 7}, 38160, 12),
+    ("vehicles", {"pos_a": 20, "pos_b": 20}, 12375, 8),
+])
+def test_one_zone_per_configuration(request, monkeypatch, fixture, x_bound, states,
+                                    zones):
+    # accelerated exploration computes one zone per (localities, clocks)
+    # configuration, not one per state
+    m = request.getfixturevalue(fixture)
+    calls = []
+    zone = sem._zone
+
+    def counting(rows, clocks):
+        calls.append(clocks)
+        return zone(rows, clocks)
+
+    monkeypatch.setattr(sem, "_zone", counting)
+    result = sem.explore(m, "accelerated", x_bound)
+    assert len(result.states) == states
+    assert len(calls) == zones == len({s.config() for s in result.states})
+
+
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+@pytest.mark.parametrize("fixture,x_bound,time_bound", SPACES)
+def test_engine_final_matches_successors(request, semantics, fixture, x_bound,
+                                         time_bound):
+    m = request.getfixturevalue(fixture)
+    engine = mc._Engine(m, "EF", expr.parse_predicate("true"), None, semantics,
+                        x_bound, sem.DEFAULT_BUDGET)
+    kernel = Kernel(m, semantics, x_bound)
+    dist = sem.explore(m, semantics, x_bound, time_bound=time_bound).states
+    assert len(dist) > 1
+    for s in dist:
+        assert engine.final(s) == (not kernel.successors(s))

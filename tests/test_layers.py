@@ -256,6 +256,20 @@ def test_matcher_seed_suppression(two_tasks):
     assert not original.crosses(s0, jumped)
 
 
+def test_matcher_answer_depends_on_pre_state(two_tasks):
+    # The matcher keeps its answers per (pre_s configuration, s
+    # configuration, pre_is_seed): into one s, a jump that starts on the cut
+    # crosses it and a jump that starts past it does not, in either order.
+    cuts = (CutSpec(5, ("a_start", "b_start"), (0, 0)),)
+    s0 = sem.initial_state(two_tasks)
+    jumped = sem.step(two_tasks, s0, sem.Delay(2))
+    past = sem.State(s0.localities, (1, 1), s0.valuation)
+    for order in ((s0, past), (past, s0)):
+        matcher = layers.CutMatcher(sem.Kernel(two_tasks, "accelerated"), cuts)
+        assert [matcher.crosses(pre, jumped) for pre in order] == \
+            [pre is s0 for pre in order]
+
+
 def test_clustered_border_partitions(two_tasks):
     cuts = (cut_at(layers.find_cuts(two_tasks), 4),)
     s0 = sem.initial_state(two_tasks)
