@@ -28,7 +28,7 @@ from . import expr, layers
 from . import semantics as sem
 from .errors import (BudgetExceeded, MissingComponent, ParseError,
                      PredicateError, UnknownReference, ValidationError)
-from .model import _IDENT
+from .model import _IDENT, validate_acyclicity
 
 STRATEGIES = ("width", "layered-dfs")
 
@@ -368,7 +368,8 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
     init = sem.initial_state(m)
     steps = sem.walk(kernel, init,
                      tuple((v, v) for v in measure(init)), widen, budget=budget,
-                     message=f"sweep exceeded {budget} entries")
+                     message=f"sweep exceeded {budget} entries",
+                     trim=validate_acyclicity(m)[0])
     versions = [SweepVersion(s, bounds) for s, bounds, succ in steps if not succ]
     versions.sort(key=lambda v: (v.state.sort_key(), v.bounds))
     return SweepResult(names, tuple(versions))

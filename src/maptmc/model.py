@@ -397,6 +397,14 @@ def _ident(raw, what):
     return raw
 
 
+def _flag(entry, key, default, name):
+    """A component's boolean flag; only a JSON boolean is accepted."""
+    raw = entry.get(key, default)
+    if not isinstance(raw, bool):
+        raise MalformedModel(f"component {name!r}: {key!r} must be a boolean, got {raw!r}")
+    return raw
+
+
 def _int(raw, what, minimum=None):
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise MalformedModel(f"{what}: expected an integer, got {raw!r}")
@@ -453,9 +461,9 @@ def model_from_dict(data):
         components.append(ComponentDecl(
             name=name,
             init=_fraction(entry.get("init", 0), f"component {name!r} init"),
-            is_x=bool(entry.get("x", False)),
-            strong=bool(entry.get("strong", True)),
-            positive=bool(entry.get("positive", False)),
+            is_x=_flag(entry, "x", False, name),
+            strong=_flag(entry, "strong", True, name),
+            positive=_flag(entry, "positive", False, name),
         ))
     comp_names = {c.name for c in components}
 
@@ -505,7 +513,10 @@ def model_from_dict(data):
             raise MalformedModel(f"locality {sorted(overlap)[0]!r} appears in two agents")
         all_localities |= set(localities)
         transitions = []
-        for idx, t_raw in enumerate(entry.get("transitions", [])):
+        trans_raw = entry.get("transitions", [])
+        if not isinstance(trans_raw, list):
+            raise MalformedModel(f"agent {aname!r}: 'transitions' must be a list")
+        for idx, t_raw in enumerate(trans_raw):
             if not isinstance(t_raw, dict):
                 raise MalformedModel(f"agent {aname!r}: each transition must be an object")
             tid = t_raw.get("id", f"{aname}.{idx}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import semantics as sem
 from .errors import MalformedModel, NotEnabled
-from .model import VarValuation, eval_transform
+from .model import VarValuation, eval_transform, validate_acyclicity
 
 PLACES = ("localities", "clocks", "valuation")
 
@@ -194,7 +194,8 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
         net = translate(m, accelerated=(semantics == "accelerated"))
     kernel = sem.Kernel(m, semantics, x_bound)
     steps = sem.walk(kernel, sem.initial_state(m),
-                     budget=budget, message=f"equivalence walk exceeded {budget} states")
+                     budget=budget, message=f"equivalence walk exceeded {budget} states",
+                     trim=validate_acyclicity(m)[0])
     for checked, (s, _, succ) in enumerate(steps, 1):
         if kernel.reached(s):
             continue

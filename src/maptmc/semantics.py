@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import expr
 from .errors import BudgetExceeded, MalformedState, NotEnabled, ValidationError
+from .model import validate_acyclicity
 
 DEFAULT_BUDGET = 100_000
 
@@ -357,7 +358,8 @@ def normalize_x_bound(m, x_bound):
     return out
 
 
-def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None):
+def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None,
+         trim=False):
     """Width-first walk over the kernel's successors from start; yields
     (state, tag, successors) per entry, in FIFO order.
 
@@ -366,10 +368,30 @@ def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None):
     each entry found to its time distance from start (pass a dict to keep
     it); an entry found at two distances means the model is not acyclic.
     Taking more than budget entries raises BudgetExceeded(message).
+
+    With trim, the walk keeps one seen map per time distance instead, and
+    drops a distance's map once every queued entry is further away (the
+    sweep-line method).  No edge lowers the distance, so no entry below
+    the least queued distance can be found again, unless the model is not
+    acyclic: then a dropped entry would be walked again, and an entry met
+    at two distances goes unnoticed.  So sweep_indicators,
+    state_space_equiv and abstract_reachable trim only when
+    validate_acyclicity proves the model, and explore never does, since
+    its seen map is its output.  The walk order and what it yields do not
+    change.
     """
-    seen = {} if seen is None else seen
-    seen[start if fold is None else (start, tag)] = 0
+    key = start if fold is None else (start, tag)
     queue = deque([(start, tag, 0)])
+    # with trim: time distance -> [entries queued, seen map], and the
+    # least distance still queued
+    levels = None
+    if trim:
+        levels = {0: [1, {}]}
+        seen = levels[0][1]
+    elif seen is None:
+        seen = {}
+    seen[key] = 0
+    low = 0
     taken = 0
     while queue:
         if taken >= budget:
@@ -382,14 +404,30 @@ def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None):
             t_elapsed = elapsed + e.amount if isinstance(e, Delay) else elapsed
             t_tag = None if fold is None else fold(tag, e, t)
             key = t if fold is None else (t, t_tag)
-            known = seen.get(key)
-            if known is None:
-                seen[key] = t_elapsed
+            if levels is not None:
+                level = levels.get(t_elapsed)
+                if level is None:
+                    level = levels[t_elapsed] = [0, {}]
+                seen = level[1]
+            # one hash per edge: setdefault adds a new entry, or returns
+            # the distance an old one was found at
+            found = len(seen)
+            known = seen.setdefault(key, t_elapsed)
+            if len(seen) != found:
                 queue.append((t, t_tag, t_elapsed))
+                if levels is not None:
+                    level[0] += 1
             elif known != t_elapsed:
                 raise ValidationError(
                     "a state was reached at two distinct time distances "
                     f"({known} and {t_elapsed}); the model is not acyclic")
+        if levels is not None:
+            level = levels[elapsed]
+            level[0] -= 1
+            if not level[0] and elapsed == low and queue:
+                low = min(d for d, (queued, _) in levels.items() if queued)
+                for d in [d for d in levels if d < low]:
+                    del levels[d]
 
 
 @dataclass(frozen=True)
@@ -432,7 +470,8 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
     for s, word, succ in walk(
             Kernel(m, semantics, x_bound, time_bound), initial_state(m), (),
             lambda word, e, t: word if isinstance(e, Delay) else word + (e,),
-            budget=budget, message=f"abstract exploration exceeded {budget} entries"):
+            budget=budget, message=f"abstract exploration exceeded {budget} entries",
+            trim=validate_acyclicity(m)[0]):
         if succ:
             continue
         label = (s.localities, s.valuation.values)

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from maptmc import cli, layers
+from maptmc import cli, layers, mc, petri
+from maptmc import semantics as sem
+from maptmc.errors import BudgetExceeded, ValidationError
 from maptmc.fixtures import fixture_path
-from maptmc.model import model_to_dict
+from maptmc.model import model_from_dict, model_to_dict
 
 TWO_TASKS = str(fixture_path("two_tasks.json"))
 STAGED = str(fixture_path("staged_cycles.json"))
@@ -88,6 +90,51 @@ def test_cyclic_model_stops_with_error(capsys, tmp_path, two_tasks, command, ext
     assert out == ""
     assert err.startswith("error: ")
     assert err.rstrip().endswith("the model is not acyclic")
+
+
+def test_walks_trim_only_proven_models(monkeypatch, two_tasks):
+    # sweep, petri-check and abstract_reachable free passed distances only
+    # when validate_acyclicity proves the model; on the drop-count model
+    # they keep the full map, so a state met at two distances still stops
+    # sweep and petri-check.  A (state, word) entry cannot be met at two
+    # distances, since the word counts every reset, so abstract_reachable
+    # runs into its budget there, trimmed or not.
+    trims = []
+    walk = sem.walk
+
+    def spy(*args, trim=False, **kwargs):
+        trims.append(trim)
+        return walk(*args, trim=trim, **kwargs)
+
+    monkeypatch.setattr(sem, "walk", spy)
+    sem.abstract_reachable(two_tasks, "original", time_bound=4)
+    mc.sweep_indicators(two_tasks, {"load": "load"}, 1, "original")
+    petri.state_space_equiv(two_tasks, 1)
+    assert trims == [True, True, True]
+
+    data = model_to_dict(two_tasks)
+    drop_count(data)
+    cyclic = model_from_dict(data)
+    trims.clear()
+    with pytest.raises(BudgetExceeded, match="^abstract exploration exceeded 2000 entries$"):
+        sem.abstract_reachable(cyclic, "original", budget=2000)
+    with pytest.raises(ValidationError, match="the model is not acyclic$"):
+        mc.sweep_indicators(cyclic, {"load": "load"}, semantics="original")
+    with pytest.raises(ValidationError, match="the model is not acyclic$"):
+        petri.state_space_equiv(cyclic)
+    assert trims == [False, False, False]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d["agents"][0].update(transitions=5),
+     "error: agent 'task_a': 'transitions' must be a list"),
+    (lambda d: d["components"][1].update(x="no"),
+     "error: component 'count': 'x' must be a boolean, got 'no'"),
+])
+def test_malformed_model_exits_2(capsys, tmp_path, two_tasks, mutate, message):
+    path = broken_model(tmp_path, two_tasks, mutate)
+    code, out, err = run_cli(capsys, "validate", path)
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_missing_file(capsys):

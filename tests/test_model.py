@@ -219,6 +219,43 @@ def test_structure_errors(label, mutate, exc, mutated_two_tasks):
         mutated_two_tasks(mutate)
 
 
+SHAPE_ERRORS = [
+    ("transitions a number",
+     lambda d: d["agents"][0].update(transitions=5),
+     "agent 'task_a': 'transitions' must be a list"),
+    ("transitions an object",
+     lambda d: d["agents"][0].update(transitions={"early_a": {}}),
+     "agent 'task_a': 'transitions' must be a list"),
+    ("x flag a string",
+     lambda d: d["components"][1].update(x="no"),
+     "component 'count': 'x' must be a boolean, got 'no'"),
+    ("strong flag a number",
+     lambda d: d["components"][0].update(strong=0),
+     "component 'load': 'strong' must be a boolean, got 0"),
+    ("positive flag null",
+     lambda d: d["components"][0].update(positive=None),
+     "component 'load': 'positive' must be a boolean, got None"),
+]
+
+
+@pytest.mark.parametrize("label,mutate,message", SHAPE_ERRORS,
+                         ids=[label for label, _, _ in SHAPE_ERRORS])
+def test_shape_errors_name_the_field(label, mutate, message, mutated_two_tasks):
+    with pytest.raises(MalformedModel) as info:
+        mutated_two_tasks(mutate)
+    assert str(info.value) == message
+
+
+def test_component_flags_default_when_absent(two_tasks):
+    data = model_to_dict(two_tasks)
+    for entry in data["components"]:
+        del entry["strong"], entry["positive"]
+    del data["components"][0]["x"]
+    m = model_from_dict(data)
+    assert [(c.is_x, c.strong, c.positive) for c in m.components] == [
+        (False, True, False), (True, True, False)]
+
+
 def test_locality_cycle_rejected(mutated_two_tasks):
     def mutate(d):
         d["agents"][0]["transitions"][1].update(**{"from": "a_end", "to": "a_start"})

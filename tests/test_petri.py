@@ -1,5 +1,6 @@
 """High-level net translation and the lockstep equivalence check."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,27 @@ def test_equivalence_staged(staged, semantics):
 def test_equivalence_budget(staged):
     with pytest.raises(BudgetExceeded):
         petri.state_space_equiv(staged, {"cycles": 3}, budget=5)
+
+
+def test_equivalence_walk_frees_passed_states(monkeypatch, two_tasks):
+    # petri-check two_tasks count=6 original walks 18243 states; a walk
+    # that frees every distance it has passed holds under half at once.
+    # encode runs once per state checked, so it samples the live States.
+    samples = []
+    encode = petri.encode
+
+    def counting(s):
+        counting.calls += 1
+        if counting.calls % 500 == 0:
+            samples.append(sum(isinstance(o, sem.State) for o in gc.get_objects()))
+        return encode(s)
+
+    counting.calls = 0
+    monkeypatch.setattr(petri, "encode", counting)
+    res = petri.state_space_equiv(two_tasks, {"count": 6}, "original")
+    assert (res.equal, res.states_checked) == (True, 18243)
+    assert len(samples) >= 20
+    assert max(samples) < 18243 // 2
 
 
 def test_corrupted_guard_detected(two_tasks):

@@ -263,6 +263,58 @@ def test_explore_budget(staged):
         sem.explore(staged, "original", time_bound=30, budget=115)
 
 
+def _word(word, e, t):
+    return word if isinstance(e, Delay) else word + (e,)
+
+
+def _envelope(bounds, e, t):
+    return tuple([(min(lo, v), max(hi, v))
+                  for (lo, hi), v in zip(bounds, t.valuation.values)])
+
+
+def _entries(steps):
+    """The walk's entries, then how it ended: the exception it raised, or
+    None."""
+    try:
+        for entry in steps:
+            yield entry
+    except BudgetExceeded as e:
+        yield e.__class__, str(e)
+    else:
+        yield None
+
+
+# two_tasks and vehicles at the sweep and check-mix bounds; staged has no
+# benchmark bound.  Their word walks outgrow the budget, so both walks
+# must stop at the same entry; staged's words fit.
+TRIM_SPACES = [
+    ("two_tasks", {"count": 5}),
+    ("vehicles", {"pos_a": 12, "pos_b": 12}),
+    ("staged", {"cycles": 3}),
+]
+
+
+@pytest.mark.parametrize("tagging", ["state", "envelope", "word"])
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+@pytest.mark.parametrize("fixture,x_bound", TRIM_SPACES)
+def test_trimmed_walk_matches_full_walk(request, fixture, x_bound, semantics, tagging):
+    m = request.getfixturevalue(fixture)
+    kernel = sem.Kernel(m, semantics, x_bound)
+    init = sem.initial_state(m)
+    tag, fold = {
+        "state": (None, None),
+        "envelope": (tuple((v, v) for v in init.valuation.values), _envelope),
+        "word": ((), _word),
+    }[tagging]
+    budget = 5_000 if tagging == "word" else 20_000
+    full, trimmed = (_entries(sem.walk(kernel, init, tag, fold, budget=budget,
+                                       message="walk exceeded", trim=trim))
+                     for trim in (False, True))
+    for a, b in zip(full, trimmed):
+        assert a == b
+    assert next(full, "end") == next(trimmed, "end") == "end"
+
+
 def test_abstract_words_first_period(two_tasks):
     words = sem.abstract_reachable(two_tasks, "original", time_bound=4)
     end = ("a_end", "b_end")
