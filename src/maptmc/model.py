@@ -30,18 +30,25 @@ class ComponentDecl:
 
 @dataclass(frozen=True, slots=True)
 class VarValuation:
-    """Immutable snapshot of all shared components; its hash is computed
-    once, when it is built, since every state holding it hashes it."""
+    """Immutable snapshot of all shared components.  Its hash is computed
+    at first use and then kept: every state holding it hashes it, while
+    the net's temporary valuations are never hashed at all."""
 
     names: tuple
     values: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.values))
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash(self.values)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # rebuilt through the constructor: the cached hash belongs to the
+        # process that computed it, not to the value
+        return VarValuation, (self.names, self.values)
 
     def get(self, name):
         try:

@@ -10,6 +10,12 @@ derived here from the marking and the agents' windows, never from the
 semantics module the net is checked against.  A marking is a bijective
 re-packaging of a state, so the lockstep comparison in state_space_equiv
 is a strong bisimulation check.
+
+state_space_equiv compares moves by label and by target fields: the
+model's successors and the net's fired markings both become
+{label: (localities, clocks, values)}, and tuple equality decides, with
+no marking decoded into a state and nothing hashed.  Every net guard and
+every transform (through model.eval_transform) is still evaluated.
 """
 
 from dataclasses import dataclass, field
@@ -55,19 +61,13 @@ def encode(s):
     return Marking(s.localities, s.clocks, s.valuation.values)
 
 
-def decode(net, mk):
-    m = net.model
-    return sem.State(mk.localities, mk.clocks,
-                     VarValuation(m.component_names, mk.values))
-
-
-def _headroom(agent, loc, clock):
+def _headroom(agent, outgoing, loc, clock):
     if loc == agent.final_locality:
         return clock < agent.reset_period
-    return any(clock < t.upper for t in agent.outgoing(loc))
+    return any(clock < t.upper for t in outgoing[loc])
 
 
-def _jump(m, mk):
+def _jump(agents, mk):
     """Width of the accelerated time step at mk, from the agents' windows.
 
     An agent acts in the windows of its outgoing transitions, or at its
@@ -75,14 +75,15 @@ def _jump(m, mk):
     agent leaves its last window behind (the horizon); the step ends the
     first action zone: from the earliest window opening within the
     horizon to the first window closing at or after it.  0 when nothing
-    opens within the horizon.
+    opens within the horizon.  agents pairs each agent with its outgoing
+    transitions per locality.
     """
     spans = []
-    for a, loc, c in zip(m.agents, mk.localities, mk.clocks):
+    for (a, outgoing), loc, c in zip(agents, mk.localities, mk.clocks):
         if loc == a.final_locality:
             spans.append([(a.reset_period - c, a.reset_period - c)])
         else:
-            spans.append([(t.lower - c, t.upper - c) for t in a.outgoing(loc)])
+            spans.append([(t.lower - c, t.upper - c) for t in outgoing[loc]])
     horizon = min(max(close for _, close in span) for span in spans)
     opens = [o for span in spans for o, _ in span if 0 < o <= horizon]
     if not opens:
@@ -94,6 +95,9 @@ def _jump(m, mk):
 
 def translate(m, accelerated=False):
     net = HlNet(model=m, accelerated=accelerated)
+    components = m.component_names
+    # each agent with its outgoing transitions per locality, read once
+    agents = [(a, {loc: a.outgoing(loc) for loc in a.localities}) for a in m.agents]
     names = {"time"} | {f"reset_{a.name}" for a in m.agents}
     for i, a in enumerate(m.agents):
         for t in a.transitions:
@@ -106,7 +110,7 @@ def translate(m, accelerated=False):
             def effect(mk, i=i, t=t):
                 localities = list(mk.localities)
                 localities[i] = t.target
-                v = VarValuation(m.component_names, mk.values)
+                v = VarValuation(components, mk.values)
                 v = eval_transform(m.transform(t.transform), v)
                 return Marking(tuple(localities), mk.clocks, v.values)
 
@@ -131,17 +135,17 @@ def translate(m, accelerated=False):
 
     if accelerated:
         def time_guard(mk):
-            return _jump(m, mk) > 0
+            return _jump(agents, mk) > 0
 
         def time_effect(mk):
-            delta = _jump(m, mk)
+            delta = _jump(agents, mk)
             return Marking(mk.localities, tuple(c + delta for c in mk.clocks), mk.values)
 
         desc = "time: all clocks advance by the zone jump width"
     else:
         def time_guard(mk):
-            return all(_headroom(a, loc, c)
-                       for a, loc, c in zip(m.agents, mk.localities, mk.clocks))
+            return all(_headroom(a, outgoing, loc, c)
+                       for (a, outgoing), loc, c in zip(agents, mk.localities, mk.clocks))
 
         def time_effect(mk):
             return Marking(mk.localities, tuple(c + 1 for c in mk.clocks), mk.values)
@@ -200,14 +204,28 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
         if kernel.reached(s):
             continue
         mk = encode(s)
-        sem_moves = {("time" if isinstance(e, sem.Delay) else sem.event_label(e), t)
-                     for e, t in succ}
-        net_moves = {(name, decode(net, fire(net, mk, name)))
-                     for name in enabled_net(net, mk)}
-        if sem_moves != net_moves:
-            only_sem = sorted(name for name, _ in sem_moves - net_moves)
-            only_net = sorted(name for name, _ in net_moves - sem_moves)
-            detail = (f"divergence at localities={s.localities} clocks={s.clocks}: "
-                      f"model-only moves {only_sem}, net-only moves {only_net}")
-            return EquivResult(False, detail, checked)
+        model_moves = [("time" if isinstance(e, sem.Delay) else sem.event_label(e),
+                        (t.localities, t.clocks, t.valuation.values))
+                       for e, t in succ]
+        net_moves = {}
+        for name in enabled_net(net, mk):
+            to = fire(net, mk, name)
+            net_moves[name] = (to.localities, to.clocks, to.values)
+        if len(net_moves) != len(model_moves) or dict(model_moves) != net_moves:
+            return EquivResult(False, _divergence(s, model_moves, net_moves), checked)
     return EquivResult(True, "", checked)
+
+
+def _divergence(s, model_moves, net_moves):
+    """Name, per side, the moves the other side lacks: a label whose
+    target differs, or that is missing there.  Each net move answers at
+    most one model move, so a label the model yields twice diverges."""
+    unmatched = dict(net_moves)
+    only_model = []
+    for name, to in model_moves:
+        if unmatched.get(name) == to:
+            del unmatched[name]
+        else:
+            only_model.append(name)
+    return (f"divergence at localities={s.localities} clocks={s.clocks}: "
+            f"model-only moves {sorted(only_model)}, net-only moves {sorted(unmatched)}")

@@ -38,6 +38,11 @@ class State:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # the hash covers the locality names, whose string hashes differ
+        # between processes: a pickled state is rebuilt, hash and all
+        return State, (self.localities, self.clocks, self.valuation)
+
     def sort_key(self):
         return (self.localities, self.clocks, self.valuation.values)
 

@@ -7,7 +7,7 @@ import pytest
 
 from maptmc import petri, semantics as sem
 from maptmc.errors import BudgetExceeded, NotEnabled
-from maptmc.model import model_from_dict
+from maptmc.model import VarValuation, model_from_dict
 
 import oracle
 
@@ -38,7 +38,8 @@ def test_encode_decode_round_trip(two_tasks):
     s = sem.initial_state(two_tasks)
     mk = petri.encode(s)
     assert mk == net.initial_marking()
-    assert petri.decode(net, mk) == s
+    valuation = VarValuation(two_tasks.component_names, mk.values)
+    assert sem.State(mk.localities, mk.clocks, valuation) == s
 
 
 def test_net_moves_track_semantics(two_tasks):
@@ -153,6 +154,46 @@ def test_corrupted_effect_detected(two_tasks):
     assert "time" in res.detail
     net.transitions["time"].effect = original
     assert petri.state_space_equiv(two_tasks, {"count": 1}, net=net).equal
+
+
+def test_corrupted_rational_effect_detected(two_tasks):
+    # early_b applies halve, which only rewrites load: a net effect that
+    # moves the agent but leaves load as it was differs in a rational
+    # component alone, and both sides name the move
+    net = petri.translate(two_tasks)
+    original = net.transitions["early_b"].effect
+
+    def skip_halve(mk):
+        to = original(mk)
+        return petri.Marking(to.localities, to.clocks, mk.values)
+
+    net.transitions["early_b"].effect = skip_halve
+    res = petri.state_space_equiv(two_tasks, {"count": 1}, net=net)
+    assert not res.equal
+    assert res.detail == ("divergence at localities=('a_start', 'b_start') clocks=(1, 1): "
+                          "model-only moves ['early_b'], net-only moves ['early_b']")
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_model_label_twice_is_divergence(monkeypatch, two_tasks, shift):
+    # the net yields each label once; a model side that yields a fire
+    # twice, to the same target or to another one, diverges
+    successors = sem.Kernel.successors
+
+    def doubled(self, s, elapsed=0):
+        out = successors(self, s, elapsed)
+        for e, t in out:
+            if isinstance(e, sem.Fire):
+                clocks = tuple(c + shift for c in t.clocks)
+                return out + [(e, sem.State(t.localities, clocks, t.valuation))]
+        return out
+
+    assert petri.state_space_equiv(two_tasks, {"count": 1}).equal
+    monkeypatch.setattr(sem.Kernel, "successors", doubled)
+    res = petri.state_space_equiv(two_tasks, {"count": 1})
+    assert not res.equal
+    assert res.detail == ("divergence at localities=('a_start', 'b_start') clocks=(1, 1): "
+                          "model-only moves ['early_a'], net-only moves []")
 
 
 def test_single_agent_degenerate_net():

@@ -1,6 +1,11 @@
 """Concrete and accelerated step semantics, exploration and abstraction."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +18,7 @@ from maptmc.errors import (
     UnknownReference,
     ValidationError,
 )
+from maptmc.model import VarValuation
 from maptmc.semantics import Delay, Fire, Reset
 
 import oracle
@@ -129,6 +135,51 @@ def test_check_state_rejects_malformed(two_tasks):
         sem.check_state(two_tasks, cls(("a_start", "b_zzz"), (0, 0), s0.valuation))
     with pytest.raises(MalformedState):
         sem.check_state(two_tasks, cls(s0.localities, (0, -1), s0.valuation))
+
+
+def test_valuation_hash_contract(two_tasks):
+    # a valuation hashes its values at first use, before or after a State
+    # holds it; equal valuations hash equal whichever was hashed first
+    names, values = two_tasks.component_names, (Fraction(1, 4), 3)
+    first = VarValuation(names, values)
+    assert hash(first) == hash(values)
+    held_hashed = sem.State(("a_end", "b_start"), (2, 2), first)
+    second = VarValuation(names, values)
+    held_fresh = sem.State(("a_end", "b_start"), (2, 2), second)
+    assert hash(second) == hash(values)
+    assert first == second and hash(first) == hash(second)
+    # a State built from a valuation nobody hashed dedups against one
+    # whose valuation was hashed before it was built
+    assert held_fresh in {held_hashed} and held_hashed in {held_fresh}
+    assert len({held_hashed, held_fresh}) == 1
+    shifted = VarValuation(names, (Fraction(1, 2), 3))
+    assert sem.State(("a_end", "b_start"), (2, 2), shifted) not in {held_hashed}
+
+
+_PICKLE_IN_CHILD = """
+import pickle, sys
+from maptmc import fixtures, semantics as sem
+s = sem.initial_state(fixtures.load_fixture("two_tasks.json"))
+sys.stdout.buffer.write(pickle.dumps((s, s.valuation)))
+"""
+
+
+def test_pickled_state_hashes_as_built_here(two_tasks):
+    # a State's hash covers its locality names, and string hashes differ
+    # per PYTHONHASHSEED: a state pickled in a process with another seed
+    # must still be found among states built here
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(sem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _PICKLE_IN_CHILD], env=env,
+                         capture_output=True, check=True, timeout=60).stdout
+    s, v = pickle.loads(out)
+    fresh = sem.initial_state(two_tasks)
+    assert s == fresh and hash(s) == hash(fresh)
+    assert s in {fresh} and fresh in {s}
+    assert v == fresh.valuation and v in {fresh.valuation}
+    assert pickle.loads(pickle.dumps(fresh)) in {fresh}
 
 
 def test_event_labels():
