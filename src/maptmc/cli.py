@@ -126,18 +126,20 @@ def _cmd_explore(args, m):
     _require_mapt(m, args.assume_acyclic)
     result = sem.explore(m, args.semantics, args.x_bound,
                          time_bound=args.time_bound, budget=args.budget)
+    # the counts read the compact graph; only --dot builds its States
+    states, edges, finals = len(result.dist), len(result.arcs), len(result.ends)
     if args.dot_path:
-        if len(result.states) > DOT_NODE_CAP:
+        if states > DOT_NODE_CAP:
             raise MaptError(
-                f"refusing DOT export: {len(result.states)} nodes exceed "
+                f"refusing DOT export: {states} nodes exceed "
                 f"the cap of {DOT_NODE_CAP}")
         _write_dot(args.dot_path, result)
     if args.format == "machine":
-        print(f"explored semantics={args.semantics} states={len(result.states)} "
-              f"edges={len(result.edges)} finals={len(result.finals)}")
+        print(f"explored semantics={args.semantics} states={states} "
+              f"edges={edges} finals={finals}")
     else:
-        print(f"{args.semantics} semantics: {len(result.states)} states, "
-              f"{len(result.edges)} edges, {len(result.finals)} final")
+        print(f"{args.semantics} semantics: {states} states, "
+              f"{edges} edges, {finals} final")
     return 0
 
 

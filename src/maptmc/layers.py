@@ -220,10 +220,11 @@ def validate_cuts(m, cuts):
 
 class CutMatcher:
     """Prepared form of a cut list for repeated border tests; it reads the
-    semantics and the enabled fires and resets from the walk's kernel.
+    semantics, the configurations and the enabled fires and resets from
+    the walk's kernel.
 
     A border test reads configurations only, so each answer is kept per
-    (pre_s configuration, s configuration, pre_is_seed)."""
+    (pre configuration id, configuration id, pre_is_seed)."""
 
     def __init__(self, kernel, cuts):
         self.kernel = kernel
@@ -233,44 +234,46 @@ class CutMatcher:
             self.by_loc.setdefault(cut.localities, []).append(cut.clocks)
         self._answers = {}
 
-    def on_cut(self, s):
-        return s.config() in self.configs
+    def on_cut(self, cid):
+        return self.kernel.configs[cid] in self.configs
 
-    def crosses(self, pre_s, s, pre_is_seed=False):
-        """Is s the first state past (or at) a cut when coming from pre_s?
+    def crosses(self, pre, entry, pre_is_seed=False):
+        """Is entry the first past (or at) a cut when coming from pre?
 
-        Original semantics: s simply shows a cut configuration.
-        Accelerated: either s shows one and a fire or reset happens there,
-        or the jump from pre_s started on or stepped over the cut clocks.
-        Walks set pre_is_seed on edges leaving their seeds: a seed sitting
-        on a cut configuration is the border just crossed, not the next
-        one, so the jump-from-cut case must not retrigger there.
+        pre and entry are walk entries of the kernel; pre is None for a
+        seed.  Original semantics: entry simply shows a cut configuration.
+        Accelerated: either entry shows one and a fire or reset happens
+        there, or the jump from pre started on or stepped over the cut
+        clocks.  Walks set pre_is_seed on edges leaving their seeds: a
+        seed sitting on a cut configuration is the border just crossed,
+        not the next one, so the jump-from-cut case must not retrigger
+        there.
 
-        An edge whose clocks grew is a delay, so its pre_s enables only that
+        An edge whose clocks grew is a delay, so its pre enables only that
         delay exactly when no fire or reset is enabled there (kernel.acts).
         """
-        if not self.kernel.accelerated:
-            return self.on_cut(s)
-        key = (None if pre_s is None else (pre_s.localities, pre_s.clocks),
-               s.localities, s.clocks, pre_is_seed)
+        key = (None if pre is None else pre[0], entry[0], pre_is_seed)
         answer = self._answers.get(key)
         if answer is None:
-            answer = self._answers[key] = self._crosses(pre_s, s, pre_is_seed)
+            answer = self._answers[key] = self._crosses(*key)
         return answer
 
-    def _crosses(self, pre_s, s, pre_is_seed):
-        if self.on_cut(s) and self.kernel.acts(s):
+    def _crosses(self, pre, cid, pre_is_seed):
+        if not self.kernel.accelerated:
+            return self.on_cut(cid)
+        if self.on_cut(cid) and self.kernel.acts(cid):
             return True
-        if pre_s is None:
+        if pre is None:
             return False
-        grew = pre_s.localities == s.localities and \
-            all(p < c for p, c in zip(pre_s.clocks, s.clocks))
+        pre_locs, pre_clocks = self.kernel.configs[pre]
+        locs, clocks = self.kernel.configs[cid]
+        grew = pre_locs == locs and all(p < c for p, c in zip(pre_clocks, clocks))
         if not grew:
             return False
-        if not pre_is_seed and self.on_cut(pre_s) and not self.kernel.acts(pre_s):
+        if not pre_is_seed and self.on_cut(pre) and not self.kernel.acts(pre):
             return True
-        for clocks in self.by_loc.get(s.localities, ()):
-            if all(p < k <= c for p, k, c in zip(pre_s.clocks, clocks, s.clocks)):
+        for cut_clocks in self.by_loc.get(locs, ()):
+            if all(p < k <= c for p, k, c in zip(pre_clocks, cut_clocks, clocks)):
                 return True
         return False
 
@@ -282,17 +285,17 @@ def unwalked(seen, s, mark):
 
 
 def walk(kernel, seeds, visit, crosses, seen=None):
-    """Width-first walk over (state, mark) pairs from seeds up to the next
-    border.
+    """Width-first walk over (entry, mark) pairs from seeds up to the next
+    border; entries are the kernel's (cid, vid) pairs.
 
-    seen maps each state walked so far to its strongest mark; a caller
+    seen maps each entry walked so far to its strongest mark; a caller
     passes one dict to several walks to share it, otherwise each walk
     starts afresh.  A seed, and any successor t of u for which
     crosses(u, t, u is a seed) does not hold, is walked only when
     unwalked(seen, ...); a successor for which it holds is on the border
-    and is not walked.  visit(state, mark) returns (stop, expand, mark):
-    stop ends the walk, and only an expanded state passes its new mark on
-    to its successors.  Returns the border, mapping each state to whether
+    and is not walked.  visit(entry, mark) returns (stop, expand, mark):
+    stop ends the walk, and only an expanded entry passes its new mark on
+    to its successors.  Returns the border, mapping each entry to whether
     it was reached marked (None when visit stopped the walk), and the
     longest queue seen.
     """
@@ -312,7 +315,7 @@ def walk(kernel, seeds, visit, crosses, seen=None):
         if not expand:
             continue
         from_seed = s in seed_set
-        for _, t in kernel.successors(s):
+        for _, t in kernel.moves(s):
             if crosses(s, t, from_seed):
                 border[t] = border.get(t, False) or mark
             elif unwalked(seen, t, mark):
@@ -329,18 +332,24 @@ def strong_components(m, strong_set=None):
     return frozenset(m.component(name).name for name in strong_set)
 
 
-def clusters(border, strong):
-    """Split a border (state -> mark) into clusters of equal strong-component
-    valuations, in valuation order; each is a tuple of (state, mark) pairs
-    in state order."""
+def clusters(kernel, border, strong):
+    """Split a border (entry -> mark) into clusters of equal strong-component
+    values, in values order; each is a tuple of (entry, mark) pairs in the
+    order of configs[cid] + (values,), which is State.sort_key's."""
+    configs, values = kernel.configs, kernel.values
+    picks = [i for i, name in enumerate(kernel.model.component_names) if name in strong]
     groups = {}
     for t, mark in border.items():
-        groups.setdefault(t.valuation.strong_part(strong), []).append((t, mark))
-    return [tuple(sorted(groups[key], key=lambda kv: kv[0].sort_key()))
+        v = values[t[1]]
+        groups.setdefault(tuple([v[i] for i in picks]), []).append((t, mark))
+    return [tuple(sorted(groups[key],
+                         key=lambda kv: configs[kv[0][0]] + (values[kv[0][1]],)))
             for key in sorted(groups)]
 
 
 def _border(m, cuts, seeds, semantics, visitor, budget):
+    """Walk from the State seeds up to the next border; returns the kernel
+    and the border over its entries."""
     for s in seeds:
         sem.check_state(m, s)
     kernel = sem.Kernel(m, semantics)
@@ -351,11 +360,12 @@ def _border(m, cuts, seeds, semantics, visitor, budget):
         if next(taken) > budget:
             raise BudgetExceeded(f"border walk exceeded {budget} states")
         if visitor is not None:
-            visitor(s)
+            visitor(kernel.state(s))
         return False, True, mark
 
-    border, _ = walk(kernel, [(s, False) for s in seeds], visit, matcher.crosses)
-    return border
+    border, _ = walk(kernel, [(kernel.entry(s), False) for s in seeds], visit,
+                     matcher.crosses)
+    return kernel, border
 
 
 def next_border(m, cuts, s, semantics, visitor=None, *, budget=sem.DEFAULT_BUDGET):
@@ -364,7 +374,8 @@ def next_border(m, cuts, s, semantics, visitor=None, *, budget=sem.DEFAULT_BUDGE
     The seed itself is not border-tested, only states discovered from it.
     Every expanded state is passed to visitor.
     """
-    return frozenset(_border(m, cuts, [s], semantics, visitor, budget))
+    kernel, border = _border(m, cuts, [s], semantics, visitor, budget)
+    return frozenset(kernel.view(border).values())
 
 
 def clustered_next_border(m, cuts, cluster, semantics, visitor=None, *,
@@ -377,5 +388,7 @@ def clustered_next_border(m, cuts, cluster, semantics, visitor=None, *,
     """
     strong = strong_components(m, strong_set)
     seeds = sorted(cluster, key=lambda st: st.sort_key())
-    border = _border(m, cuts, seeds, semantics, visitor, budget)
-    return tuple(frozenset(t for t, _ in c) for c in clusters(border, strong))
+    kernel, border = _border(m, cuts, seeds, semantics, visitor, budget)
+    view = kernel.view(border)
+    return tuple(frozenset(view[t] for t, _ in c)
+                 for c in clusters(kernel, border, strong))

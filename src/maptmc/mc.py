@@ -102,16 +102,19 @@ def _normalize(query):
     return ("EFEG", query.p, expr.Not(query.q), True)
 
 
-def compile_state_expr(m, node, boolean=False, final=None):
-    """Compile a predicate (boolean) or an indicator of m into a function
-    of a state.
+def compile_entry_expr(kernel, node, boolean=False, final=None):
+    """Compile a predicate (boolean) or an indicator of kernel's model into
+    a function of a walk entry, a (cid, vid) pair of kernel.
 
-    Components and clocks are read by position and at() by locality name;
-    a clock reads as a plain int, which expr keeps exact under division.
-    final(s) answers 'final', which is refused when final is None.  Every
-    name is resolved here, so a bad one is reported before any state is
-    seen, also in a branch that is never taken.
+    Components are read by position in kernel.values, clocks and at() by
+    agent position in kernel.configs; a clock reads as a plain int, which
+    expr keeps exact under division.  final(entry) answers 'final', which
+    is refused when final is None.  Every name is resolved here, so a bad
+    one is reported before any state is seen, also in a branch that is
+    never taken.
     """
+    m = kernel.model
+    configs, values = kernel.configs, kernel.values
     index = {name: i for i, name in enumerate(m.component_names)}
     agents = {a.name: (i, a) for i, a in enumerate(m.agents)}
 
@@ -120,7 +123,7 @@ def compile_state_expr(m, node, boolean=False, final=None):
             if node.name not in index:
                 raise UnknownReference(f"unknown component {node.name!r}")
             i = index[node.name]
-            return lambda s: s.valuation.values[i]
+            return lambda e: values[e[1]][i]
         if isinstance(node, expr.FinalTest):
             if final is None:
                 raise PredicateError("'final' is not available in an indicator")
@@ -130,14 +133,25 @@ def compile_state_expr(m, node, boolean=False, final=None):
             raise PredicateError(f"unknown agent {node.agent!r} in {atom}(...)")
         i, agent = agents[node.agent]
         if atom == "clock":
-            return lambda s: s.clocks[i]
+            return lambda e: configs[e[0]][1][i]
         locality = node.locality
         if locality not in agent.localities:
             raise PredicateError(
                 f"{locality!r} is not a locality of agent {node.agent!r}")
-        return lambda s: s.localities[i] == locality
+        return lambda e: configs[e[0]][0][i] == locality
 
     return expr.compile_expr(node, leaf, boolean)
+
+
+def compile_state_expr(m, node, boolean=False, final=None):
+    """compile_entry_expr over the States of m: the result is a function
+    of a State, and final(s) takes a State."""
+    kernel = sem.Kernel(m, "original")
+    if final is not None:
+        final_of_state = final
+        final = lambda e: final_of_state(kernel.state(e))
+    read = compile_entry_expr(kernel, node, boolean, final)
+    return lambda s: read(kernel.entry(s))
 
 
 @dataclass
@@ -175,11 +189,12 @@ class _Engine:
         self.stats = CheckStats()
         # X bound reached, or nothing enabled: no successor either way
         self.final = self.kernel.final
-        self.p = compile_state_expr(m, p, True, self.final)
-        self.q = None if q is None else compile_state_expr(m, q, True, self.final)
+        self.p = compile_entry_expr(self.kernel, p, True, self.final)
+        self.q = None if q is None else compile_entry_expr(self.kernel, q, True,
+                                                            self.final)
 
     def process(self, s, mark):
-        """Apply the base evaluator to one state.
+        """Apply the base evaluator to one walk entry.
 
         Returns (verdict_found, keep_expanding, new_mark); a dropped state
         (EG under !p) reports keep_expanding False.
@@ -210,7 +225,7 @@ class _Engine:
 
 
 def _width(engine):
-    init = sem.initial_state(engine.m)
+    init = engine.kernel.entry(sem.initial_state(engine.m))
     border, engine.stats.peak_frontier = layers.walk(
         engine.kernel, [(init, False)], engine.process, lambda pre, s, seed: False)
     return border is None
@@ -233,7 +248,9 @@ def _layered(engine, cuts, strong, heuristic):
     popped cluster with nothing left to walk is dropped and crosses no
     border.
     """
-    matcher = layers.CutMatcher(engine.kernel, cuts)
+    kernel = engine.kernel
+    configs, values = kernel.configs, kernel.values
+    matcher = layers.CutMatcher(kernel, cuts)
     stats = engine.stats
     seen = {}
     heap = []
@@ -243,24 +260,25 @@ def _layered(engine, cuts, strong, heuristic):
         if heuristic is None:
             key = -stats.borders_crossed
         else:
+            # the State of the entry with the least (values, sort key)
             rep = min((s for s, _ in cluster),
-                      key=lambda st: (st.valuation.values, st.sort_key()))
-            w = heuristic.weight(rep)
+                      key=lambda e: (values[e[1]], configs[e[0]] + (values[e[1]],)))
+            w = heuristic.weight(kernel.state(rep))
             key = -w if heuristic.order == "ascending" else w
         heapq.heappush(heap, (key, next(seq), cluster))
 
-    push(((sem.initial_state(engine.m), False),))
+    push(((kernel.entry(sem.initial_state(engine.m)), False),))
     while heap:
         stats.peak_frontier = max(stats.peak_frontier, len(heap))
         cluster = heapq.heappop(heap)[2]
         if not any(layers.unwalked(seen, s, mark) for s, mark in cluster):
             continue
-        border, _ = layers.walk(engine.kernel, cluster, engine.process,
+        border, _ = layers.walk(kernel, cluster, engine.process,
                                 matcher.crosses, seen)
         if border is None:
             return True
         stats.borders_crossed += 1
-        found = layers.clusters(border, strong)
+        found = layers.clusters(kernel, border, strong)
         stats.clusters_formed += len(found)
         for c in found:
             push(c)
@@ -353,7 +371,7 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
     kernel = sem.Kernel(m, semantics, x_bound, time_bound)
     readers = []
     for node, boolean in nodes:
-        read = compile_state_expr(m, node, boolean)
+        read = compile_entry_expr(kernel, node, boolean)
         if boolean:
             read = lambda s, holds=read: int(holds(s))
         readers.append(read)
@@ -365,12 +383,14 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
         return tuple([(min(lo, v), max(hi, v))
                       for (lo, hi), v in zip(bounds, measure(t))])
 
-    init = sem.initial_state(m)
+    init = kernel.entry(sem.initial_state(m))
     steps = sem.walk(kernel, init,
                      tuple((v, v) for v in measure(init)), widen, budget=budget,
                      message=f"sweep exceeded {budget} entries",
                      trim=validate_acyclicity(m)[0])
-    versions = [SweepVersion(s, bounds) for s, bounds, succ in steps if not succ]
+    ends = [(s, bounds) for s, bounds, succ in steps if not succ]
+    view = kernel.view(s for s, _ in ends)
+    versions = [SweepVersion(view[s], bounds) for s, bounds in ends]
     versions.sort(key=lambda v: (v.state.sort_key(), v.bounds))
     return SweepResult(names, tuple(versions))
 

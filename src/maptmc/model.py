@@ -62,9 +62,6 @@ class VarValuation:
     def with_values(self, values):
         return VarValuation(self.names, tuple(values))
 
-    def strong_part(self, strong_names):
-        return tuple(v for n, v in zip(self.names, self.values) if n in strong_names)
-
 
 @dataclass(eq=True)
 class Transform:

@@ -12,10 +12,11 @@ re-packaging of a state, so the lockstep comparison in state_space_equiv
 is a strong bisimulation check.
 
 state_space_equiv compares moves by label and by target fields: the
-model's successors and the net's fired markings both become
-{label: (localities, clocks, values)}, and tuple equality decides, with
-no marking decoded into a state and nothing hashed.  Every net guard and
-every transform (through model.eval_transform) is still evaluated.
+model's moves, read from the kernel's configuration and value tables,
+and the net's fired markings both become {label: (localities, clocks,
+values)}, and tuple equality decides, with no marking decoded into a
+state and nothing hashed.  Every net guard is evaluated once per
+marking, and every transform through model.eval_transform.
 """
 
 from dataclasses import dataclass, field
@@ -197,29 +198,33 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
     if net is None:
         net = translate(m, accelerated=(semantics == "accelerated"))
     kernel = sem.Kernel(m, semantics, x_bound)
-    steps = sem.walk(kernel, sem.initial_state(m),
+    configs, values = kernel.configs, kernel.values
+    steps = sem.walk(kernel, kernel.entry(sem.initial_state(m)),
                      budget=budget, message=f"equivalence walk exceeded {budget} states",
                      trim=validate_acyclicity(m)[0])
     for checked, (s, _, succ) in enumerate(steps, 1):
         if kernel.reached(s):
             continue
-        mk = encode(s)
+        mk = Marking(*configs[s[0]], values[s[1]])
         model_moves = [("time" if isinstance(e, sem.Delay) else sem.event_label(e),
-                        (t.localities, t.clocks, t.valuation.values))
+                        configs[t[0]] + (values[t[1]],))
                        for e, t in succ]
         net_moves = {}
+        # enabled_net has just evaluated each guard: fire's check would
+        # repeat it
         for name in enabled_net(net, mk):
-            to = fire(net, mk, name)
+            to = net.transitions[name].effect(mk)
             net_moves[name] = (to.localities, to.clocks, to.values)
         if len(net_moves) != len(model_moves) or dict(model_moves) != net_moves:
-            return EquivResult(False, _divergence(s, model_moves, net_moves), checked)
+            return EquivResult(False, _divergence(mk, model_moves, net_moves), checked)
     return EquivResult(True, "", checked)
 
 
-def _divergence(s, model_moves, net_moves):
-    """Name, per side, the moves the other side lacks: a label whose
-    target differs, or that is missing there.  Each net move answers at
-    most one model move, so a label the model yields twice diverges."""
+def _divergence(mk, model_moves, net_moves):
+    """Name, per side, the moves at marking mk that the other side lacks:
+    a label whose target differs, or that is missing there.  Each net
+    move answers at most one model move, so a label the model yields
+    twice diverges."""
     unmatched = dict(net_moves)
     only_model = []
     for name, to in model_moves:
@@ -227,5 +232,5 @@ def _divergence(s, model_moves, net_moves):
             del unmatched[name]
         else:
             only_model.append(name)
-    return (f"divergence at localities={s.localities} clocks={s.clocks}: "
+    return (f"divergence at localities={mk.localities} clocks={mk.clocks}: "
             f"model-only moves {sorted(only_model)}, net-only moves {sorted(unmatched)}")

@@ -1,7 +1,8 @@
 """Execution semantics: original one-tick dynamics and the accelerated
 variant that jumps to the end of the first maximal action zone.
 
-States are (localities, clocks, valuation).  Three event kinds exist:
+States are (localities, clocks, valuation); the walks hold each as a
+(configuration id, value id) entry of a Kernel.  Three event kinds exist:
 Fire (a transition moves one agent and rewrites the shared valuation),
 Reset (an agent at its final locality with clock exactly at the reset
 period returns to the start), and Delay (all clocks advance together;
@@ -12,10 +13,11 @@ accelerated one).
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import expr
 from .errors import BudgetExceeded, MalformedState, NotEnabled, ValidationError
-from .model import validate_acyclicity
+from .model import VarValuation, validate_acyclicity
 
 DEFAULT_BUDGET = 100_000
 
@@ -166,29 +168,38 @@ def _zone(rows, clocks):
 
 
 class Kernel:
-    """The successors of a state, for one model under one semantics.
+    """The moves of a walk entry, for one model under one semantics.
 
-    Every exploring call builds one.  It holds a table per agent and
-    locality of the outgoing transitions, with their Fire and Reset events
-    shared and their transforms compiled by expr.compile_arith.  Which
-    fires, resets and delay a state can take depends only on its
-    configuration, its (localities, clocks) pair, so the kernel plans each
-    configuration once, the first time it sees it: the enabled events,
-    their target localities and clocks and, when accelerated, the one zone
-    computation.  Per state only the X bound, the time bound and the
-    transforms are left.  It never validates a state: the public functions
-    below run check_state on the state they are given, and the exploring
-    loops only feed it states it produced.
+    Every exploring call builds one.  A walk entry is a pair (cid, vid) of
+    small ints: the kernel interns each (localities, clocks) configuration
+    to an index into configs and each tuple of component values to an
+    index into values, tables that live as long as the kernel.  A fire
+    hashes the values its transform computes, once, to find their id; a
+    reset or a delay keeps its value id.  The X-bound test runs once per
+    value id, when it is interned.
+
+    Which fires, resets and delay an entry can take depends only on its
+    configuration, so the kernel plans each configuration id once, the
+    first time it is expanded, from its per-agent tables of outgoing
+    transitions, with shared Fire and Reset events and transforms
+    compiled by expr.compile_arith: the enabled events, their target
+    configuration ids and, when accelerated, the one zone computation.
+    Per entry only the X bound, the time bound and the transforms are
+    left.  It never validates a state: the public functions below run
+    check_state on the state they are given, and the exploring loops only
+    feed it entries it produced.  A State is the view at the edge: entry,
+    state and view convert, and successors is moves over States.
 
     Events come out in a fixed order: fires by agent and then in
     declaration order, then resets by agent, then the delay.  With an X
-    bound a state that has reached it has no successors; with a time
-    bound a delay is dropped when it would take the run past it.
+    bound an entry that has reached it has no moves; with a time bound a
+    delay is dropped when it would take the run past it.
     """
 
     def __init__(self, m, semantics, x_bound=None, time_bound=None):
         if semantics not in SEMANTICS:
             raise ValueError(f"unknown semantics {semantics!r}")
+        self.model = m
         self.accelerated = semantics == "accelerated"
         index = {name: i for i, name in enumerate(m.component_names)}
         self.x_bound = tuple((index[name], bound) for name, bound in
@@ -212,59 +223,98 @@ class Kernel:
                                       tuple(t[0] for t in exits),
                                       tuple(t[1] for t in exits), None, "")
             self._tables.append(table)
-        self._plans = {}
+        self.configs = []       # cid -> (localities, clocks)
+        self.values = []        # vid -> component values
+        self._cids = {}
+        self._vids = {}
+        self._plans = []        # cid -> (fires, resets, delay), None until planned
+        self._reached = []      # vid -> True when the X bound is reached
 
-    def _rows(self, s):
-        return [table[loc] for table, loc in zip(self._tables, s.localities)]
+    def _cid(self, localities, clocks):
+        config = (localities, clocks)
+        cid = self._cids.setdefault(config, len(self.configs))
+        if cid == len(self.configs):
+            self.configs.append(config)
+            self._plans.append(None)
+        return cid
 
-    def _plan(self, s):
-        """The moves of s's configuration, whatever its valuation and the
-        bounds: (fires, resets, delay).  A fire is (event, localities,
-        clocks, transform), a reset (event, localities, clocks) and the
-        delay (event, localities, clocks), or None when time cannot pass.
-        Every state of one configuration shares these tuples."""
-        key = (s.localities, s.clocks)
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan
-        locs, clocks = key
-        rows = self._rows(s)
+    def _vid(self, values):
+        """The id of values; a new one is hashed once, here, and tested
+        against the X bound."""
+        vid = self._vids.setdefault(values, len(self.values))
+        if vid == len(self.values):
+            self.values.append(values)
+            self._reached.append(bool(self.x_bound) and
+                                 all(values[i] >= bound for i, bound in self.x_bound))
+        return vid
+
+    def entry(self, s):
+        """The (cid, vid) entry of State s."""
+        return self._cid(s.localities, s.clocks), self._vid(s.valuation.values)
+
+    def state(self, entry):
+        """The State of an entry."""
+        return self.view((entry,))[entry]
+
+    def view(self, entries):
+        """{entry: State} for the given entries, with one VarValuation per
+        value id."""
+        names = self.model.component_names
+        valuations = {}
+        out = {}
+        for entry in entries:
+            cid, vid = entry
+            valuation = valuations.get(vid)
+            if valuation is None:
+                valuation = valuations[vid] = VarValuation(names, self.values[vid])
+            localities, clocks = self.configs[cid]
+            out[entry] = State(localities, clocks, valuation)
+        return out
+
+    def _rows(self, cid):
+        return [table[loc] for table, loc in zip(self._tables, self.configs[cid][0])]
+
+    def _plan(self, cid):
+        """The moves of configuration cid, whatever the valuation and the
+        bounds: (fires, resets, delay).  A fire is (event, target cid,
+        transform), a reset (event, target cid) and the delay (event,
+        target cid), or None when time cannot pass."""
+        locs, clocks = self.configs[cid]
+        rows = self._rows(cid)
         fires = []
         resets = []
         for i, (row, c) in enumerate(zip(rows, clocks)):
             for lower, upper, event, target, apply in row.exits:
                 if lower <= c <= upper:
-                    fires.append((event, locs[:i] + (target,) + locs[i + 1:],
-                                  clocks, apply))
+                    fires.append((event, self._cid(
+                        locs[:i] + (target,) + locs[i + 1:], clocks), apply))
             if row.reset is not None and c == row.cap:
-                resets.append((row.reset, locs[:i] + (row.restart,) + locs[i + 1:],
-                               clocks[:i] + (0,) + clocks[i + 1:]))
+                resets.append((row.reset, self._cid(
+                    locs[:i] + (row.restart,) + locs[i + 1:],
+                    clocks[:i] + (0,) + clocks[i + 1:])))
         if self.accelerated:
             amount = _zone(rows, clocks)[3]
         else:
             amount = 1 if all(c < row.cap for row, c in zip(rows, clocks)) else 0
         delay = None
         if amount:
-            delay = (Delay(amount), locs, tuple([c + amount for c in clocks]))
-        plan = self._plans[key] = (tuple(fires), tuple(resets), delay)
+            delay = (Delay(amount), self._cid(locs, tuple([c + amount for c in clocks])))
+        plan = self._plans[cid] = (tuple(fires), tuple(resets), delay)
         return plan
 
-    def zone(self, s):
-        return ZoneInfo(*_zone(self._rows(s), s.clocks))
+    def zone(self, cid):
+        return ZoneInfo(*_zone(self._rows(cid), self.configs[cid][1]))
 
-    def acts(self, s):
-        """True when a fire or a reset is enabled in s, whatever the bounds."""
-        fires, resets, _ = self._plan(s)
+    def acts(self, cid):
+        """True when a fire or a reset is enabled in configuration cid,
+        whatever the valuation and the bounds."""
+        fires, resets, _ = self._plans[cid] or self._plan(cid)
         return bool(fires or resets)
 
-    def reached(self, s):
-        """True when s has reached the X bound: every bounded component is
-        at or past its bound."""
-        values = s.valuation.values
-        for i, bound in self.x_bound:
-            if values[i] < bound:
-                return False
-        return bool(self.x_bound)
+    def reached(self, entry):
+        """True when the entry has reached the X bound: every bounded
+        component is at or past its bound."""
+        return self._reached[entry[1]]
 
     def _delay(self, delay, elapsed):
         """The planned delay, unless it would take a run at time distance
@@ -274,52 +324,68 @@ class Kernel:
             return delay
         return None
 
-    def final(self, s, elapsed=0):
-        """True when s has no successor within the bounds, the same as
-        not self.successors(s, elapsed), without building any."""
-        if self.reached(s):
+    def final(self, entry, elapsed=0):
+        """True when the entry has no move within the bounds, the same as
+        not self.moves(entry, elapsed), without building any."""
+        cid, vid = entry
+        if self._reached[vid]:
             return True
-        fires, resets, delay = self._plan(s)
+        fires, resets, delay = self._plans[cid] or self._plan(cid)
         return not (fires or resets or self._delay(delay, elapsed))
 
-    def successors(self, s, elapsed=0):
-        """(event, target) pairs for every event enabled in s within the
-        bounds; elapsed is the time distance of s from the start."""
-        if self.reached(s):
+    def moves(self, entry, elapsed=0):
+        """(event, target entry) pairs for every event enabled at entry
+        within the bounds; elapsed is its time distance from the start."""
+        cid, vid = entry
+        if self._reached[vid]:
             return []
-        fires, resets, delay = self._plan(s)
-        valuation = s.valuation
-        values = valuation.values
-        out = [(event, State(locs, clocks, valuation.with_values(apply(values))))
-               for event, locs, clocks, apply in fires]
-        out += [(event, State(locs, clocks, valuation))
-                for event, locs, clocks in resets]
+        fires, resets, delay = self._plans[cid] or self._plan(cid)
+        out = []
+        if fires:
+            values = self.values[vid]
+            vid_of = self._vid
+            out = [(event, (target, vid_of(apply(values))))
+                   for event, target, apply in fires]
+        for event, target in resets:
+            out.append((event, (target, vid)))
         delay = self._delay(delay, elapsed)
         if delay is not None:
-            event, locs, clocks = delay
-            out.append((event, State(locs, clocks, valuation)))
+            out.append((delay[0], (delay[1], vid)))
         return out
 
+    def successors(self, s, elapsed=0):
+        """moves over States: (event, target State) pairs for every event
+        enabled in s within the bounds."""
+        return [(event, self.state(t)) for event, t in self.moves(self.entry(s), elapsed)]
 
-def enabled(m, s, semantics):
+
+# The per-state functions below check the state they are given and run it
+# through a kernel: a fresh one, or the one passed as kernel, which a
+# caller that steps many states builds once.  A given kernel decides the
+# semantics and the bounds.
+
+
+def enabled(m, s, semantics, kernel=None):
     check_state(m, s)
-    return tuple(e for e, _ in Kernel(m, semantics).successors(s))
+    kernel = kernel or Kernel(m, semantics)
+    return tuple(e for e, _ in kernel.moves(kernel.entry(s)))
 
 
-def zone_info(m, s):
+def zone_info(m, s, kernel=None):
     """Horizon, next-activation distance and jump width of s (see _zone)."""
     check_state(m, s)
-    return Kernel(m, "accelerated").zone(s)
+    kernel = kernel or Kernel(m, "accelerated")
+    return kernel.zone(kernel.entry(s)[0])
 
 
-def step(m, s, e):
+def step(m, s, e, kernel=None):
     """Execute one event; raises NotEnabled if it cannot happen in s.
 
-    A delay is accepted when either semantics enables it: one tick, or
-    the accelerated jump width.  Both semantics enable the same fires and
-    resets, and a jump of width 1 or more leaves every clock below its cap,
-    so one tick is enabled too; only a longer delay needs the accelerated
-    kernel.
+    Without a kernel a delay is accepted when either semantics enables
+    it: one tick, or the accelerated jump width.  Both semantics enable
+    the same fires and resets, and a jump of width 1 or more leaves every
+    clock below its cap, so one tick is enabled too; only a longer delay
+    needs the accelerated kernel.
     """
     check_state(m, s)
     if isinstance(e, Fire):
@@ -328,17 +394,20 @@ def step(m, s, e):
         m.agent(e.agent)
     elif not isinstance(e, Delay):
         raise NotEnabled(f"unknown event {e!r}")
-    jump = isinstance(e, Delay) and e.amount != 1
-    for event, t in Kernel(m, "accelerated" if jump else "original").successors(s):
+    if kernel is None:
+        jump = isinstance(e, Delay) and e.amount != 1
+        kernel = Kernel(m, "accelerated" if jump else "original")
+    for event, t in kernel.moves(kernel.entry(s)):
         if event == e:
-            return t
+            return kernel.state(t)
     raise NotEnabled(f"{event_label(e)} is not enabled at "
                      f"localities={s.localities} clocks={s.clocks}")
 
 
-def successors(m, s, semantics):
+def successors(m, s, semantics, kernel=None):
     check_state(m, s)
-    return tuple(Kernel(m, semantics).successors(s))
+    kernel = kernel or Kernel(m, semantics)
+    return tuple(kernel.successors(s))
 
 
 def project_word(trace):
@@ -365,14 +434,16 @@ def normalize_x_bound(m, x_bound):
 
 def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None,
          trim=False):
-    """Width-first walk over the kernel's successors from start; yields
-    (state, tag, successors) per entry, in FIFO order.
+    """Width-first walk over the kernel's moves from the entry start;
+    yields (entry, tag, moves) per walk entry, in FIFO order.
 
-    Without fold an entry is a state.  With fold it is a (state, tag)
-    pair, and a successor's tag is fold(tag, event, successor).  seen maps
-    each entry found to its time distance from start (pass a dict to keep
-    it); an entry found at two distances means the model is not acyclic.
-    Taking more than budget entries raises BudgetExceeded(message).
+    Entries are the kernel's (cid, vid) pairs, so the walk queues and
+    dedups pairs of small ints and builds no State.  Without fold a walk
+    entry is an entry.  With fold it is an (entry, tag) pair, and a
+    successor's tag is fold(tag, event, target entry).  seen maps each
+    walk entry found to its time distance from start (pass a dict to keep
+    it); one found at two distances means the model is not acyclic.
+    Taking more than budget walk entries raises BudgetExceeded(message).
 
     With trim, the walk keeps one seen map per time distance instead, and
     drops a distance's map once every queued entry is further away (the
@@ -403,7 +474,7 @@ def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None,
             raise BudgetExceeded(message)
         taken += 1
         s, tag, elapsed = queue.popleft()
-        succ = kernel.successors(s, elapsed)
+        succ = kernel.moves(s, elapsed)
         yield s, tag, succ
         for e, t in succ:
             t_elapsed = elapsed + e.amount if isinstance(e, Delay) else elapsed
@@ -435,11 +506,41 @@ def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None,
                     del levels[d]
 
 
-@dataclass(frozen=True)
 class Exploration:
-    states: dict          # state -> time distance from the initial state
-    edges: tuple          # (state, event, state)
-    finals: frozenset     # states with no successor within the bounds
+    """The reachable graph that explore returns, kept compact: dist maps
+    each entry of kernel to its time distance from the initial state,
+    arcs holds (entry, event, entry) triples and ends the entries with no
+    successor within the bounds.  states, edges and finals are the same
+    graph over States, built on first access, once, with one
+    VarValuation per value id."""
+
+    def __init__(self, kernel, dist, arcs, ends):
+        self.kernel = kernel
+        self.dist = dist
+        self.arcs = arcs
+        self.ends = ends
+
+    @cached_property
+    def _view(self):
+        return self.kernel.view(self.dist)
+
+    @cached_property
+    def states(self):
+        """State -> time distance from the initial state."""
+        view = self._view
+        return {view[entry]: d for entry, d in self.dist.items()}
+
+    @cached_property
+    def edges(self):
+        """(State, event, State) triples."""
+        view = self._view
+        return tuple([(view[s], e, view[t]) for s, e, t in self.arcs])
+
+    @cached_property
+    def finals(self):
+        """States with no successor within the bounds."""
+        view = self._view
+        return frozenset(view[entry] for entry in self.ends)
 
 
 def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGET):
@@ -449,17 +550,17 @@ def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGE
     from the start; a state found at two distances means the model is not
     acyclic and exploration stops with ValidationError.
     """
+    kernel = Kernel(m, semantics, x_bound, time_bound)
     dist = {}
-    edges = []
-    finals = set()
-    for s, _, succ in walk(Kernel(m, semantics, x_bound, time_bound),
-                           initial_state(m), budget=budget, seen=dist,
-                           message=f"exploration exceeded {budget} states"):
+    arcs = []
+    ends = []
+    for s, _, succ in walk(kernel, kernel.entry(initial_state(m)), budget=budget,
+                           seen=dist, message=f"exploration exceeded {budget} states"):
         if not succ:
-            finals.add(s)
+            ends.append(s)
         for e, t in succ:
-            edges.append((s, e, t))
-    return Exploration(dist, tuple(edges), frozenset(finals))
+            arcs.append((s, e, t))
+    return Exploration(kernel, dist, tuple(arcs), tuple(ends))
 
 
 def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
@@ -470,16 +571,29 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
     its (localities, component values) label.  A run is maximal when no
     event remains within the bounds.  Delays never extend the word, so
     the two semantics can be compared through the returned mapping.
+
+    A (state, word) entry never recurs at a second time distance, since
+    the word grows with every reset, so the word walk cannot tell that a
+    model is not acyclic.  When validate_acyclicity does not prove the
+    model, a walk over the states alone comes first, and stops with the
+    ValidationError that explore gives.
     """
+    kernel = Kernel(m, semantics, x_bound, time_bound)
+    start = kernel.entry(initial_state(m))
+    message = f"abstract exploration exceeded {budget} entries"
+    proven = validate_acyclicity(m)[0]
+    if not proven:
+        for _ in walk(kernel, start, budget=budget, message=message):
+            pass
+    configs, values = kernel.configs, kernel.values
     out = {}
-    for s, word, succ in walk(
-            Kernel(m, semantics, x_bound, time_bound), initial_state(m), (),
+    for (cid, vid), word, succ in walk(
+            kernel, start, (),
             lambda word, e, t: word if isinstance(e, Delay) else word + (e,),
-            budget=budget, message=f"abstract exploration exceeded {budget} entries",
-            trim=validate_acyclicity(m)[0]):
+            budget=budget, message=message, trim=proven):
         if succ:
             continue
-        label = (s.localities, s.valuation.values)
+        label = (configs[cid][0], values[vid])
         if word in out and out[word] != label:
             raise ValidationError(
                 f"word {[event_label(e) for e in word]} determined two labels")

@@ -6,7 +6,7 @@ import pytest
 
 from maptmc import cli, layers, mc, petri
 from maptmc import semantics as sem
-from maptmc.errors import BudgetExceeded, ValidationError
+from maptmc.errors import ValidationError
 from maptmc.fixtures import fixture_path
 from maptmc.model import model_from_dict, model_to_dict
 
@@ -19,6 +19,24 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_explore_counts_build_no_states(capsys, monkeypatch):
+    # the count line reads the compact graph: the initial state is the one
+    # State built, not one per reached state
+    built = []
+    state = sem.State
+
+    def counting(*args):
+        built.append(args)
+        return state(*args)
+
+    monkeypatch.setattr(sem, "State", counting)
+    code, out, _ = run_cli(capsys, "explore", TWO_TASKS, "--x-bound", "count=3",
+                           "--format", "machine")
+    assert (code, out) == (0, "explored semantics=accelerated states=365 "
+                              "edges=406 finals=94\n")
+    assert len(built) == 1
 
 
 def test_validate_ok(capsys):
@@ -98,7 +116,7 @@ def test_walks_trim_only_proven_models(monkeypatch, two_tasks):
     # they keep the full map, so a state met at two distances still stops
     # sweep and petri-check.  A (state, word) entry cannot be met at two
     # distances, since the word counts every reset, so abstract_reachable
-    # runs into its budget there, trimmed or not.
+    # first walks the states alone there, which stops it the same way.
     trims = []
     walk = sem.walk
 
@@ -116,7 +134,7 @@ def test_walks_trim_only_proven_models(monkeypatch, two_tasks):
     drop_count(data)
     cyclic = model_from_dict(data)
     trims.clear()
-    with pytest.raises(BudgetExceeded, match="^abstract exploration exceeded 2000 entries$"):
+    with pytest.raises(ValidationError, match="the model is not acyclic$"):
         sem.abstract_reachable(cyclic, "original", budget=2000)
     with pytest.raises(ValidationError, match="the model is not acyclic$"):
         mc.sweep_indicators(cyclic, {"load": "load"}, semantics="original")

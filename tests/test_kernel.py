@@ -52,7 +52,8 @@ def test_kernel_matches_oracle_on_bounded_space(request, semantics, fixture,
         expected = oracle.successors(raw, state, semantics)
         assert _plain(plain.successors(s)) == expected
         acts = any(kind != "delay" for (kind, _), _ in expected)
-        assert plain.acts(s) == bounded.acts(s) == acts
+        assert plain.acts(plain.entry(s)[0]) == acts
+        assert bounded.acts(bounded.entry(s)[0]) == acts
         assert _plain(bounded.successors(s, dist[state])) == oracle.bounded_successors(
             raw, state, semantics, bound, time_bound, dist[state])
 
@@ -132,7 +133,7 @@ def test_plan_depends_only_on_configuration(semantics, two_tasks, raw_two_tasks)
         kernel = Kernel(two_tasks, semantics, x_bound, time_bound)
         for s in order:
             got = _plain(kernel.successors(s, dist[s]))
-            assert kernel.final(s, dist[s]) == (not got)
+            assert kernel.final(kernel.entry(s), dist[s]) == (not got)
             assert got == ([] if s is at else expected(s, dist[s]))
         assert kernel.successors(below, dist[below])
 
@@ -180,4 +181,4 @@ def test_engine_final_matches_successors(request, semantics, fixture, x_bound,
     dist = sem.explore(m, semantics, x_bound, time_bound=time_bound).states
     assert len(dist) > 1
     for s in dist:
-        assert engine.final(s) == (not kernel.successors(s))
+        assert engine.final(engine.kernel.entry(s)) == (not kernel.successors(s))

@@ -247,27 +247,31 @@ def test_border_past_reset_cut_accelerated(two_tasks):
 
 def test_matcher_seed_suppression(two_tasks):
     cuts = (CutSpec(5, ("a_start", "b_start"), (0, 0)),)
-    matcher = layers.CutMatcher(sem.Kernel(two_tasks, "accelerated"), cuts)
+    kernel = sem.Kernel(two_tasks, "accelerated")
+    matcher = layers.CutMatcher(kernel, cuts)
     s0 = sem.initial_state(two_tasks)
     jumped = sem.step(two_tasks, s0, sem.Delay(2))
-    assert matcher.crosses(s0, jumped)
-    assert not matcher.crosses(s0, jumped, pre_is_seed=True)
-    original = layers.CutMatcher(sem.Kernel(two_tasks, "original"), cuts)
-    assert not original.crosses(s0, jumped)
+    assert matcher.crosses(kernel.entry(s0), kernel.entry(jumped))
+    assert not matcher.crosses(kernel.entry(s0), kernel.entry(jumped), pre_is_seed=True)
+    kernel = sem.Kernel(two_tasks, "original")
+    original = layers.CutMatcher(kernel, cuts)
+    assert not original.crosses(kernel.entry(s0), kernel.entry(jumped))
 
 
 def test_matcher_answer_depends_on_pre_state(two_tasks):
-    # The matcher keeps its answers per (pre_s configuration, s
-    # configuration, pre_is_seed): into one s, a jump that starts on the cut
-    # crosses it and a jump that starts past it does not, in either order.
+    # The matcher keeps its answers per (pre configuration id,
+    # configuration id, pre_is_seed): into one entry, a jump that starts on
+    # the cut crosses it and a jump that starts past it does not, in either
+    # order.
     cuts = (CutSpec(5, ("a_start", "b_start"), (0, 0)),)
     s0 = sem.initial_state(two_tasks)
     jumped = sem.step(two_tasks, s0, sem.Delay(2))
     past = sem.State(s0.localities, (1, 1), s0.valuation)
     for order in ((s0, past), (past, s0)):
-        matcher = layers.CutMatcher(sem.Kernel(two_tasks, "accelerated"), cuts)
-        assert [matcher.crosses(pre, jumped) for pre in order] == \
-            [pre is s0 for pre in order]
+        kernel = sem.Kernel(two_tasks, "accelerated")
+        matcher = layers.CutMatcher(kernel, cuts)
+        assert [matcher.crosses(kernel.entry(pre), kernel.entry(jumped))
+                for pre in order] == [pre is s0 for pre in order]
 
 
 def test_clustered_border_partitions(two_tasks):

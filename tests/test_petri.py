@@ -1,6 +1,5 @@
 """High-level net translation and the lockstep equivalence check."""
 
-import gc
 from fractions import Fraction
 
 import pytest
@@ -115,21 +114,34 @@ def test_equivalence_budget(staged):
 
 def test_equivalence_walk_frees_passed_states(monkeypatch, two_tasks):
     # petri-check two_tasks count=6 original walks 18243 states; a walk
-    # that frees every distance it has passed holds under half at once.
-    # encode runs once per state checked, so it samples the live States.
-    samples = []
-    encode = petri.encode
+    # that frees every distance it has passed holds under half of them in
+    # its seen maps at once.  enabled_net runs once per state checked, so
+    # it samples the entries live in the suspended walk's seen maps.
+    walks = []
+    walk = sem.walk
 
-    def counting(s):
+    def spy(*args, **kwargs):
+        walks.append(walk(*args, **kwargs))
+        return walks[-1]
+
+    samples = []
+    enabled_net = petri.enabled_net
+
+    def counting(net, mk):
         counting.calls += 1
         if counting.calls % 500 == 0:
-            samples.append(sum(isinstance(o, sem.State) for o in gc.get_objects()))
-        return encode(s)
+            local = walks[0].gi_frame.f_locals
+            levels = local["levels"]
+            samples.append(len(local["seen"]) if levels is None else
+                           sum(len(seen) for _, seen in levels.values()))
+        return enabled_net(net, mk)
 
     counting.calls = 0
-    monkeypatch.setattr(petri, "encode", counting)
+    monkeypatch.setattr(sem, "walk", spy)
+    monkeypatch.setattr(petri, "enabled_net", counting)
     res = petri.state_space_equiv(two_tasks, {"count": 6}, "original")
     assert (res.equal, res.states_checked) == (True, 18243)
+    assert len(walks) == 1
     assert len(samples) >= 20
     assert max(samples) < 18243 // 2
 
@@ -178,18 +190,20 @@ def test_corrupted_rational_effect_detected(two_tasks):
 def test_model_label_twice_is_divergence(monkeypatch, two_tasks, shift):
     # the net yields each label once; a model side that yields a fire
     # twice, to the same target or to another one, diverges
-    successors = sem.Kernel.successors
+    moves = sem.Kernel.moves
 
-    def doubled(self, s, elapsed=0):
-        out = successors(self, s, elapsed)
+    def doubled(self, entry, elapsed=0):
+        out = moves(self, entry, elapsed)
         for e, t in out:
             if isinstance(e, sem.Fire):
+                t = self.state(t)
                 clocks = tuple(c + shift for c in t.clocks)
-                return out + [(e, sem.State(t.localities, clocks, t.valuation))]
+                return out + [(e, self.entry(sem.State(t.localities, clocks,
+                                                        t.valuation)))]
         return out
 
     assert petri.state_space_equiv(two_tasks, {"count": 1}).equal
-    monkeypatch.setattr(sem.Kernel, "successors", doubled)
+    monkeypatch.setattr(sem.Kernel, "moves", doubled)
     res = petri.state_space_equiv(two_tasks, {"count": 1})
     assert not res.equal
     assert res.detail == ("divergence at localities=('a_start', 'b_start') clocks=(1, 1): "

@@ -247,12 +247,12 @@ def test_x_reached_needs_every_component():
     m = _two_counter_model()
     kernel = sem.Kernel(m, "original", 1)
     s = sem.initial_state(m)
-    assert not kernel.reached(s)
+    assert not kernel.reached(kernel.entry(s))
     s = advance(m, s, Delay(1), Fire("ta"))
     # only one of the two bounded components has grown
-    assert not kernel.reached(s)
+    assert not kernel.reached(kernel.entry(s))
     s = advance(m, s, Fire("tb"))
-    assert kernel.reached(s)
+    assert kernel.reached(kernel.entry(s))
 
 
 def _two_counter_model():
@@ -289,6 +289,72 @@ def _two_counter_model():
     )
 
 
+def _oracle_label(e):
+    if isinstance(e, Fire):
+        return ("fire", e.transition)
+    if isinstance(e, Reset):
+        return ("reset", e.agent)
+    return ("delay", e.amount)
+
+
+def _plain_state(s):
+    return (s.localities, s.clocks, s.valuation.values)
+
+
+# two_tasks at the petri-check CI bound and vehicles at the explore CI
+# bound, both run under each semantics; staged at the bound its tests use
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+@pytest.mark.parametrize("fixture,x_bound", [
+    ("two_tasks", {"count": 6}),
+    ("vehicles", {"pos_a": 20, "pos_b": 20}),
+    ("staged", {"cycles": 3}),
+])
+def test_explore_graph_matches_oracle(request, fixture, x_bound, semantics):
+    # the whole graph, not only its size: every state with its distance,
+    # every edge with its event, in walk order, and the finals
+    m = request.getfixturevalue(fixture)
+    raw = request.getfixturevalue(f"raw_{fixture}")
+    bound = {n: Fraction(v) for n, v in x_bound.items()}
+    dist, edges, finals = oracle.build_graph(raw, semantics, bound)
+    ex = sem.explore(m, semantics, x_bound)
+    assert {_plain_state(s): d for s, d in ex.states.items()} == dist
+    assert [(_plain_state(s), _oracle_label(e), _plain_state(t))
+            for s, e, t in ex.edges] == edges
+    assert {_plain_state(s) for s in ex.finals} == finals
+    assert (len(ex.dist), len(ex.arcs), len(ex.ends)) == \
+        (len(dist), len(edges), len(finals))
+
+
+def test_per_state_functions_take_a_kernel(monkeypatch, two_tasks):
+    # a caller that steps many states passes one kernel: the functions
+    # then build none, answer as without it and still check the state
+    s = advance(two_tasks, sem.initial_state(two_tasks), Delay(1))
+    expected = (sem.enabled(two_tasks, s, "original"),
+                sem.successors(two_tasks, s, "original"),
+                sem.zone_info(two_tasks, s),
+                sem.step(two_tasks, s, Fire("early_a")))
+    original = sem.Kernel(two_tasks, "original")
+    accelerated = sem.Kernel(two_tasks, "accelerated")
+    built = []
+    init = sem.Kernel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sem.Kernel, "__init__", counting)
+    calls = (lambda s: sem.enabled(two_tasks, s, "original", kernel=original),
+             lambda s: sem.successors(two_tasks, s, "original", kernel=original),
+             lambda s: sem.zone_info(two_tasks, s, kernel=accelerated),
+             lambda s: sem.step(two_tasks, s, Fire("early_a"), kernel=original))
+    assert tuple(call(s) for call in calls) == expected
+    assert built == []
+    bad = sem.State(("nowhere", "b_start"), s.clocks, s.valuation)
+    for call in calls:
+        with pytest.raises(MalformedState, match="'nowhere' is not a locality"):
+            call(bad)
+
+
 def test_explore_two_tasks_invariants(two_tasks):
     ex = sem.explore(two_tasks, "original", time_bound=5)
     assert max(ex.states.values()) == 5
@@ -318,9 +384,11 @@ def _word(word, e, t):
     return word if isinstance(e, Delay) else word + (e,)
 
 
-def _envelope(bounds, e, t):
-    return tuple([(min(lo, v), max(hi, v))
-                  for (lo, hi), v in zip(bounds, t.valuation.values)])
+def _envelope(kernel):
+    def widen(bounds, e, t):
+        return tuple([(min(lo, v), max(hi, v))
+                      for (lo, hi), v in zip(bounds, kernel.values[t[1]])])
+    return widen
 
 
 def _entries(steps):
@@ -351,10 +419,10 @@ TRIM_SPACES = [
 def test_trimmed_walk_matches_full_walk(request, fixture, x_bound, semantics, tagging):
     m = request.getfixturevalue(fixture)
     kernel = sem.Kernel(m, semantics, x_bound)
-    init = sem.initial_state(m)
+    init = kernel.entry(sem.initial_state(m))
     tag, fold = {
         "state": (None, None),
-        "envelope": (tuple((v, v) for v in init.valuation.values), _envelope),
+        "envelope": (tuple((v, v) for v in kernel.values[init[1]]), _envelope(kernel)),
         "word": ((), _word),
     }[tagging]
     budget = 5_000 if tagging == "word" else 20_000
