@@ -143,17 +143,6 @@ def compile_entry_expr(kernel, node, boolean=False, final=None):
     return expr.compile_expr(node, leaf, boolean)
 
 
-def compile_state_expr(m, node, boolean=False, final=None):
-    """compile_entry_expr over the States of m: the result is a function
-    of a State, and final(s) takes a State."""
-    kernel = sem.Kernel(m, "original")
-    if final is not None:
-        final_of_state = final
-        final = lambda e: final_of_state(kernel.state(e))
-    read = compile_entry_expr(kernel, node, boolean, final)
-    return lambda s: read(kernel.entry(s))
-
-
 @dataclass
 class CheckStats:
     states_expanded: int = 0

@@ -359,33 +359,32 @@ class Kernel:
         return [(event, self.state(t)) for event, t in self.moves(self.entry(s), elapsed)]
 
 
-# The per-state functions below check the state they are given and run it
-# through a kernel: a fresh one, or the one passed as kernel, which a
-# caller that steps many states builds once.  A given kernel decides the
-# semantics and the bounds.
+# The per-state functions below check the state they are given and build
+# a kernel per call.  A caller that steps many states runs check_state on
+# the first and asks one Kernel for their moves or successors.
 
 
-def enabled(m, s, semantics, kernel=None):
+def enabled(m, s, semantics):
     check_state(m, s)
-    kernel = kernel or Kernel(m, semantics)
+    kernel = Kernel(m, semantics)
     return tuple(e for e, _ in kernel.moves(kernel.entry(s)))
 
 
-def zone_info(m, s, kernel=None):
+def zone_info(m, s):
     """Horizon, next-activation distance and jump width of s (see _zone)."""
     check_state(m, s)
-    kernel = kernel or Kernel(m, "accelerated")
+    kernel = Kernel(m, "accelerated")
     return kernel.zone(kernel.entry(s)[0])
 
 
-def step(m, s, e, kernel=None):
+def step(m, s, e):
     """Execute one event; raises NotEnabled if it cannot happen in s.
 
-    Without a kernel a delay is accepted when either semantics enables
-    it: one tick, or the accelerated jump width.  Both semantics enable
-    the same fires and resets, and a jump of width 1 or more leaves every
-    clock below its cap, so one tick is enabled too; only a longer delay
-    needs the accelerated kernel.
+    A delay is accepted when either semantics enables it: one tick, or
+    the accelerated jump width.  Both semantics enable the same fires and
+    resets, and a jump of width 1 or more leaves every clock below its cap,
+    so one tick is enabled too; only a longer delay needs the accelerated
+    kernel.
     """
     check_state(m, s)
     if isinstance(e, Fire):
@@ -394,9 +393,8 @@ def step(m, s, e, kernel=None):
         m.agent(e.agent)
     elif not isinstance(e, Delay):
         raise NotEnabled(f"unknown event {e!r}")
-    if kernel is None:
-        jump = isinstance(e, Delay) and e.amount != 1
-        kernel = Kernel(m, "accelerated" if jump else "original")
+    jump = isinstance(e, Delay) and e.amount != 1
+    kernel = Kernel(m, "accelerated" if jump else "original")
     for event, t in kernel.moves(kernel.entry(s)):
         if event == e:
             return kernel.state(t)
@@ -404,10 +402,9 @@ def step(m, s, e, kernel=None):
                      f"localities={s.localities} clocks={s.clocks}")
 
 
-def successors(m, s, semantics, kernel=None):
+def successors(m, s, semantics):
     check_state(m, s)
-    kernel = kernel or Kernel(m, semantics)
-    return tuple(kernel.successors(s))
+    return tuple(Kernel(m, semantics).successors(s))
 
 
 def project_word(trace):

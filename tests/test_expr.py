@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from maptmc import expr, mc
 from maptmc.errors import (DivisionByZero, Overflow, ParseError, PredicateError,
                            UnknownReference)
-from maptmc.semantics import State
+from maptmc.semantics import Kernel, State
 
 
 def ev(text, **values):
@@ -22,10 +22,17 @@ def fixture_state(m):
     return State(("a_end", "b_start"), (3, 0), valuation)
 
 
+def state_expr(m, node, boolean=False, final=None):
+    """node compiled over the entries of a kernel of m, as a function of
+    a State."""
+    kernel = Kernel(m, "original")
+    read = mc.compile_entry_expr(kernel, node, boolean, final)
+    return lambda s: read(kernel.entry(s))
+
+
 def evb(m, text, final=False):
     """A predicate compiled over two_tasks, read at fixture_state."""
-    holds = mc.compile_state_expr(m, expr.parse_predicate(text), True,
-                                  lambda s: final)
+    holds = state_expr(m, expr.parse_predicate(text), True, lambda e: final)
     return holds(fixture_state(m))
 
 
@@ -125,7 +132,7 @@ def test_clock_rejected_outside_predicates(two_tasks):
         expr.parse_arith("clock(task_a) + 1")
     # opt-in flag used by indicator expressions
     node = expr.parse_arith("clock(task_a) / 2 + 1", allow_clock=True)
-    value = mc.compile_state_expr(two_tasks, node)(fixture_state(two_tasks))
+    value = state_expr(two_tasks, node)(fixture_state(two_tasks))
     assert value == Fraction(5, 2)
     assert isinstance(value, Fraction)
 
@@ -134,17 +141,17 @@ def test_clock_rejected_outside_predicates(two_tasks):
 def test_clock_division_is_exact(two_tasks, text):
     s = fixture_state(two_tasks)
     s = State(s.localities, (3, 2), s.valuation)
-    read = mc.compile_state_expr(two_tasks, expr.parse_arith(text, allow_clock=True))
+    read = state_expr(two_tasks, expr.parse_arith(text, allow_clock=True))
     value = read(s)
     assert value == Fraction(3, 2)
     assert isinstance(value, Fraction)
-    holds = mc.compile_state_expr(two_tasks, expr.parse_predicate(f"{text} = 3/2"),
-                                  True, lambda s: False)
+    holds = state_expr(two_tasks, expr.parse_predicate(f"{text} = 3/2"), True,
+                       lambda e: False)
     assert holds(s)
 
 
 def test_clock_division_by_a_zero_clock(two_tasks):
-    read = mc.compile_state_expr(
+    read = state_expr(
         two_tasks, expr.parse_arith("clock(task_a) / clock(task_b)", allow_clock=True))
     with pytest.raises(DivisionByZero, match="division by zero"):
         read(fixture_state(two_tasks))
@@ -166,14 +173,13 @@ STATE_NAME_ERRORS = [
 @pytest.mark.parametrize("text,error,message", STATE_NAME_ERRORS)
 def test_state_names_resolved_when_compiled(two_tasks, text, error, message):
     with pytest.raises(error) as err:
-        mc.compile_state_expr(two_tasks, expr.parse_predicate(text), True,
-                              lambda s: False)
+        state_expr(two_tasks, expr.parse_predicate(text), True, lambda e: False)
     assert str(err.value) == message
 
 
 def test_final_refused_without_a_final_test(two_tasks):
     with pytest.raises(PredicateError) as err:
-        mc.compile_state_expr(two_tasks, expr.parse_predicate("!final"), True)
+        state_expr(two_tasks, expr.parse_predicate("!final"), True)
     assert str(err.value) == "'final' is not available in an indicator"
 
 
@@ -239,10 +245,10 @@ def test_eval_arith_unknown_component():
 
 def test_compile_rejects_wrong_node_kind(two_tasks):
     with pytest.raises(PredicateError) as err:
-        mc.compile_state_expr(two_tasks, expr.parse_arith("1 + 1"), True)
+        state_expr(two_tasks, expr.parse_arith("1 + 1"), True)
     assert str(err.value).startswith("not a boolean node: ")
     with pytest.raises(PredicateError) as err:
-        mc.compile_state_expr(two_tasks, expr.parse_predicate("1 < 2"))
+        state_expr(two_tasks, expr.parse_predicate("1 < 2"))
     assert str(err.value).startswith("not an arithmetic node: ")
     with pytest.raises(PredicateError) as err:
         expr.eval_arith(expr.parse_predicate("1 < 2"), {})

@@ -116,12 +116,16 @@ def test_equivalence_walk_frees_passed_states(monkeypatch, two_tasks):
     # petri-check two_tasks count=6 original walks 18243 states; a walk
     # that frees every distance it has passed holds under half of them in
     # its seen maps at once.  enabled_net runs once per state checked, so
-    # it samples the entries live in the suspended walk's seen maps.
+    # it samples the entries live in the suspended walk's seen maps.  The
+    # trim does not free valuations: the kernel's value table keeps each
+    # distinct one the walk reaches, 3324, until the walk ends.
     walks = []
+    kernels = []
     walk = sem.walk
 
-    def spy(*args, **kwargs):
-        walks.append(walk(*args, **kwargs))
+    def spy(kernel, *args, **kwargs):
+        kernels.append(kernel)
+        walks.append(walk(kernel, *args, **kwargs))
         return walks[-1]
 
     samples = []
@@ -132,8 +136,9 @@ def test_equivalence_walk_frees_passed_states(monkeypatch, two_tasks):
         if counting.calls % 500 == 0:
             local = walks[0].gi_frame.f_locals
             levels = local["levels"]
-            samples.append(len(local["seen"]) if levels is None else
-                           sum(len(seen) for _, seen in levels.values()))
+            samples.append((len(local["seen"]) if levels is None else
+                            sum(len(seen) for _, seen in levels.values()),
+                            len(kernels[0].values)))
         return enabled_net(net, mk)
 
     counting.calls = 0
@@ -143,7 +148,8 @@ def test_equivalence_walk_frees_passed_states(monkeypatch, two_tasks):
     assert (res.equal, res.states_checked) == (True, 18243)
     assert len(walks) == 1
     assert len(samples) >= 20
-    assert max(samples) < 18243 // 2
+    assert max(entries for entries, _ in samples) < 18243 // 2
+    assert max(values for _, values in samples) <= len(kernels[0].values) == 3324
 
 
 def test_corrupted_guard_detected(two_tasks):

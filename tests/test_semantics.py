@@ -325,36 +325,6 @@ def test_explore_graph_matches_oracle(request, fixture, x_bound, semantics):
         (len(dist), len(edges), len(finals))
 
 
-def test_per_state_functions_take_a_kernel(monkeypatch, two_tasks):
-    # a caller that steps many states passes one kernel: the functions
-    # then build none, answer as without it and still check the state
-    s = advance(two_tasks, sem.initial_state(two_tasks), Delay(1))
-    expected = (sem.enabled(two_tasks, s, "original"),
-                sem.successors(two_tasks, s, "original"),
-                sem.zone_info(two_tasks, s),
-                sem.step(two_tasks, s, Fire("early_a")))
-    original = sem.Kernel(two_tasks, "original")
-    accelerated = sem.Kernel(two_tasks, "accelerated")
-    built = []
-    init = sem.Kernel.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(sem.Kernel, "__init__", counting)
-    calls = (lambda s: sem.enabled(two_tasks, s, "original", kernel=original),
-             lambda s: sem.successors(two_tasks, s, "original", kernel=original),
-             lambda s: sem.zone_info(two_tasks, s, kernel=accelerated),
-             lambda s: sem.step(two_tasks, s, Fire("early_a"), kernel=original))
-    assert tuple(call(s) for call in calls) == expected
-    assert built == []
-    bad = sem.State(("nowhere", "b_start"), s.clocks, s.valuation)
-    for call in calls:
-        with pytest.raises(MalformedState, match="'nowhere' is not a locality"):
-            call(bad)
-
-
 def test_explore_two_tasks_invariants(two_tasks):
     ex = sem.explore(two_tasks, "original", time_bound=5)
     assert max(ex.states.values()) == 5
