@@ -368,19 +368,47 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
     def measure(s):
         return tuple([read(s) for read in readers])
 
-    def widen(bounds, e, t):
-        return tuple([(min(lo, v), max(hi, v))
-                      for (lo, hi), v in zip(bounds, measure(t))])
+    # the walk tags each entry with an envelope id: envelopes[eid] is a
+    # tuple of (low, high) pairs, one per indicator
+    envelopes = []
+    eids = {}
+
+    def intern(bounds):
+        eid = eids.setdefault(bounds, len(envelopes))
+        if eid == len(envelopes):
+            envelopes.append(bounds)
+        return eid
+
+    def widen(eid, e, t):
+        bounds = envelopes[eid]
+        measured = measure(t)
+        for (lo, hi), v in zip(bounds, measured):
+            if v < lo or hi < v:
+                return intern(tuple([(min(lo, v), max(hi, v))
+                                     for (lo, hi), v in zip(bounds, measured)]))
+        return eid
 
     init = kernel.entry(sem.initial_state(m))
     steps = sem.walk(kernel, init,
-                     tuple((v, v) for v in measure(init)), widen, budget=budget,
-                     message=f"sweep exceeded {budget} entries",
+                     intern(tuple((v, v) for v in measure(init))), widen,
+                     budget=budget, message=f"sweep exceeded {budget} entries",
                      trim=validate_acyclicity(m)[0])
-    ends = [(s, bounds) for s, bounds, succ in steps if not succ]
+    ends = [(s, eid) for s, eid, succ in steps if not succ]
+    # sort on the rank of each number among the distinct final values and
+    # bounds: the same order as on the numbers, without Fraction compares
+    configs, values = kernel.configs, kernel.values
+    numbers = {v for (_, vid), _ in ends for v in values[vid]}
+    numbers.update(b for _, eid in ends for pair in envelopes[eid] for b in pair)
+    rank = {v: i for i, v in enumerate(sorted(numbers))}
+
+    def order(end):
+        (cid, vid), eid = end
+        return (configs[cid], [rank[v] for v in values[vid]],
+                [rank[b] for pair in envelopes[eid] for b in pair])
+
+    ends.sort(key=order)
     view = kernel.view(s for s, _ in ends)
-    versions = [SweepVersion(view[s], bounds) for s, bounds in ends]
-    versions.sort(key=lambda v: (v.state.sort_key(), v.bounds))
+    versions = [SweepVersion(view[s], envelopes[eid]) for s, eid in ends]
     return SweepResult(names, tuple(versions))
 
 

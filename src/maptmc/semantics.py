@@ -107,12 +107,14 @@ class ZoneInfo:
 class _Row:
     """What one agent can do at one locality.
 
-    exits holds (lower, upper, Fire event, target, compiled transform) per
-    outgoing transition in declaration order.  cap is the last clock value
-    at which time may still pass: the reset period at the final locality,
-    the latest exit bound elsewhere.  lowers and uppers are the window
-    bounds the zone computation reads (the reset period at the final
-    locality).  reset is the Reset event at the final locality, else None.
+    exits holds (lower, upper, Fire event, target, compiled transform,
+    memo) per outgoing transition in declaration order, where memo is the
+    transform's dict from value id to target value id.  cap is the last
+    clock value at which time may still pass: the reset period at the
+    final locality, the latest exit bound elsewhere.  lowers and uppers
+    are the window bounds the zone computation reads (the reset period at
+    the final locality).  reset is the Reset event at the final locality,
+    else None.
     """
 
     exits: tuple
@@ -173,10 +175,13 @@ class Kernel:
     Every exploring call builds one.  A walk entry is a pair (cid, vid) of
     small ints: the kernel interns each (localities, clocks) configuration
     to an index into configs and each tuple of component values to an
-    index into values, tables that live as long as the kernel.  A fire
-    hashes the values its transform computes, once, to find their id; a
-    reset or a delay keeps its value id.  The X-bound test runs once per
-    value id, when it is interned.
+    index into values, tables that live as long as the kernel.  Each
+    transform has a memo from value id to the value id it yields, which
+    lives as long as the kernel too: a fire applies its transform and
+    hashes the result only the first time the transform meets that value
+    id, and looks the target up after that.  A reset or a delay keeps its
+    value id.  The X-bound test runs once per value id, when it is
+    interned.
 
     Which fires, resets and delay an entry can take depends only on its
     configuration, so the kernel plans each configuration id once, the
@@ -205,14 +210,15 @@ class Kernel:
         self.x_bound = tuple((index[name], bound) for name, bound in
                              (normalize_x_bound(m, x_bound) or {}).items())
         self.time_bound = time_bound
-        transforms = {fid: _compile_transform(f, index)
+        # one memo per transform: value id -> the value id it yields
+        transforms = {fid: (_compile_transform(f, index), {})
                       for fid, f in m.transforms.items()}
         self._tables = []
         for a in m.agents:
             table = {}
             for loc in a.localities:
-                exits = tuple((t.lower, t.upper, Fire(t.id), t.target,
-                               transforms[t.transform])
+                exits = tuple((t.lower, t.upper, Fire(t.id), t.target)
+                              + transforms[t.transform]
                               for t in a.outgoing(loc))
                 if loc == a.final_locality:
                     period = (a.reset_period,)
@@ -277,17 +283,17 @@ class Kernel:
     def _plan(self, cid):
         """The moves of configuration cid, whatever the valuation and the
         bounds: (fires, resets, delay).  A fire is (event, target cid,
-        transform), a reset (event, target cid) and the delay (event,
-        target cid), or None when time cannot pass."""
+        transform, memo), a reset (event, target cid) and the delay
+        (event, target cid), or None when time cannot pass."""
         locs, clocks = self.configs[cid]
         rows = self._rows(cid)
         fires = []
         resets = []
         for i, (row, c) in enumerate(zip(rows, clocks)):
-            for lower, upper, event, target, apply in row.exits:
+            for lower, upper, event, target, apply, memo in row.exits:
                 if lower <= c <= upper:
                     fires.append((event, self._cid(
-                        locs[:i] + (target,) + locs[i + 1:], clocks), apply))
+                        locs[:i] + (target,) + locs[i + 1:], clocks), apply, memo))
             if row.reset is not None and c == row.cap:
                 resets.append((row.reset, self._cid(
                     locs[:i] + (row.restart,) + locs[i + 1:],
@@ -341,11 +347,12 @@ class Kernel:
             return []
         fires, resets, delay = self._plans[cid] or self._plan(cid)
         out = []
-        if fires:
-            values = self.values[vid]
-            vid_of = self._vid
-            out = [(event, (target, vid_of(apply(values))))
-                   for event, target, apply in fires]
+        for event, target, apply, memo in fires:
+            t_vid = memo.get(vid)
+            if t_vid is None:
+                # a transform that raises stores nothing, so it raises again
+                t_vid = memo[vid] = self._vid(apply(self.values[vid]))
+            out.append((event, (target, t_vid)))
         for event, target in resets:
             out.append((event, (target, vid)))
         delay = self._delay(delay, elapsed)

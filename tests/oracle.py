@@ -6,10 +6,12 @@ with the package internals, so expectations derived here do not inherit
 package bugs.  Speed is a non-goal; the fixtures are small.
 """
 
+import heapq
 import json
 import re
 from collections import deque
 from fractions import Fraction
+from itertools import count
 
 _FLOAT = re.compile(r"\b\d+\.\d+\b")
 
@@ -234,6 +236,42 @@ def words(m, semantics, x_bound=None, time_bound=None, cap=200_000):
                 seen.add((entry[0], entry[1]))
                 queue.append(entry)
     return out
+
+
+def sweep_versions(m, semantics, indicators, x_bound=None, time_bound=None):
+    """(final state, envelope) pairs of every run: the sets of envelopes
+    that reach each state, carried along the graph's edges.
+
+    indicators are functions of a state; an envelope holds one (low, high)
+    pair per indicator, widened by the value at every state of the run.
+    States are taken in distance order, and within one distance after
+    every predecessor, so a state's set is complete before it is passed
+    on."""
+    dist, edges, finals = build_graph(m, semantics, x_bound, time_bound)
+    post = {s: [] for s in dist}
+    preds = {s: 0 for s in dist}
+    for s, _, t in edges:
+        post[s].append(t)
+        preds[t] += 1
+    init = m.initial()
+    envs = {s: set() for s in dist}
+    envs[init].add(tuple((f(init), f(init)) for f in indicators))
+    seq = count(1)
+    ready = [(0, 0, init)]
+    done = 0
+    while ready:
+        _, _, s = heapq.heappop(ready)
+        done += 1
+        for t in post[s]:
+            values = [f(t) for f in indicators]
+            for env in envs[s]:
+                envs[t].add(tuple((min(lo, v), max(hi, v))
+                                  for (lo, hi), v in zip(env, values)))
+            preds[t] -= 1
+            if not preds[t]:
+                heapq.heappush(ready, (dist[t], next(seq), t))
+    assert done == len(dist), "the graph has a cycle"
+    return {(s, env) for s in finals for env in envs[s]}
 
 
 def border_first_hit(m, cut_config, semantics="original", seeds=None, cap=200_000):

@@ -7,6 +7,8 @@ import pytest
 
 from maptmc import expr, mc, petri
 from maptmc import semantics as sem
+from maptmc.errors import Overflow
+from maptmc.model import eval_transform
 from maptmc.semantics import Delay, Fire, Kernel, Reset
 
 import oracle
@@ -182,3 +184,85 @@ def test_engine_final_matches_successors(request, semantics, fixture, x_bound,
     assert len(dist) > 1
     for s in dist:
         assert engine.final(engine.kernel.entry(s)) == (not kernel.successors(s))
+
+
+def _count_transform_calls(monkeypatch):
+    """Wrap every transform a kernel compiles; returns the list of the
+    value tuples they are applied to, in call order."""
+    calls = []
+    compile_transform = sem._compile_transform
+
+    def counting(f, index):
+        apply = compile_transform(f, index)
+
+        def counted(values):
+            calls.append(values)
+            return apply(values)
+
+        return counted
+
+    monkeypatch.setattr(sem, "_compile_transform", counting)
+    return calls
+
+
+def _transform(m, fire):
+    return m.transform(m.transition(fire.transition)[1].transform)
+
+
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+@pytest.mark.parametrize("fixture,x_bound", [
+    ("two_tasks", {"count": 5}),
+    ("vehicles", {"pos_a": 12, "pos_b": 12}),
+])
+def test_fire_memo_matches_interpreter(request, monkeypatch, semantics, fixture,
+                                       x_bound):
+    # every fire arc lands on the values the interpreter computes from its
+    # source, also the arcs whose (value id, transform) pair the memo served
+    m = request.getfixturevalue(fixture)
+    calls = _count_transform_calls(monkeypatch)
+    result = sem.explore(m, semantics, x_bound)
+    kernel = result.kernel
+    fires = [(s, e, t) for s, e, t in result.arcs if isinstance(e, Fire)]
+    pairs = {(s[1], id(_transform(m, e))) for s, e, _ in fires}
+    assert len(calls) == len(pairs) < len(fires)
+    for s, e, t in fires:
+        source = kernel.state(s).valuation
+        assert kernel.values[t[1]] == eval_transform(_transform(m, e), source).values
+
+
+def test_fire_memo_keeps_no_failed_transform(two_tasks):
+    # early_a doubles load: past the magnitude cap it raises, and stores
+    # nothing, so the same entry raises the same error again
+    kernel = Kernel(two_tasks, "original")
+    s = sem.State(("a_start", "b_start"), (1, 1),
+                  two_tasks.initial_valuation().with_values((2 ** 65536, 0)))
+    entry = kernel.entry(s)
+    with pytest.raises(Overflow) as first:
+        kernel.moves(entry)
+    with pytest.raises(Overflow) as second:
+        kernel.moves(entry)
+    assert str(first.value) == str(second.value) == "value in 2 * load exceeds 65536 bits"
+    start = kernel.entry(sem.initial_state(two_tasks))
+    assert [sem.event_label(e) for e, _ in kernel.moves(start)] == ["+1"]
+
+
+def test_fire_memo_is_per_kernel(monkeypatch, two_tasks):
+    # a second kernel of the same model applies every transform afresh, and
+    # its memo answers with its own value ids, whatever order they came in
+    calls = _count_transform_calls(monkeypatch)
+    first = sem.explore(two_tasks, "accelerated", {"count": 3})
+    applied = len(calls)
+    assert applied
+    kernel = Kernel(two_tasks, "accelerated", {"count": 3})
+    # intern the states in reverse, so the value ids differ from the first
+    # kernel's
+    for s in sorted(first.states, key=lambda s: -first.states[s]):
+        kernel.entry(s)
+    for s in first.states:
+        for e, t in kernel.successors(s, first.states[s]):
+            if isinstance(e, Fire):
+                assert t.valuation == eval_transform(_transform(two_tasks, e), s.valuation)
+    del calls[:]
+    again = sem.explore(two_tasks, "accelerated", {"count": 3})
+    assert len(calls) == applied
+    assert again.states == first.states

@@ -361,3 +361,45 @@ def test_sweep_at_indicator(two_tasks):
     sw = mc.sweep_indicators(
         two_tasks, [("a_done", "at(task_a, a_end)")], x_bound={"count": 1})
     assert sw.overall("a_done") == (Fraction(0), Fraction(1))
+
+
+# (name, expression, oracle reading): the oracle reads a state
+# (localities, clocks, values) by position
+LOAD_INDICATORS = [
+    ("load", "load", lambda s: s[2][0]),
+    ("neg", "count - 3 * load", lambda s: s[2][1] - 3 * s[2][0]),
+    ("big", "load >= 2", lambda s: int(s[2][0] >= 2)),
+]
+
+# (fixture, semantics, X bound, indicators)
+SWEEP_CASES = [
+    ("two_tasks", "original", {"count": 4}, LOAD_INDICATORS),
+    ("two_tasks", "accelerated", {"count": 4}, LOAD_INDICATORS),
+    ("vehicles", "accelerated", {"pos_a": 12, "pos_b": 12}, [
+        ("done", "at(veh_a, a_done)", lambda s: int(s[0][0] == "a_done")),
+        ("ca", "clock(veh_a)", lambda s: s[1][0]),
+        ("gap", "pos_a - pos_b", lambda s: s[2][0] - s[2][1]),
+    ]),
+]
+
+
+@pytest.mark.parametrize("fixture,semantics,x_bound,indicators", SWEEP_CASES)
+def test_sweep_versions_match_oracle(request, fixture, semantics, x_bound, indicators):
+    # every (final state, envelope) version the oracle carries along the
+    # graph, no more and no fewer, sorted by (localities, clocks, values,
+    # bounds) as plain numbers
+    import oracle
+
+    m = request.getfixturevalue(fixture)
+    raw = request.getfixturevalue(f"raw_{fixture}")
+    sw = mc.sweep_indicators(m, [(name, text) for name, text, _ in indicators],
+                             x_bound, semantics)
+    expected = oracle.sweep_versions(raw, semantics, [f for _, _, f in indicators],
+                                     {n: Fraction(v) for n, v in x_bound.items()})
+    got = [(v.state.localities, v.state.clocks, v.state.valuation.values, v.bounds)
+           for v in sw.versions]
+    assert len(got) == len(expected) > 1
+    assert got == sorted((locs, clocks, values, bounds)
+                         for (locs, clocks, values), bounds in expected)
+    # the envelopes really differ between versions of one final state
+    assert len({(locs, clocks, values) for locs, clocks, values, _ in got}) < len(got)
