@@ -10,10 +10,9 @@ from .layers import (CutSpec, MandatoryChain, best_cut, clustered_next_border,
 from .mc import (CheckResult, CheckStats, Heuristic, SweepResult, builtin_heuristics,
                  check, parse_query, sweep_indicators)
 from .model import (Agent, MaptModel, Transform, Transition, ValidationReport,
-                    VarValuation, dumps_model, eval_transform, lcm_periods,
-                    load_model, loads_model, model_from_dict, model_to_dict,
-                    save_model, validate, validate_acyclicity,
-                    validate_strong_liveness)
+                    dumps_model, eval_transform, lcm_periods, load_model,
+                    loads_model, model_from_dict, model_to_dict, save_model,
+                    validate, validate_acyclicity, validate_strong_liveness)
 from .petri import (EquivResult, HlNet, Marking, enabled_net, fire,
                     state_space_equiv, structure_text, translate)
 from .semantics import (Delay, Exploration, Fire, Reset, State, ZoneInfo,

@@ -43,7 +43,10 @@ def _parse_x_bound(values):
         name, _, raw = item.partition("=")
         if not raw:
             raise MaptError(f"bad --x-bound entry {item!r}, expected name=value")
-        out[name.strip()] = _rational(raw.strip(), "--x-bound")
+        name = name.strip()
+        if name in out:
+            raise MaptError(f"--x-bound name {name!r} is given twice")
+        out[name] = _rational(raw.strip(), "--x-bound")
     return out
 
 
@@ -81,8 +84,8 @@ def _whole(option):
     return convert
 
 
-def _state_fields(s):
-    vals = ",".join(f"{n}={v}" for n, v in zip(s.valuation.names, s.valuation.values))
+def _state_fields(m, s):
+    vals = ",".join(f"{n}={v}" for n, v in zip(m.component_names, s.values))
     return (f"localities={','.join(s.localities)} "
             f"clocks={','.join(str(c) for c in s.clocks)} values={vals}")
 
@@ -144,11 +147,11 @@ def _cmd_explore(args, m):
 
 
 def _write_dot(path, result):
-    order = sorted(result.states, key=lambda s: (result.states[s], s.sort_key()))
+    order = sorted(result.states, key=lambda s: (result.states[s], s))
     index = {s: i for i, s in enumerate(order)}
     lines = ["digraph reachable {"]
     for s in order:
-        vals = ",".join(map(str, s.valuation.values))
+        vals = ",".join(map(str, s.values))
         label = f"{','.join(s.localities)}|{','.join(map(str, s.clocks))}|{vals}"
         shape = ' shape=doublecircle' if s in result.finals else ""
         lines.append(f'  n{index[s]} [label="{label}"{shape}];')
@@ -233,7 +236,7 @@ def _cmd_sweep(args, m):
         spans = " ".join(
             f"{name}=[{lo},{hi}]"
             for name, (lo, hi) in zip(result.names, v.bounds))
-        print(f"version {_state_fields(v.state)} {spans}")
+        print(f"version {_state_fields(m, v.state)} {spans}")
     for name in result.names:
         lo, hi = result.overall(name)
         print(f"overall {name}=[{lo},{hi}]")

@@ -587,7 +587,7 @@ def _render(node):
         if prec < 7:
             inner = f"({inner})"
         return f"-{inner}", 7
-    if isinstance(node, Bin):
+    if isinstance(node, (Bin, BoolBin)):
         mine = _PREC[node.op]
         left, lp = _render(node.left)
         right, rp = _render(node.right)
@@ -619,13 +619,4 @@ def _render(node):
         if prec < 4:
             inner = f"({inner})"
         return f"!{inner}", 3
-    if isinstance(node, BoolBin):
-        mine = _PREC[node.op]
-        left, lp = _render(node.left)
-        right, rp = _render(node.right)
-        if lp < mine:
-            left = f"({left})"
-        if rp <= mine:
-            right = f"({right})"
-        return f"{left} {node.op} {right}", mine
     raise PredicateError(f"cannot render {node!r}")

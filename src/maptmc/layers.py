@@ -335,7 +335,7 @@ def strong_components(m, strong_set=None):
 def clusters(kernel, border, strong):
     """Split a border (entry -> mark) into clusters of equal strong-component
     values, in values order; each is a tuple of (entry, mark) pairs in the
-    order of configs[cid] + (values,), which is State.sort_key's."""
+    order of configs[cid] + (values,), which is the State order."""
     configs, values = kernel.configs, kernel.values
     picks = [i for i, name in enumerate(kernel.model.component_names) if name in strong]
     groups = {}
@@ -387,7 +387,7 @@ def clustered_next_border(m, cuts, cluster, semantics, visitor=None, *,
     the traversal collapse to the plain width-first one.
     """
     strong = strong_components(m, strong_set)
-    seeds = sorted(cluster, key=lambda st: st.sort_key())
+    seeds = sorted(cluster)
     kernel, border = _border(m, cuts, seeds, semantics, visitor, budget)
     view = kernel.view(border)
     return tuple(frozenset(view[t] for t, _ in c)

@@ -170,9 +170,7 @@ class Heuristic:
 
 class _Engine:
     def __init__(self, m, kind, p, q, semantics, x_bound, budget):
-        self.m = m
         self.kind = kind
-        self.semantics = semantics
         self.kernel = sem.Kernel(m, semantics, x_bound)
         self.budget = budget
         self.stats = CheckStats()
@@ -214,9 +212,9 @@ class _Engine:
 
 
 def _width(engine):
-    init = engine.kernel.entry(sem.initial_state(engine.m))
+    kernel = engine.kernel
     border, engine.stats.peak_frontier = layers.walk(
-        engine.kernel, [(init, False)], engine.process, lambda pre, s, seed: False)
+        kernel, [(kernel.start, False)], engine.process, lambda pre, s, seed: False)
     return border is None
 
 
@@ -249,14 +247,14 @@ def _layered(engine, cuts, strong, heuristic):
         if heuristic is None:
             key = -stats.borders_crossed
         else:
-            # the State of the entry with the least (values, sort key)
+            # the State of the entry with the least (values, State)
             rep = min((s for s, _ in cluster),
-                      key=lambda e: (values[e[1]], configs[e[0]] + (values[e[1]],)))
+                      key=lambda e: (values[e[1]],) + configs[e[0]])
             w = heuristic.weight(kernel.state(rep))
             key = -w if heuristic.order == "ascending" else w
         heapq.heappush(heap, (key, next(seq), cluster))
 
-    push(((kernel.entry(sem.initial_state(engine.m)), False),))
+    push(((kernel.start, False),))
     while heap:
         stats.peak_frontier = max(stats.peak_frontier, len(heap))
         cluster = heapq.heappop(heap)[2]
@@ -388,9 +386,8 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
                                      for (lo, hi), v in zip(bounds, measured)]))
         return eid
 
-    init = kernel.entry(sem.initial_state(m))
-    steps = sem.walk(kernel, init,
-                     intern(tuple((v, v) for v in measure(init))), widen,
+    steps = sem.walk(kernel, kernel.start,
+                     intern(tuple((v, v) for v in measure(kernel.start))), widen,
                      budget=budget, message=f"sweep exceeded {budget} entries",
                      trim=validate_acyclicity(m)[0])
     ends = [(s, eid) for s, eid, succ in steps if not succ]
@@ -428,7 +425,7 @@ def distance_heuristic(m, ahead, behind):
     i, j = _need(m, ahead), _need(m, behind)
 
     def weight(s):
-        values = s.valuation.values
+        values = s.values
         return values[i] - values[j]
 
     return Heuristic(f"distance({ahead},{behind})", "ascending", weight)
@@ -446,7 +443,7 @@ def estimated_travel_time_heuristic(m, elapsed, position, speed, goal):
         raise ParseError(f"goal: cannot read a rational from {goal!r}")
 
     def weight(s):
-        values = s.valuation.values
+        values = s.values
         v = values[i_speed]
         if v <= 0:
             return math.inf
@@ -462,7 +459,7 @@ def time_to_overtake_heuristic(m, lead_pos, lead_speed, chase_pos, chase_speed):
         _need(m, name) for name in (lead_pos, lead_speed, chase_pos, chase_speed))
 
     def weight(s):
-        values = s.valuation.values
+        values = s.values
         gap = values[i_lead_pos] - values[i_chase_pos]
         closing = values[i_chase_speed] - values[i_lead_speed]
         if gap == 0:

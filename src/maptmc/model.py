@@ -28,41 +28,6 @@ class ComponentDecl:
     positive: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class VarValuation:
-    """Immutable snapshot of all shared components.  Its hash is computed
-    at first use and then kept: every state holding it hashes it, while
-    the net's temporary valuations are never hashed at all."""
-
-    names: tuple
-    values: tuple
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.values)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        # rebuilt through the constructor: the cached hash belongs to the
-        # process that computed it, not to the value
-        return VarValuation, (self.names, self.values)
-
-    def get(self, name):
-        try:
-            return self.values[self.names.index(name)]
-        except ValueError:
-            raise UnknownReference(f"unknown component {name!r}")
-
-    def as_dict(self):
-        return dict(zip(self.names, self.values))
-
-    def with_values(self, values):
-        return VarValuation(self.names, tuple(values))
-
-
 @dataclass(eq=True)
 class Transform:
     """Simultaneous assignment; components without an effect keep their value."""
@@ -152,19 +117,16 @@ class MaptModel:
                     return a, t
         raise UnknownReference(f"unknown transition {tid!r}")
 
-    def initial_valuation(self):
-        return VarValuation(self.component_names,
-                            tuple(c.init for c in self.components))
 
-
-def eval_transform(f, v):
-    """Apply transform f to valuation v; all effects read the old values."""
-    env = v.as_dict()
-    values = []
-    for name, old in zip(v.names, v.values):
+def eval_transform(f, names, values):
+    """Apply transform f to the component values, one per name in names;
+    all effects read the old values.  Returns the new values tuple."""
+    env = dict(zip(names, values))
+    out = []
+    for name, old in zip(names, values):
         node = f.effects.get(name)
-        values.append(old if node is None else expr.eval_arith(node, env))
-    return v.with_values(values)
+        out.append(old if node is None else expr.eval_arith(node, env))
+    return tuple(out)
 
 
 def lcm_periods(m):

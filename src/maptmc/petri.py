@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import semantics as sem
 from .errors import MalformedModel, NotEnabled
-from .model import VarValuation, eval_transform, validate_acyclicity
+from .model import eval_transform, validate_acyclicity
 
 PLACES = ("localities", "clocks", "valuation")
 
@@ -59,7 +59,7 @@ class HlNet:
 
 
 def encode(s):
-    return Marking(s.localities, s.clocks, s.valuation.values)
+    return Marking(s.localities, s.clocks, s.values)
 
 
 def _headroom(agent, outgoing, loc, clock):
@@ -111,9 +111,8 @@ def translate(m, accelerated=False):
             def effect(mk, i=i, t=t):
                 localities = list(mk.localities)
                 localities[i] = t.target
-                v = VarValuation(components, mk.values)
-                v = eval_transform(m.transform(t.transform), v)
-                return Marking(tuple(localities), mk.clocks, v.values)
+                return Marking(tuple(localities), mk.clocks, eval_transform(
+                    m.transform(t.transform), components, mk.values))
 
             net.transitions[t.id] = NetTransition(
                 t.id, "task", guard, effect,
@@ -199,7 +198,7 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
         net = translate(m, accelerated=(semantics == "accelerated"))
     kernel = sem.Kernel(m, semantics, x_bound)
     configs, values = kernel.configs, kernel.values
-    steps = sem.walk(kernel, kernel.entry(sem.initial_state(m)),
+    steps = sem.walk(kernel, kernel.start,
                      budget=budget, message=f"equivalence walk exceeded {budget} states",
                      trim=validate_acyclicity(m)[0])
     for checked, (s, _, succ) in enumerate(steps, 1):

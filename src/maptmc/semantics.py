@@ -1,52 +1,39 @@
 """Execution semantics: original one-tick dynamics and the accelerated
 variant that jumps to the end of the first maximal action zone.
 
-States are (localities, clocks, valuation); the walks hold each as a
-(configuration id, value id) entry of a Kernel.  Three event kinds exist:
-Fire (a transition moves one agent and rewrites the shared valuation),
-Reset (an agent at its final locality with clock exactly at the reset
-period returns to the start), and Delay (all clocks advance together;
-by one tick in the original semantics, by the computed zone shift in the
-accelerated one).
+A State is (localities, clocks, values), with one locality and one clock
+per agent and the component values in declaration order; the walks hold
+each as a (configuration id, value id) entry of a Kernel.  Three event
+kinds exist: Fire (a transition moves one agent and rewrites the shared
+values), Reset (an agent at its final locality with clock exactly at the
+reset period returns to the start), and Delay (all clocks advance
+together; by one tick in the original semantics, by the computed zone
+shift in the accelerated one).
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import expr
 from .errors import BudgetExceeded, MalformedState, NotEnabled, ValidationError
-from .model import VarValuation, validate_acyclicity
+from .model import validate_acyclicity
 
 DEFAULT_BUDGET = 100_000
 
 SEMANTICS = ("original", "accelerated")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class State:
-    """Immutable state; its hash is computed once, when it is built."""
+    """Immutable state: one locality and one clock per agent, and the
+    component values in declaration order.  States order as the tuple
+    (localities, clocks, values)."""
 
     localities: tuple
     clocks: tuple
-    valuation: object
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            (self.localities, self.clocks, self.valuation)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # the hash covers the locality names, whose string hashes differ
-        # between processes: a pickled state is rebuilt, hash and all
-        return State, (self.localities, self.clocks, self.valuation)
-
-    def sort_key(self):
-        return (self.localities, self.clocks, self.valuation.values)
+    values: tuple
 
     def config(self):
         return (self.localities, self.clocks)
@@ -79,7 +66,7 @@ def initial_state(m):
     return State(
         tuple(a.init_locality for a in m.agents),
         tuple(a.init_clock for a in m.agents),
-        m.initial_valuation(),
+        tuple(c.init for c in m.components),
     )
 
 
@@ -91,7 +78,7 @@ def check_state(m, s):
             raise MalformedState(f"{loc!r} is not a locality of agent {a.name!r}")
         if c < 0:
             raise MalformedState(f"negative clock for agent {a.name!r}")
-    if s.valuation.names != m.component_names:
+    if len(s.values) != len(m.components):
         raise MalformedState("valuation components do not match the model")
 
 
@@ -181,7 +168,8 @@ class Kernel:
     hashes the result only the first time the transform meets that value
     id, and looks the target up after that.  A reset or a delay keeps its
     value id.  The X-bound test runs once per value id, when it is
-    interned.
+    interned.  start is the entry of the initial state, interned first,
+    so it is (0, 0).
 
     Which fires, resets and delay an entry can take depends only on its
     configuration, so the kernel plans each configuration id once, the
@@ -235,6 +223,7 @@ class Kernel:
         self._vids = {}
         self._plans = []        # cid -> (fires, resets, delay), None until planned
         self._reached = []      # vid -> True when the X bound is reached
+        self.start = self.entry(initial_state(m))
 
     def _cid(self, localities, clocks):
         config = (localities, clocks)
@@ -256,26 +245,16 @@ class Kernel:
 
     def entry(self, s):
         """The (cid, vid) entry of State s."""
-        return self._cid(s.localities, s.clocks), self._vid(s.valuation.values)
+        return self._cid(s.localities, s.clocks), self._vid(s.values)
 
     def state(self, entry):
         """The State of an entry."""
         return self.view((entry,))[entry]
 
     def view(self, entries):
-        """{entry: State} for the given entries, with one VarValuation per
-        value id."""
-        names = self.model.component_names
-        valuations = {}
-        out = {}
-        for entry in entries:
-            cid, vid = entry
-            valuation = valuations.get(vid)
-            if valuation is None:
-                valuation = valuations[vid] = VarValuation(names, self.values[vid])
-            localities, clocks = self.configs[cid]
-            out[entry] = State(localities, clocks, valuation)
-        return out
+        """{entry: State} for the given entries."""
+        configs, values = self.configs, self.values
+        return {(cid, vid): State(*configs[cid], values[vid]) for cid, vid in entries}
 
     def _rows(self, cid):
         return [table[loc] for table, loc in zip(self._tables, self.configs[cid][0])]
@@ -515,8 +494,7 @@ class Exploration:
     each entry of kernel to its time distance from the initial state,
     arcs holds (entry, event, entry) triples and ends the entries with no
     successor within the bounds.  states, edges and finals are the same
-    graph over States, built on first access, once, with one
-    VarValuation per value id."""
+    graph over States, built on first access, once."""
 
     def __init__(self, kernel, dist, arcs, ends):
         self.kernel = kernel
@@ -558,7 +536,7 @@ def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGE
     dist = {}
     arcs = []
     ends = []
-    for s, _, succ in walk(kernel, kernel.entry(initial_state(m)), budget=budget,
+    for s, _, succ in walk(kernel, kernel.start, budget=budget,
                            seen=dist, message=f"exploration exceeded {budget} states"):
         if not succ:
             ends.append(s)
@@ -583,7 +561,7 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
     ValidationError that explore gives.
     """
     kernel = Kernel(m, semantics, x_bound, time_bound)
-    start = kernel.entry(initial_state(m))
+    start = kernel.start
     message = f"abstract exploration exceeded {budget} entries"
     proven = validate_acyclicity(m)[0]
     if not proven:

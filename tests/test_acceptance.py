@@ -37,7 +37,11 @@ def plain_word(word):
 
 
 def plain_states(states):
-    return {(s.localities, s.clocks, s.valuation.values) for s in states}
+    return {(s.localities, s.clocks, s.values) for s in states}
+
+
+def value(m, s, name):
+    return s.values[m.component_names.index(name)]
 
 
 END = ("a_end", "b_end")
@@ -107,7 +111,7 @@ def test_criterion_03_acceleration_scaling(staged):
 
         def shrink_state(s, div):
             return (s.localities, tuple(c // div for c in s.clocks),
-                    s.valuation.values)
+                    s.values)
 
         assert {shrink_state(s, k) for s in big_accel.states} == \
             plain_states(base_accel.states)
@@ -179,11 +183,11 @@ def test_criterion_06_border_valuations(two_tasks, raw_two_tasks):
         expected = oracle.border_first_hit(
             raw_two_tasks, (("a_end", "b_end"), (4, 4)), "original")
         assert plain_states(whole) == expected
-        assert {s.valuation.get("load") for s in whole} == FIVE_LOADS
-        assert {s.valuation.get("count") for s in whole} == {ONE}
+        assert {value(two_tasks, s, "load") for s in whole} == FIVE_LOADS
+        assert {value(two_tasks, s, "count") for s in whole} == {ONE}
 
         accelerated = layers.next_border(two_tasks, cut4, s0, "accelerated")
-        assert {s.valuation.get("load") for s in accelerated} == FIVE_LOADS
+        assert {value(two_tasks, s, "load") for s in accelerated} == FIVE_LOADS
 
         merged = layers.clustered_next_border(two_tasks, cut4, [s0], "original",
                                               strong_set=())

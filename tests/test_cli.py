@@ -278,6 +278,14 @@ def assert_one_error_line(code, err):
                   "--x-bound", "1", "--x-bound", "count=1"],
                  "error: bad --x-bound entry '1', expected name=value",
                  id="x-bound-bare-among-named"),
+    pytest.param(["check", TWO_TASKS, "EF load >= 2",
+                  "--x-bound", "count=1", "--x-bound", "count=3"],
+                 "error: --x-bound name 'count' is given twice",
+                 id="x-bound-repeated-name"),
+    pytest.param(["check", "/no/such/model.json", "EF x",
+                  "--x-bound", "count=1", "--x-bound", " count = 1"],
+                 "error: --x-bound name 'count' is given twice",
+                 id="x-bound-repeated-name-before-load"),
     pytest.param(["check", TWO_TASKS, "EF load >= 2", "--heuristic", "distance",
                   "--heuristic-arg", "ahead"],
                  "error: bad --heuristic-arg 'ahead'", id="heuristic-arg"),

@@ -18,8 +18,7 @@ def ev(text, **values):
 
 def fixture_state(m):
     """two_tasks with task_a at a_end, clocks 3 and 0, load 4, count 1."""
-    valuation = m.initial_valuation().with_values((Fraction(4), Fraction(1)))
-    return State(("a_end", "b_start"), (3, 0), valuation)
+    return State(("a_end", "b_start"), (3, 0), (Fraction(4), Fraction(1)))
 
 
 def state_expr(m, node, boolean=False, final=None):
@@ -140,7 +139,7 @@ def test_clock_rejected_outside_predicates(two_tasks):
 @pytest.mark.parametrize("text", ["clock(task_a) / clock(task_b)", "clock(task_a) / 2"])
 def test_clock_division_is_exact(two_tasks, text):
     s = fixture_state(two_tasks)
-    s = State(s.localities, (3, 2), s.valuation)
+    s = State(s.localities, (3, 2), s.values)
     read = state_expr(two_tasks, expr.parse_arith(text, allow_clock=True))
     value = read(s)
     assert value == Fraction(3, 2)

@@ -33,7 +33,7 @@ def _plain_event(e):
 
 
 def _plain(moves):
-    return [(_plain_event(e), (t.localities, t.clocks, t.valuation.values))
+    return [(_plain_event(e), (t.localities, t.clocks, t.values))
             for e, t in moves]
 
 
@@ -47,9 +47,8 @@ def test_kernel_matches_oracle_on_bounded_space(request, semantics, fixture,
     dist, _, _ = oracle.build_graph(raw, semantics, bound, time_bound)
     plain = Kernel(m, semantics)
     bounded = Kernel(m, semantics, x_bound, time_bound)
-    start = m.initial_valuation()
     for locs, clocks, values in dist:
-        s = sem.State(locs, clocks, start.with_values(values))
+        s = sem.State(locs, clocks, values)
         state = (locs, clocks, values)
         expected = oracle.successors(raw, state, semantics)
         assert _plain(plain.successors(s)) == expected
@@ -110,6 +109,18 @@ def test_one_kernel_per_check(monkeypatch, two_tasks, strategy):
 
 
 @pytest.mark.parametrize("semantics", sem.SEMANTICS)
+def test_start_is_the_first_entry(two_tasks, semantics):
+    # the initial state is interned when the kernel is built, whatever the
+    # bounds, and every walk starts from it
+    kernel = Kernel(two_tasks, semantics, {"count": 0}, 0)
+    assert kernel.start == (0, 0)
+    assert kernel.state(kernel.start) == sem.initial_state(two_tasks)
+    assert kernel.entry(sem.initial_state(two_tasks)) == kernel.start
+    assert kernel.reached(kernel.start)
+    assert next(iter(sem.explore(two_tasks, semantics, 1).dist)) == (0, 0)
+
+
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
 def test_plan_depends_only_on_configuration(semantics, two_tasks, raw_two_tasks):
     # The kernel plans each (localities, clocks) pair once, but the X bound
     # reads the values and the time bound reads elapsed: whichever state of a
@@ -119,15 +130,14 @@ def test_plan_depends_only_on_configuration(semantics, two_tasks, raw_two_tasks)
     dist = sem.explore(two_tasks, semantics, time_bound=time_bound).states
     count = two_tasks.component_names.index("count")
     by_config = {}
-    for s in sorted(dist, key=lambda s: (s.valuation.values[count], s.sort_key())):
+    for s in sorted(dist, key=lambda s: (s.values[count], s)):
         by_config.setdefault(s.config(), []).append(s)
     at, below = next((group[-1], group[0]) for group in by_config.values()
-                     if group[-1].valuation.values[count] >= 2
-                     > group[0].valuation.values[count]
+                     if group[-1].values[count] >= 2 > group[0].values[count]
                      and Kernel(two_tasks, semantics).successors(group[0]))
 
     def expected(s, elapsed):
-        state = (s.localities, s.clocks, s.valuation.values)
+        state = (s.localities, s.clocks, s.values)
         return oracle.bounded_successors(raw_two_tasks, state, semantics, bound,
                                          time_bound, elapsed)
 
@@ -226,16 +236,16 @@ def test_fire_memo_matches_interpreter(request, monkeypatch, semantics, fixture,
     pairs = {(s[1], id(_transform(m, e))) for s, e, _ in fires}
     assert len(calls) == len(pairs) < len(fires)
     for s, e, t in fires:
-        source = kernel.state(s).valuation
-        assert kernel.values[t[1]] == eval_transform(_transform(m, e), source).values
+        source = kernel.state(s).values
+        assert kernel.values[t[1]] == eval_transform(_transform(m, e),
+                                                     m.component_names, source)
 
 
 def test_fire_memo_keeps_no_failed_transform(two_tasks):
     # early_a doubles load: past the magnitude cap it raises, and stores
     # nothing, so the same entry raises the same error again
     kernel = Kernel(two_tasks, "original")
-    s = sem.State(("a_start", "b_start"), (1, 1),
-                  two_tasks.initial_valuation().with_values((2 ** 65536, 0)))
+    s = sem.State(("a_start", "b_start"), (1, 1), (2 ** 65536, 0))
     entry = kernel.entry(s)
     with pytest.raises(Overflow) as first:
         kernel.moves(entry)
@@ -261,7 +271,8 @@ def test_fire_memo_is_per_kernel(monkeypatch, two_tasks):
     for s in first.states:
         for e, t in kernel.successors(s, first.states[s]):
             if isinstance(e, Fire):
-                assert t.valuation == eval_transform(_transform(two_tasks, e), s.valuation)
+                assert t.values == eval_transform(_transform(two_tasks, e),
+                                                  two_tasks.component_names, s.values)
     del calls[:]
     again = sem.explore(two_tasks, "accelerated", {"count": 3})
     assert len(calls) == applied

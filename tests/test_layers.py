@@ -20,7 +20,11 @@ def cut_at(cuts, t):
 
 
 def plain(states):
-    return {(s.localities, s.clocks, s.valuation.values) for s in states}
+    return {(s.localities, s.clocks, s.values) for s in states}
+
+
+def value(m, s, name):
+    return s.values[m.component_names.index(name)]
 
 
 def test_mandatory_chain_two_tasks(two_tasks):
@@ -163,8 +167,8 @@ def test_border_two_tasks_original(two_tasks):
     assert len(border) == 5
     for s in border:
         assert s.config() == (("a_end", "b_end"), (4, 4))
-        assert s.valuation.get("count") == 1
-    assert {s.valuation.get("load") for s in border} == FIVE_LOADS
+        assert value(two_tasks, s, "count") == 1
+    assert {value(two_tasks, s, "load") for s in border} == FIVE_LOADS
 
 
 def test_border_two_tasks_accelerated_crosses_cut(two_tasks):
@@ -174,7 +178,7 @@ def test_border_two_tasks_accelerated_crosses_cut(two_tasks):
     border = layers.next_border(two_tasks, target, s0, "accelerated")
     # the jump from clock 3 lands one past the cut at 4
     assert {s.clocks for s in border} == {(5, 5)}
-    assert {s.valuation.get("load") for s in border} == FIVE_LOADS
+    assert {value(two_tasks, s, "load") for s in border} == FIVE_LOADS
 
 
 def test_border_matches_oracle(two_tasks, raw_two_tasks):
@@ -195,7 +199,7 @@ def test_second_border_reaches_reset(two_tasks):
     for s in first:
         seen |= layers.next_border(two_tasks, (cut_at(cuts, 5),), s, "original")
     assert {s.config() for s in seen} == {(("a_start", "b_start"), (0, 0))}
-    assert {s.valuation.get("load") for s in seen} == FIVE_LOADS
+    assert {value(two_tasks, s, "load") for s in seen} == FIVE_LOADS
 
 
 def test_border_staged_frozen(staged):
@@ -242,7 +246,7 @@ def test_border_past_reset_cut_accelerated(two_tasks):
     border = layers.next_border(two_tasks, cuts, sem.initial_state(two_tasks),
                                 "accelerated")
     assert {s.clocks for s in border} == {(2, 2)}
-    assert {s.valuation.get("load") for s in border} == FIVE_LOADS
+    assert {value(two_tasks, s, "load") for s in border} == FIVE_LOADS
 
 
 def test_matcher_seed_suppression(two_tasks):
@@ -266,7 +270,7 @@ def test_matcher_answer_depends_on_pre_state(two_tasks):
     cuts = (CutSpec(5, ("a_start", "b_start"), (0, 0)),)
     s0 = sem.initial_state(two_tasks)
     jumped = sem.step(two_tasks, s0, sem.Delay(2))
-    past = sem.State(s0.localities, (1, 1), s0.valuation)
+    past = sem.State(s0.localities, (1, 1), s0.values)
     for order in ((s0, past), (past, s0)):
         kernel = sem.Kernel(two_tasks, "accelerated")
         matcher = layers.CutMatcher(kernel, cuts)

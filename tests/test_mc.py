@@ -206,12 +206,9 @@ def test_distance_heuristic(vehicles):
 
 def _restate(m, s, **changes):
     names = m.component_names
-    values = dict(zip(names, s.valuation.values))
+    values = dict(zip(names, s.values))
     values.update({k: Fraction(v) for k, v in changes.items()})
-    return sem.State(
-        s.localities, s.clocks,
-        s.valuation.with_values([values[n] for n in names]),
-    )
+    return sem.State(s.localities, s.clocks, tuple(values[n] for n in names))
 
 
 def test_estimated_travel_time_heuristic(vehicles):
@@ -396,7 +393,7 @@ def test_sweep_versions_match_oracle(request, fixture, semantics, x_bound, indic
                              x_bound, semantics)
     expected = oracle.sweep_versions(raw, semantics, [f for _, _, f in indicators],
                                      {n: Fraction(v) for n, v in x_bound.items()})
-    got = [(v.state.localities, v.state.clocks, v.state.valuation.values, v.bounds)
+    got = [(v.state.localities, v.state.clocks, v.state.values, v.bounds)
            for v in sw.versions]
     assert len(got) == len(expected) > 1
     assert got == sorted((locs, clocks, values, bounds)

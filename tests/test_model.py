@@ -96,12 +96,13 @@ def test_eval_transform_reads_old_values(two_tasks):
             ],
         }
     )
-    v = m.initial_valuation()
-    swapped = eval_transform(m.transform("swap"), v)
-    assert swapped.as_dict() == {"a": Fraction(2), "b": Fraction(1)}
+    names = m.component_names
+    v = tuple(c.init for c in m.components)
+    swapped = eval_transform(m.transform("swap"), names, v)
+    assert dict(zip(names, swapped)) == {"a": Fraction(2), "b": Fraction(1)}
     # untouched components keep their value
-    grown = eval_transform(m.transform("grow"), v)
-    assert grown.as_dict() == {"a": Fraction(2), "b": Fraction(2)}
+    grown = eval_transform(m.transform("grow"), names, v)
+    assert dict(zip(names, grown)) == {"a": Fraction(2), "b": Fraction(2)}
 
 
 def test_model_lookups(two_tasks):

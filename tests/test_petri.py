@@ -6,7 +6,7 @@ import pytest
 
 from maptmc import petri, semantics as sem
 from maptmc.errors import BudgetExceeded, NotEnabled
-from maptmc.model import VarValuation, model_from_dict
+from maptmc.model import model_from_dict
 
 import oracle
 
@@ -37,8 +37,7 @@ def test_encode_decode_round_trip(two_tasks):
     s = sem.initial_state(two_tasks)
     mk = petri.encode(s)
     assert mk == net.initial_marking()
-    valuation = VarValuation(two_tasks.component_names, mk.values)
-    assert sem.State(mk.localities, mk.clocks, valuation) == s
+    assert sem.State(mk.localities, mk.clocks, mk.values) == s
 
 
 def test_net_moves_track_semantics(two_tasks):
@@ -205,7 +204,7 @@ def test_model_label_twice_is_divergence(monkeypatch, two_tasks, shift):
                 t = self.state(t)
                 clocks = tuple(c + shift for c in t.clocks)
                 return out + [(e, self.entry(sem.State(t.localities, clocks,
-                                                        t.valuation)))]
+                                                        t.values)))]
         return out
 
     assert petri.state_space_equiv(two_tasks, {"count": 1}).equal

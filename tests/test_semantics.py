@@ -1,5 +1,6 @@
 """Concrete and accelerated step semantics, exploration and abstraction."""
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -18,7 +19,6 @@ from maptmc.errors import (
     UnknownReference,
     ValidationError,
 )
-from maptmc.model import VarValuation
 from maptmc.semantics import Delay, Fire, Reset
 
 import oracle
@@ -43,7 +43,7 @@ ZONE_TRACE = [
 @pytest.mark.parametrize("clocks,b_per_agent,b,a,delta", ZONE_TRACE)
 def test_zone_trace(two_tasks, clocks, b_per_agent, b, a, delta):
     s = sem.initial_state(two_tasks)
-    s = s.__class__(s.localities, clocks, s.valuation)
+    s = s.__class__(s.localities, clocks, s.values)
     zi = sem.zone_info(two_tasks, s)
     assert zi.b_per_agent == b_per_agent
     assert zi.b == b
@@ -80,7 +80,8 @@ def test_fire_applies_transform(two_tasks):
     s = advance(two_tasks, sem.initial_state(two_tasks), Delay(2), Fire("early_a"))
     assert s.localities == ("a_end", "b_start")
     assert s.clocks == (2, 2)
-    assert s.valuation.as_dict() == {"load": Fraction(1), "count": Fraction(1)}
+    assert dict(zip(two_tasks.component_names, s.values)) == {
+        "load": Fraction(1), "count": Fraction(1)}
 
 
 def test_reset_returns_to_source(two_tasks):
@@ -94,7 +95,8 @@ def test_reset_returns_to_source(two_tasks):
     assert s.localities == ("a_start", "b_end")
     assert s.clocks == (0, 5)
     # values survive the reset untouched
-    assert s.valuation.as_dict() == {"load": Fraction(1, 2), "count": Fraction(1)}
+    assert dict(zip(two_tasks.component_names, s.values)) == {
+        "load": Fraction(1, 2), "count": Fraction(1)}
 
 
 NOT_ENABLED_CASES = [
@@ -130,37 +132,34 @@ def test_check_state_rejects_malformed(two_tasks):
     s0 = sem.initial_state(two_tasks)
     cls = s0.__class__
     with pytest.raises(MalformedState):
-        sem.check_state(two_tasks, cls(("a_start",), (0,), s0.valuation))
+        sem.check_state(two_tasks, cls(("a_start",), (0,), s0.values))
     with pytest.raises(MalformedState):
-        sem.check_state(two_tasks, cls(("a_start", "b_zzz"), (0, 0), s0.valuation))
+        sem.check_state(two_tasks, cls(("a_start", "b_zzz"), (0, 0), s0.values))
     with pytest.raises(MalformedState):
-        sem.check_state(two_tasks, cls(s0.localities, (0, -1), s0.valuation))
+        sem.check_state(two_tasks, cls(s0.localities, (0, -1), s0.values))
+    # one value per component: too few or too many is malformed
+    for values in (s0.values[:1], s0.values + (0,)):
+        with pytest.raises(MalformedState, match="valuation components"):
+            sem.check_state(two_tasks, cls(s0.localities, s0.clocks, values))
 
 
-def test_valuation_hash_contract(two_tasks):
-    # a valuation hashes its values at first use, before or after a State
-    # holds it; equal valuations hash equal whichever was hashed first
-    names, values = two_tasks.component_names, (Fraction(1, 4), 3)
-    first = VarValuation(names, values)
-    assert hash(first) == hash(values)
-    held_hashed = sem.State(("a_end", "b_start"), (2, 2), first)
-    second = VarValuation(names, values)
-    held_fresh = sem.State(("a_end", "b_start"), (2, 2), second)
-    assert hash(second) == hash(values)
-    assert first == second and hash(first) == hash(second)
-    # a State built from a valuation nobody hashed dedups against one
-    # whose valuation was hashed before it was built
-    assert held_fresh in {held_hashed} and held_hashed in {held_fresh}
-    assert len({held_hashed, held_fresh}) == 1
-    shifted = VarValuation(names, (Fraction(1, 2), 3))
-    assert sem.State(("a_end", "b_start"), (2, 2), shifted) not in {held_hashed}
+def test_state_is_a_plain_ordered_triple(two_tasks):
+    assert [f.name for f in dataclasses.fields(sem.State)] == [
+        "localities", "clocks", "values"]
+    states = list(sem.explore(two_tasks, "original", 2).states)
+    as_tuples = sorted((s.localities, s.clocks, s.values) for s in states)
+    assert [(s.localities, s.clocks, s.values) for s in sorted(states)] == as_tuples
+    # equal values dedup whatever their number form
+    s = states[-1]
+    assert sem.State(s.localities, s.clocks,
+                     tuple(Fraction(v) for v in s.values)) in set(states)
 
 
 _PICKLE_IN_CHILD = """
 import pickle, sys
 from maptmc import fixtures, semantics as sem
 s = sem.initial_state(fixtures.load_fixture("two_tasks.json"))
-sys.stdout.buffer.write(pickle.dumps((s, s.valuation)))
+sys.stdout.buffer.write(pickle.dumps(s))
 """
 
 
@@ -174,11 +173,11 @@ def test_pickled_state_hashes_as_built_here(two_tasks):
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _PICKLE_IN_CHILD], env=env,
                          capture_output=True, check=True, timeout=60).stdout
-    s, v = pickle.loads(out)
+    s = pickle.loads(out)
     fresh = sem.initial_state(two_tasks)
     assert s == fresh and hash(s) == hash(fresh)
     assert s in {fresh} and fresh in {s}
-    assert v == fresh.valuation and v in {fresh.valuation}
+    assert s.values == fresh.values and s.values in {fresh.values}
     assert pickle.loads(pickle.dumps(fresh)) in {fresh}
 
 
@@ -208,13 +207,13 @@ def test_normalize_x_bound_gives_ints_for_whole_bounds(two_tasks, raw):
 @pytest.mark.parametrize("semantics", sem.SEMANTICS)
 def test_all_integer_model_explores_ints_only(vehicles, semantics):
     reached = sem.explore(vehicles, semantics, {"pos_a": 20, "pos_b": 20}).states
-    assert {type(v) for s in reached for v in s.valuation.values} == {int}
+    assert {type(v) for s in reached for v in s.values} == {int}
 
 
 @pytest.mark.parametrize("semantics", sem.SEMANTICS)
 def test_explored_values_are_int_exactly_when_whole(two_tasks, semantics):
     reached = sem.explore(two_tasks, semantics, 5).states
-    values = {v for s in reached for v in s.valuation.values}
+    values = {v for s in reached for v in s.values}
     assert any(v.denominator != 1 for v in values)
     for v in values:
         assert (type(v) is int) == (v.denominator == 1), v
@@ -298,7 +297,7 @@ def _oracle_label(e):
 
 
 def _plain_state(s):
-    return (s.localities, s.clocks, s.valuation.values)
+    return (s.localities, s.clocks, s.values)
 
 
 # two_tasks at the petri-check CI bound and vehicles at the explore CI
