@@ -392,18 +392,19 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
                      trim=validate_acyclicity(m)[0])
     ends = [(s, eid) for s, eid, succ in steps if not succ]
     # sort on the rank of each number among the distinct final values and
-    # bounds: the same order as on the numbers, without Fraction compares
+    # bounds: the same order as on the numbers, without Fraction compares.
+    # The ranks are read once per value id and per envelope id, not once
+    # per version
     configs, values = kernel.configs, kernel.values
-    numbers = {v for (_, vid), _ in ends for v in values[vid]}
-    numbers.update(b for _, eid in ends for pair in envelopes[eid] for b in pair)
+    vids = {vid for (_, vid), _ in ends}
+    bounds = {eid: [b for pair in envelopes[eid] for b in pair] for _, eid in ends}
+    numbers = {v for vid in vids for v in values[vid]}
+    numbers.update(b for flat in bounds.values() for b in flat)
     rank = {v: i for i, v in enumerate(sorted(numbers))}
-
-    def order(end):
-        (cid, vid), eid = end
-        return (configs[cid], [rank[v] for v in values[vid]],
-                [rank[b] for pair in envelopes[eid] for b in pair])
-
-    ends.sort(key=order)
+    value_ranks = {vid: [rank[v] for v in values[vid]] for vid in vids}
+    bound_ranks = {eid: [rank[b] for b in flat] for eid, flat in bounds.items()}
+    ends.sort(key=lambda end: (configs[end[0][0]], value_ranks[end[0][1]],
+                               bound_ranks[end[1]]))
     view = kernel.view(s for s, _ in ends)
     versions = [SweepVersion(view[s], envelopes[eid]) for s, eid in ends]
     return SweepResult(names, tuple(versions))

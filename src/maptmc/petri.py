@@ -11,15 +11,25 @@ semantics module the net is checked against.  A marking is a bijective
 re-packaging of a state, so the lockstep comparison in state_space_equiv
 is a strong bisimulation check.
 
+In a coloured net each arc expression is a function of the tokens it
+reads alone, so each net's closures remember their answers per token,
+keyed by the token itself and never by a kernel id: a task's new
+locality vector per locality token and its new valuation (through
+model.eval_transform) per valuation token, the time guard and the jump
+per (localities, clocks) pair, and the one-tick clocks per clock token.
+The caches belong to one translate call and live as long as its net.
+
 state_space_equiv compares moves by label and by target fields: the
 model's moves, read from the kernel's configuration and value tables,
-and the net's fired markings both become {label: (localities, clocks,
-values)}, and tuple equality decides, with no marking decoded into a
-state and nothing hashed.  Every net guard is evaluated once per
-marking, and every transform through model.eval_transform.
+become {label: (localities, clocks, values)} and the net's fired
+markings {label: Marking}, a tuple of the same three fields, and tuple
+equality decides, with no marking decoded into a state.  Every net
+guard is called once per marking.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 from . import semantics as sem
 from .errors import MalformedModel, NotEnabled
@@ -28,8 +38,7 @@ from .model import eval_transform, validate_acyclicity
 PLACES = ("localities", "clocks", "valuation")
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(NamedTuple):
     localities: tuple
     clocks: tuple
     values: tuple
@@ -68,8 +77,9 @@ def _headroom(agent, outgoing, loc, clock):
     return any(clock < t.upper for t in outgoing[loc])
 
 
-def _jump(agents, mk):
-    """Width of the accelerated time step at mk, from the agents' windows.
+def _jump(agents, localities, clocks):
+    """Width of the accelerated time step at (localities, clocks), from
+    the agents' windows.
 
     An agent acts in the windows of its outgoing transitions, or at its
     reset instant at the final locality.  Time may pass until the first
@@ -80,7 +90,7 @@ def _jump(agents, mk):
     transitions per locality.
     """
     spans = []
-    for (a, outgoing), loc, c in zip(agents, mk.localities, mk.clocks):
+    for (a, outgoing), loc, c in zip(agents, localities, clocks):
         if loc == a.final_locality:
             spans.append([(a.reset_period - c, a.reset_period - c)])
         else:
@@ -94,9 +104,86 @@ def _jump(agents, mk):
                if start <= close <= horizon)
 
 
+def _task(m, i, t):
+    """Guard and effect of model transition t of agent i.
+
+    The effect remembers, per net, the new locality vector per locality
+    token and the new valuation per valuation token."""
+    def guard(mk):
+        return mk.localities[i] == t.source and t.lower <= mk.clocks[i] <= t.upper
+
+    @cache
+    def move(localities):
+        localities = list(localities)
+        localities[i] = t.target
+        return tuple(localities)
+
+    names = m.component_names
+
+    @cache
+    def apply(values):
+        return eval_transform(m.transform(t.transform), names, values)
+
+    def effect(mk):
+        return Marking(move(mk.localities), mk.clocks, apply(mk.values))
+
+    return guard, effect
+
+
+def _reset(i, a):
+    def guard(mk):
+        return mk.localities[i] == a.final_locality and mk.clocks[i] == a.reset_period
+
+    def effect(mk):
+        localities = list(mk.localities)
+        clocks = list(mk.clocks)
+        localities[i] = a.initial_locality
+        clocks[i] = 0
+        return Marking(tuple(localities), tuple(clocks), mk.values)
+
+    return guard, effect
+
+
+def _time(agents, accelerated):
+    """Guard and effect of the global time transition.  Both remember
+    their answer per net, keyed by the (localities, clocks) tokens or by
+    the clock token alone."""
+    if accelerated:
+        @cache
+        def jump(localities, clocks):
+            delta = _jump(agents, localities, clocks)
+            return delta, tuple(c + delta for c in clocks)
+
+        def guard(mk):
+            return jump(mk.localities, mk.clocks)[0] > 0
+
+        def effect(mk):
+            return Marking(mk.localities, jump(mk.localities, mk.clocks)[1], mk.values)
+
+        return guard, effect, "time: all clocks advance by the zone jump width"
+
+    @cache
+    def headroom(localities, clocks):
+        return all(_headroom(a, outgoing, loc, c)
+                   for (a, outgoing), loc, c in zip(agents, localities, clocks))
+
+    def guard(mk):
+        return headroom(mk.localities, mk.clocks)
+
+    @cache
+    def tick(clocks):
+        return tuple(c + 1 for c in clocks)
+
+    def effect(mk):
+        return Marking(mk.localities, tick(mk.clocks), mk.values)
+
+    return guard, effect, "time: all clocks advance by one"
+
+
 def translate(m, accelerated=False):
+    """The net of model m.  Its closures cache their answers per token
+    they read, in caches that belong to this net alone."""
     net = HlNet(model=m, accelerated=accelerated)
-    components = m.component_names
     # each agent with its outgoing transitions per locality, read once
     agents = [(a, {loc: a.outgoing(loc) for loc in a.localities}) for a in m.agents]
     names = {"time"} | {f"reset_{a.name}" for a in m.agents}
@@ -104,59 +191,21 @@ def translate(m, accelerated=False):
         for t in a.transitions:
             if t.id in names or t.id in net.transitions:
                 raise MalformedModel(f"transition id {t.id!r} collides with a net name")
-
-            def guard(mk, i=i, t=t):
-                return mk.localities[i] == t.source and t.lower <= mk.clocks[i] <= t.upper
-
-            def effect(mk, i=i, t=t):
-                localities = list(mk.localities)
-                localities[i] = t.target
-                return Marking(tuple(localities), mk.clocks, eval_transform(
-                    m.transform(t.transform), components, mk.values))
-
             net.transitions[t.id] = NetTransition(
-                t.id, "task", guard, effect,
+                t.id, "task", *_task(m, i, t),
                 f"task {a.name}: {t.source} -> {t.target} in [{t.lower}, {t.upper}] "
                 f"applying {t.transform}")
     for i, a in enumerate(m.agents):
-        def guard(mk, i=i, a=a):
-            return mk.localities[i] == a.final_locality and mk.clocks[i] == a.reset_period
-
-        def effect(mk, i=i, a=a):
-            localities = list(mk.localities)
-            clocks = list(mk.clocks)
-            localities[i] = a.initial_locality
-            clocks[i] = 0
-            return Marking(tuple(localities), tuple(clocks), mk.values)
-
         net.transitions[f"reset_{a.name}"] = NetTransition(
-            f"reset_{a.name}", "reset", guard, effect,
+            f"reset_{a.name}", "reset", *_reset(i, a),
             f"reset {a.name}: {a.final_locality} -> {a.initial_locality} at {a.reset_period}")
-
-    if accelerated:
-        def time_guard(mk):
-            return _jump(agents, mk) > 0
-
-        def time_effect(mk):
-            delta = _jump(agents, mk)
-            return Marking(mk.localities, tuple(c + delta for c in mk.clocks), mk.values)
-
-        desc = "time: all clocks advance by the zone jump width"
-    else:
-        def time_guard(mk):
-            return all(_headroom(a, outgoing, loc, c)
-                       for (a, outgoing), loc, c in zip(agents, mk.localities, mk.clocks))
-
-        def time_effect(mk):
-            return Marking(mk.localities, tuple(c + 1 for c in mk.clocks), mk.values)
-
-        desc = "time: all clocks advance by one"
-    net.transitions["time"] = NetTransition("time", "time", time_guard, time_effect, desc)
+    guard, effect, desc = _time(agents, accelerated)
+    net.transitions["time"] = NetTransition("time", "time", guard, effect, desc)
     return net
 
 
 def enabled_net(net, mk):
-    return tuple(name for name, t in net.transitions.items() if t.guard(mk))
+    return tuple([name for name, t in net.transitions.items() if t.guard(mk)])
 
 
 def fire(net, mk, t):
@@ -208,12 +257,10 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
         model_moves = [("time" if isinstance(e, sem.Delay) else sem.event_label(e),
                         configs[t[0]] + (values[t[1]],))
                        for e, t in succ]
-        net_moves = {}
         # enabled_net has just evaluated each guard: fire's check would
-        # repeat it
-        for name in enabled_net(net, mk):
-            to = net.transitions[name].effect(mk)
-            net_moves[name] = (to.localities, to.clocks, to.values)
+        # repeat it.  A Marking is a tuple, so it equals a model target.
+        net_moves = {name: net.transitions[name].effect(mk)
+                     for name in enabled_net(net, mk)}
         if len(net_moves) != len(model_moves) or dict(model_moves) != net_moves:
             return EquivResult(False, _divergence(mk, model_moves, net_moves), checked)
     return EquivResult(True, "", checked)

@@ -76,10 +76,16 @@ def check_state(m, s):
     for a, loc, c in zip(m.agents, s.localities, s.clocks):
         if loc not in a.localities:
             raise MalformedState(f"{loc!r} is not a locality of agent {a.name!r}")
+        if type(c) is not int:
+            raise MalformedState(f"clock {c!r} of agent {a.name!r} is not an int")
         if c < 0:
             raise MalformedState(f"negative clock for agent {a.name!r}")
     if len(s.values) != len(m.components):
         raise MalformedState("valuation components do not match the model")
+    for comp, v in zip(m.components, s.values):
+        if type(v) is not int and type(v) is not Fraction:
+            raise MalformedState(
+                f"value {v!r} of component {comp.name!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True)

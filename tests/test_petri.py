@@ -1,12 +1,13 @@
 """High-level net translation and the lockstep equivalence check."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from maptmc import petri, semantics as sem
-from maptmc.errors import BudgetExceeded, NotEnabled
-from maptmc.model import model_from_dict
+from maptmc import fixtures, petri, semantics as sem
+from maptmc.errors import BudgetExceeded, NotEnabled, Overflow
+from maptmc.model import eval_transform, model_from_dict
 
 import oracle
 
@@ -117,7 +118,8 @@ def test_equivalence_walk_frees_passed_states(monkeypatch, two_tasks):
     # its seen maps at once.  enabled_net runs once per state checked, so
     # it samples the entries live in the suspended walk's seen maps.  The
     # trim does not free valuations: the kernel's value table keeps each
-    # distinct one the walk reaches, 3324, until the walk ends.
+    # distinct one the walk reaches, 3324, until the walk ends, and the
+    # net's caches, keyed by valuation, hold them until the net goes.
     walks = []
     kernels = []
     walk = sem.walk
@@ -149,6 +151,85 @@ def test_equivalence_walk_frees_passed_states(monkeypatch, two_tasks):
     assert len(samples) >= 20
     assert max(entries for entries, _ in samples) < 18243 // 2
     assert max(values for _, values in samples) <= len(kernels[0].values) == 3324
+
+
+@pytest.mark.parametrize("semantics", sem.SEMANTICS)
+def test_cached_net_answers_equal_fresh_ones(monkeypatch, two_tasks, semantics):
+    # at every marking the check fires from, each task effect equals the
+    # transform applied afresh, and the time move the guard and jump worked
+    # out afresh; each (task, valuation) pair is applied once per net (no
+    # two tasks of two_tasks share a transform)
+    applied = []
+
+    def counting(f, names, values):
+        applied.append((f.id, values))
+        return eval_transform(f, names, values)
+
+    monkeypatch.setattr(petri, "eval_transform", counting)
+    net = petri.translate(two_tasks, accelerated=(semantics == "accelerated"))
+    markings = []
+    enabled_net = petri.enabled_net
+
+    def recording(net, mk):
+        markings.append(mk)
+        return enabled_net(net, mk)
+
+    monkeypatch.setattr(petri, "enabled_net", recording)
+    res = petri.state_space_equiv(two_tasks, {"count": 4}, semantics, net=net)
+    assert res.equal and 0 < len(markings) <= res.states_checked
+    assert len(applied) == len(set(applied))
+    agents = [(a, {loc: a.outgoing(loc) for loc in a.localities})
+              for a in two_tasks.agents]
+    names = two_tasks.component_names
+    fires = 0
+    for mk in markings:
+        for name in enabled_net(net, mk):
+            if net.transitions[name].kind != "task":
+                continue
+            a, t = two_tasks.transition(name)
+            i = two_tasks.agents.index(a)
+            localities = mk.localities[:i] + (t.target,) + mk.localities[i + 1:]
+            assert net.transitions[name].effect(mk) == (
+                localities, mk.clocks,
+                eval_transform(two_tasks.transform(t.transform), names, mk.values))
+            fires += 1
+        if semantics == "accelerated":
+            delta = petri._jump(agents, mk.localities, mk.clocks)
+        else:
+            delta = int(all(petri._headroom(a, outgoing, loc, c) for (a, outgoing), loc, c
+                            in zip(agents, mk.localities, mk.clocks)))
+        time = net.transitions["time"]
+        assert time.guard(mk) == (delta > 0)
+        if delta:
+            assert time.effect(mk) == (mk.localities,
+                                       tuple(c + delta for c in mk.clocks), mk.values)
+    assert len(applied) < fires
+
+
+def test_net_caches_are_per_net(two_tasks):
+    # two models that differ only in halve: the same marking fires early_b
+    # to different valuations, so no answer is shared across nets
+    raw = json.loads(fixtures.fixture_path("two_tasks.json").read_text(encoding="utf-8"))
+    raw["transforms"]["halve"] = {"load": "load / 4"}
+    quarter = model_from_dict(raw)
+    mk = petri.Marking(("a_start", "b_start"), (1, 1), (Fraction(1, 2), 0))
+    assert petri.fire(petri.translate(two_tasks), mk, "early_b").values == (
+        Fraction(1, 4), 0)
+    assert petri.fire(petri.translate(quarter), mk, "early_b").values == (
+        Fraction(1, 8), 0)
+
+
+def test_net_cache_keeps_no_failed_transform(two_tasks):
+    # early_a doubles load: past the magnitude cap it raises, and its cache
+    # stores nothing, so the same marking raises the same error again
+    net = petri.translate(two_tasks)
+    mk = petri.Marking(("a_start", "b_start"), (1, 1), (2 ** 65536, 0))
+    with pytest.raises(Overflow) as first:
+        petri.fire(net, mk, "early_a")
+    with pytest.raises(Overflow) as second:
+        petri.fire(net, mk, "early_a")
+    assert str(first.value) == str(second.value) == "value in 2 * load exceeds 65536 bits"
+    assert petri.state_space_equiv(two_tasks, {"count": 1}, net=net).equal
 
 
 def test_corrupted_guard_detected(two_tasks):

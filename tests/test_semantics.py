@@ -141,6 +141,16 @@ def test_check_state_rejects_malformed(two_tasks):
     for values in (s0.values[:1], s0.values + (0,)):
         with pytest.raises(MalformedState, match="valuation components"):
             sem.check_state(two_tasks, cls(s0.localities, s0.clocks, values))
+    # a clock is an int, and a value an int or a Fraction: anything else is
+    # malformed, not a traceback from deep in a transform
+    with pytest.raises(MalformedState, match="is not an int"):
+        sem.check_state(two_tasks, cls(s0.localities, (0, 0.5), s0.values))
+    for values in (("x", 0), (0.5, 0)):
+        with pytest.raises(MalformedState, match="not an int or a Fraction"):
+            sem.check_state(two_tasks, cls(s0.localities, s0.clocks, values))
+    with pytest.raises(MalformedState, match="'x' of component 'load'"):
+        sem.successors(two_tasks, cls(("a_start", "b_start"), (1, 1), ("x", 0)),
+                       "original")
 
 
 def test_state_is_a_plain_ordered_triple(two_tasks):
