@@ -14,10 +14,9 @@ is a strong bisimulation check.
 In a coloured net each arc expression is a function of the tokens it
 reads alone, so each net's closures remember their answers per token,
 keyed by the token itself and never by a kernel id: a task's new
-locality vector per locality token and its new valuation (through
-model.eval_transform) per valuation token, the time guard and the jump
-per (localities, clocks) pair, and the one-tick clocks per clock token.
-The caches belong to one translate call and live as long as its net.
+valuation (through model.eval_transform) per valuation token, and the
+time guard and the accelerated jump per (localities, clocks) pair.  The
+caches belong to one translate call and live as long as its net.
 
 state_space_equiv compares moves by label and by target fields: the
 model's moves, read from the kernel's configuration and value tables,
@@ -107,16 +106,10 @@ def _jump(agents, localities, clocks):
 def _task(m, i, t):
     """Guard and effect of model transition t of agent i.
 
-    The effect remembers, per net, the new locality vector per locality
-    token and the new valuation per valuation token."""
+    The effect remembers, per net, the new valuation per valuation
+    token."""
     def guard(mk):
         return mk.localities[i] == t.source and t.lower <= mk.clocks[i] <= t.upper
-
-    @cache
-    def move(localities):
-        localities = list(localities)
-        localities[i] = t.target
-        return tuple(localities)
 
     names = m.component_names
 
@@ -125,29 +118,17 @@ def _task(m, i, t):
         return eval_transform(m.transform(t.transform), names, values)
 
     def effect(mk):
-        return Marking(move(mk.localities), mk.clocks, apply(mk.values))
-
-    return guard, effect
-
-
-def _reset(i, a):
-    def guard(mk):
-        return mk.localities[i] == a.final_locality and mk.clocks[i] == a.reset_period
-
-    def effect(mk):
         localities = list(mk.localities)
-        clocks = list(mk.clocks)
-        localities[i] = a.initial_locality
-        clocks[i] = 0
-        return Marking(tuple(localities), tuple(clocks), mk.values)
+        localities[i] = t.target
+        return Marking(tuple(localities), mk.clocks, apply(mk.values))
 
     return guard, effect
 
 
 def _time(agents, accelerated):
-    """Guard and effect of the global time transition.  Both remember
-    their answer per net, keyed by the (localities, clocks) tokens or by
-    the clock token alone."""
+    """Guard and effect of the global time transition.  The time guard
+    and the jump remember their answer per net, keyed by the
+    (localities, clocks) tokens."""
     if accelerated:
         @cache
         def jump(localities, clocks):
@@ -170,12 +151,8 @@ def _time(agents, accelerated):
     def guard(mk):
         return headroom(mk.localities, mk.clocks)
 
-    @cache
-    def tick(clocks):
-        return tuple(c + 1 for c in clocks)
-
     def effect(mk):
-        return Marking(mk.localities, tick(mk.clocks), mk.values)
+        return Marking(mk.localities, tuple(c + 1 for c in mk.clocks), mk.values)
 
     return guard, effect, "time: all clocks advance by one"
 
@@ -196,8 +173,18 @@ def translate(m, accelerated=False):
                 f"task {a.name}: {t.source} -> {t.target} in [{t.lower}, {t.upper}] "
                 f"applying {t.transform}")
     for i, a in enumerate(m.agents):
+        def guard(mk, i=i, a=a):
+            return mk.localities[i] == a.final_locality and mk.clocks[i] == a.reset_period
+
+        def effect(mk, i=i, a=a):
+            localities = list(mk.localities)
+            clocks = list(mk.clocks)
+            localities[i] = a.initial_locality
+            clocks[i] = 0
+            return Marking(tuple(localities), tuple(clocks), mk.values)
+
         net.transitions[f"reset_{a.name}"] = NetTransition(
-            f"reset_{a.name}", "reset", *_reset(i, a),
+            f"reset_{a.name}", "reset", guard, effect,
             f"reset {a.name}: {a.final_locality} -> {a.initial_locality} at {a.reset_period}")
     guard, effect, desc = _time(agents, accelerated)
     net.transitions["time"] = NetTransition("time", "time", guard, effect, desc)
