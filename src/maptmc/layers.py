@@ -3,9 +3,11 @@ clusters of border states.
 
 A cut fixes one global time offset t inside the hyperperiod and records,
 per agent, which locality and clock value every run shows at that time
-distance.  Offsets that fall strictly inside some agent's virtual event
-interval are ambiguous and rejected; the rest give configurations that
-every run must pass through, which makes borders between consecutive
+distance.  Each agent's hop windows repeat every reset period, so t is
+tested on the agent's own clock (t + init_clock) % reset_period: a clock
+strictly inside a window, where a window opens at the earliest exit the
+agent can take, is ambiguous and rejected.  The rest give configurations
+that every run must pass through, which makes borders between consecutive
 cuts well defined in both semantics.
 """
 
@@ -18,14 +20,13 @@ from . import semantics as sem
 from .errors import BudgetExceeded, MalformedState, ValidationError
 from .model import lcm_periods, topo_order
 
-PRE = "pre"
-POST = "post"
-
 
 @dataclass(frozen=True)
 class MandatoryChain:
-    """Localities an agent visits on every cycle, with the virtual window
-    [earliest start, latest end] of each hop between consecutive ones."""
+    """Localities an agent visits on every cycle, with the clock window
+    [earliest start, latest end] of each hop between consecutive ones; a
+    hop opens at the earliest exit the agent can take, counting the time
+    it needs to reach the hop's source."""
 
     agent: str
     localities: tuple
@@ -49,9 +50,12 @@ def mandatory_chain(agent):
     goal = agent.final_locality
     into = {l: 0 for l in agent.localities}
     into[start] = 1
+    earliest = {start: 0}
     for loc in order:
         for t in agent.outgoing(loc):
             into[t.target] += into[loc]
+            arrive = max(earliest[loc], t.lower)
+            earliest[t.target] = min(earliest.get(t.target, arrive), arrive)
     outof = {l: 0 for l in agent.localities}
     outof[goal] = 1
     for loc in reversed(order):
@@ -61,103 +65,72 @@ def mandatory_chain(agent):
     chain = [loc for loc in order if into[loc] * outof[loc] == total]
     intervals = []
     for here, there in zip(chain, chain[1:]):
-        lo = min(t.lower for t in agent.outgoing(here))
+        lo = min(max(earliest[here], t.lower) for t in agent.outgoing(here))
         hi = max(t.upper for t in agent.incoming(there))
         intervals.append((lo, hi))
     return MandatoryChain(agent.name, tuple(chain), tuple(intervals))
 
 
-def _forbidden(t, agent, chain, exclude_endpoints):
-    """Does offset t fall inside some shifted virtual event window?
-
-    Only the largest window shift starting at or before t can contain it,
-    so a single k needs checking per window (floor for closed windows,
-    its strict variant for open ones).
-    """
-    shift = agent.init_clock
-    period = agent.reset_period
-    for lo, hi in chain.intervals:
-        if exclude_endpoints:
-            k = (t + shift - lo) // period
-            if k >= 0 and t <= hi + k * period - shift:
-                return True
-        else:
-            k = -((lo - t - shift) // period) - 1
-            if k >= 0 and t < hi + k * period - shift:
+def _forbidden(c, period, chain, exclude_endpoints):
+    """Is clock c inside one of the chain's hop windows (open, or closed
+    under exclude_endpoints)?  At a reset instant (c == 0) the clock
+    also reads the period just ended."""
+    for x in ((0, period) if c == 0 else (c,)):
+        for lo, hi in chain.intervals:
+            if (lo <= x <= hi) if exclude_endpoints else (lo < x < hi):
                 return True
     return False
 
 
-def _locate(t, agent, chain, choice):
-    """Locality and clock shown by this agent at time distance t."""
-    period = agent.reset_period
-    r = (t + agent.init_clock) % period
-    if r == 0:
-        if choice == PRE:
-            return chain.localities[-1], period
-        clock = 0
-    else:
-        clock = r
-    pos = 0
-    for j, (lo, hi) in enumerate(chain.intervals):
-        crossed = clock > hi or (
-            clock == hi and not (lo == hi and choice == PRE))
-        if crossed:
-            pos = j + 1
-    return chain.localities[pos], clock
+def _locate(c, chain):
+    """The chain locality past every hop window closed by clock c; in a
+    strongly live model the windows close in chain order."""
+    return chain.localities[sum(hi <= c for _, hi in chain.intervals)]
 
 
-def find_cuts(m, exclude_endpoints=False, endpoint_choice=None):
+def find_cuts(m, exclude_endpoints=False):
     """All coherent cut offsets in one hyperperiod, as CutSpec tuples.
 
-    endpoint_choice maps (t, agent name) to 'pre' or 'post' and only
-    matters at reset instants and zero-length event windows; the default
-    everywhere is 'post' (the state after the event).
+    A cut at a reset instant or at a zero-length window shows the state
+    after the event.  A cut describes each agent's steady cycle:
+    init_locality and init_clock place an agent at time 0 only, and a
+    reset returns it to its first listed locality, so before an agent's
+    first reset a cut may show it where it is not.
     """
-    endpoint_choice = endpoint_choice or {}
-    chains = {a.name: mandatory_chain(a) for a in m.agents}
-    horizon = lcm_periods(m)
+    chains = [mandatory_chain(a) for a in m.agents]
     cuts = []
-    for t in range(1, horizon + 1):
-        if any(_forbidden(t, a, chains[a.name], exclude_endpoints) for a in m.agents):
+    for t in range(1, lcm_periods(m) + 1):
+        clocks = tuple((t + a.init_clock) % a.reset_period for a in m.agents)
+        if any(_forbidden(c, a.reset_period, chain, exclude_endpoints)
+               for a, chain, c in zip(m.agents, chains, clocks)):
             continue
-        localities = []
-        clocks = []
-        for a in m.agents:
-            choice = endpoint_choice.get((t, a.name), POST)
-            loc, clock = _locate(t, a, chains[a.name], choice)
-            localities.append(loc)
-            clocks.append(clock)
-        cuts.append(CutSpec(t, tuple(localities), tuple(clocks)))
+        localities = tuple(_locate(c, chain) for chain, c in zip(chains, clocks))
+        cuts.append(CutSpec(t, localities, clocks))
     return tuple(cuts)
 
 
 def best_cut(m):
-    """The coherent cut farthest from every event window; used when the
-    caller supplies no cuts of their own."""
+    """The first coherent cut farthest from every hop window; used when
+    the caller supplies no cuts of their own."""
     cuts = find_cuts(m)
     if not cuts:
         raise ValidationError("no coherent cut offset exists for this model")
-    chains = {a.name: mandatory_chain(a) for a in m.agents}
-    best = None
-    best_gap = -1
-    for cut in cuts:
-        gap = inf
-        for a in m.agents:
-            shift = a.init_clock
+    chains = [mandatory_chain(a) for a in m.agents]
+
+    def gap(cut):
+        # the window in this cycle, the next one and, once a cycle has
+        # ended by t, the previous one
+        out = inf
+        for a, chain, c in zip(m.agents, chains, cut.clocks):
             period = a.reset_period
-            for lo, hi in chains[a.name].intervals:
-                base = (cut.t + shift - lo) // period
-                for k in (base - 1, base, base + 1):
-                    if k < 0:
-                        continue
-                    d = max(0, lo + k * period - shift - cut.t,
-                            cut.t - (hi + k * period - shift))
-                    gap = min(gap, d)
-        if gap > best_gap:
-            best = cut
-            best_gap = gap
-    return best
+            ended = cut.t + a.init_clock >= period
+            for lo, hi in chain.intervals:
+                out = min(out, max(0, lo - c, c - hi), lo + period - c)
+                if ended:
+                    out = min(out, c + period - hi)
+        return out
+
+    return max(cuts, key=gap)
 
 
 # cut lists as text: "t; locality,locality; clock,clock" per line

@@ -231,6 +231,20 @@ def test_cuts_machine_and_exclude_endpoints(capsys):
     assert "cuts count=2" in out
 
 
+def test_init_locality_places_an_agent_at_time_zero_only(capsys, tmp_path, two_tasks):
+    path = broken_model(
+        tmp_path, two_tasks,
+        lambda d: d["agents"][0].update(init_locality="a_end"), name="a_end.json")
+    for semantics, checked in (("original", 199), ("accelerated", 145)):
+        code, out, _ = run_cli(capsys, "petri-check", path, "--semantics", semantics,
+                               "--x-bound", "count=2", "--format", "machine")
+        assert code == 0
+        assert out == f'equivalence equal=true states_checked={checked} detail=""\n'
+    # a cut describes the steady cycle, although every run shows a_end at t=1
+    _, out, _ = run_cli(capsys, "cuts", path, "--format", "machine")
+    assert "cut t=1 localities=a_start,b_start clocks=1,1" in out
+
+
 def test_check_exit_codes(capsys):
     code, out, _ = run_cli(
         capsys, "check", TWO_TASKS, "EF load >= 2", "--x-bound", "count=1")

@@ -1,13 +1,16 @@
 """Coherent cuts, borders and clustered border walks."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maptmc import layers, semantics as sem
 from maptmc.errors import (BudgetExceeded, MalformedState, ParseError,
                            UnknownReference)
 from maptmc.layers import CutSpec
+from maptmc.model import model_from_dict
 
 import oracle
 
@@ -69,23 +72,78 @@ def test_exclude_endpoints_keeps_strictly_clear_offsets(staged):
     assert strict < keep
 
 
-def test_endpoint_choice_pre(two_tasks):
-    choice = {(5, "task_a"): "pre", (5, "task_b"): "pre"}
-    cuts = layers.find_cuts(two_tasks, endpoint_choice=choice)
-    assert cut_at(cuts, 5).config() == (("a_end", "b_end"), (5, 5))
-    # other offsets are untouched
-    assert cut_at(cuts, 4).config() == (("a_end", "b_end"), (4, 4))
+def assert_cuts_match_oracle(m, raw):
+    valid = oracle.cut_times(raw, layers.lcm_periods(m))
+    cuts = layers.find_cuts(m)
+    assert [c.t for c in cuts] == sorted(valid)
+    for cut in cuts:
+        for i, (loc, clock) in enumerate(zip(cut.localities, cut.clocks)):
+            assert (loc, clock) in valid[cut.t][i]
+    if cuts:
+        assert layers.best_cut(m) in cuts
 
 
 def test_cuts_match_per_agent_oracle(two_tasks, staged, raw_two_tasks, raw_staged):
-    for m, raw in ((two_tasks, raw_two_tasks), (staged, raw_staged)):
-        horizon = layers.lcm_periods(m)
-        valid = oracle.cut_times(raw, horizon)
-        cuts = layers.find_cuts(m)
-        assert {c.t for c in cuts} == set(valid)
-        for cut in cuts:
-            for i, (loc, clock) in enumerate(zip(cut.localities, cut.clocks)):
-                assert (loc, clock) in valid[cut.t][i]
+    assert_cuts_match_oracle(two_tasks, raw_two_tasks)
+    assert_cuts_match_oracle(staged, raw_staged)
+
+
+def agents_model(agents, path):
+    """The model with the given agents and one X counter every hop bumps,
+    and its oracle twin read back from path."""
+    data = {"components": [{"name": "n", "init": 0, "x": True}],
+            "transforms": {"tally": {"n": "n + 1"}},
+            "agents": list(agents)}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return model_from_dict(data), oracle.RawModel(path)
+
+
+def hop(tid, src, dst, lo, hi):
+    return {"id": tid, "from": src, "to": dst, "transform": "tally",
+            "interval": [lo, hi]}
+
+
+def test_hop_opens_at_earliest_reachable_exit(tmp_path):
+    # p1 is reached at clock 4 at the soonest, so its exit opens at 4, not 2
+    m, raw = agents_model([{
+        "name": "p", "localities": ["p0", "p1", "p2"],
+        "transitions": [hop("e0", "p0", "p1", 4, 7), hop("e1", "p1", "p2", 2, 9)],
+        "reset_period": 9, "init_locality": "p0", "init_clock": 0}],
+        tmp_path / "model.json")
+    assert layers.mandatory_chain(m.agents[0]).intervals == ((4, 7), (4, 9))
+    assert [c.t for c in layers.find_cuts(m)] == [1, 2, 3, 4, 9]
+    assert_cuts_match_oracle(m, raw)
+
+
+@st.composite
+def live_agents(draw, name):
+    """One strongly live agent: 1 to 4 localities in a row, maybe one skip
+    hop.  Each locality has a level, rising along the row and at most the
+    period; a hop's upper bound lies between the levels of its ends, so no
+    upper bound falls along a path and none passes the period."""
+    n = draw(st.integers(1, 4))
+    period = draw(st.integers(1, 9))
+    levels = sorted(draw(st.lists(st.integers(0, period), min_size=n, max_size=n)))
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    if n > 2 and draw(st.booleans()):
+        skip = draw(st.integers(0, n - 3))
+        pairs.append((skip, skip + 2))
+    locs = [f"{name}{i}" for i in range(n)]
+    hops = []
+    for k, (i, j) in enumerate(pairs):
+        hi = draw(st.integers(levels[i], levels[j]))
+        lo = draw(st.integers(0, hi))
+        hops.append(hop(f"{name}_{k}", locs[i], locs[j], lo, hi))
+    return {"name": name, "localities": locs, "transitions": hops,
+            "reset_period": period, "init_locality": locs[0], "init_clock": 0}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda k: st.tuples(*(live_agents(f"g{i}") for i in range(k)))))
+def test_cuts_match_oracle_on_generated_models(tmp_path_factory, agents):
+    assert_cuts_match_oracle(
+        *agents_model(agents, tmp_path_factory.mktemp("gen") / "model.json"))
 
 
 def test_best_cut(two_tasks):

@@ -99,6 +99,18 @@ def test_reset_returns_to_source(two_tasks):
         "load": Fraction(1, 2), "count": Fraction(1)}
 
 
+def test_reset_goes_to_first_locality_not_init_locality(mutated_two_tasks):
+    # init_locality places an agent at time 0 only; every reset returns it
+    # to its first listed locality
+    m = mutated_two_tasks(lambda d: d["agents"][0].update(init_locality="a_end"))
+    s = sem.initial_state(m)
+    assert s.localities == ("a_end", "b_start")
+    s = advance(m, s, Delay(1), Delay(1), Delay(1), Fire("late_b"), Delay(1),
+                Delay(1), Reset("task_a"))
+    assert s.localities == ("a_start", "b_end")
+    assert s.clocks == (0, 5)
+
+
 NOT_ENABLED_CASES = [
     ("fire before the window opens", (), Fire("early_a")),
     ("fire after the window closed", (Delay(2), Delay(1)), Fire("early_a")),
