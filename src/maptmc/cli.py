@@ -199,10 +199,7 @@ def _heuristic_from(args, m):
 
 def _cmd_check(args, m):
     _require_mapt(m, args.assume_acyclic)
-    cuts = None
-    if args.cuts_path:
-        cuts = layers.load_cuts(args.cuts_path)
-        layers.validate_cuts(m, cuts)
+    cuts = layers.load_cuts(args.cuts_path) if args.cuts_path else None
     heuristic = _heuristic_from(args, m)
     strong_set = args.strong_set
     if args.weak_set is not None:

@@ -187,7 +187,8 @@ def tokenize(text):
 
 
 class Parser:
-    """Recursive-descent parser with backtracking over a token list."""
+    """Recursive-descent parser over a token list; literal backtracks from
+    a comparison to a parenthesised predicate."""
 
     def __init__(self, text, allow_clock=False):
         self.tokens = tokenize(text)
@@ -296,27 +297,18 @@ class Parser:
     def pred(self):
         node = self.conj()
         while self.peek().kind == "||":
-            save = self.pos
             self.next()
-            try:
-                right = self.conj()
-            except ParseError:
-                self.pos = save
-                break
-            node = BoolBin("||", node, right)
+            node = BoolBin("||", node, self.conj())
         return node
 
     def conj(self):
+        # stop before '&& EF' and '&& EG', which only a query's nested
+        # form can hold; the token list always ends in EOF
         node = self.literal()
-        while self.peek().kind == "&&":
-            save = self.pos
+        while (self.peek().kind == "&&"
+               and self.tokens[self.pos + 1].text not in ("EF", "EG")):
             self.next()
-            try:
-                right = self.literal()
-            except ParseError:
-                self.pos = save
-                break
-            node = BoolBin("&&", node, right)
+            node = BoolBin("&&", node, self.literal())
         return node
 
     def literal(self):

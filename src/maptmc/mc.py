@@ -1,7 +1,8 @@
 """On-the-fly reachability checking over the bounded state space.
 
-Seven query forms are accepted; all reduce to four base evaluators (EF,
-EG, EF(p && EF q), EF(p && EG q)) plus an optional final negation:
+Seven query forms are accepted; parse_query reads each into one normal
+form, a Query: one of four base evaluators (EF, EG, EF(p && EF q),
+EF(p && EG q)) plus an optional final negation:
 
     AF p          = !EG !p
     AG p          = !EF !p
@@ -34,72 +35,46 @@ STRATEGIES = ("width", "layered-dfs")
 
 
 @dataclass(frozen=True)
-class SimpleQuery:
-    op: str          # EF, EG, AF or AG
-    pred: object
+class Query:
+    """A query in normal form: the base evaluator kind (EF, EG, EFEF for
+    EF(p && EF q) or EFEG for EF(p && EG q)), its operands, and whether
+    the verdict is negated."""
 
-
-@dataclass(frozen=True)
-class NestedQuery:
-    inner: str       # EF or EG
+    kind: str
     p: object
-    q: object
-
-
-@dataclass(frozen=True)
-class LeadsToQuery:
-    p: object
-    q: object
+    q: object = None
+    negate: bool = False
 
 
 def parse_query(text):
     parser = expr.Parser(text, allow_clock=True)
     tok = parser.peek()
     if tok.kind == "NAME" and tok.text in ("EF", "EG", "AF", "AG"):
-        op = tok.text
-        parser.next()
+        op = parser.next().text
         if op == "EF" and parser.peek().kind == "(":
             save = parser.pos
             try:
                 parser.next()
                 p = parser.pred()
+                # a pred stops before && only when EF or EG follows
                 parser.expect("&&")
-                inner_tok = parser.peek()
-                if inner_tok.kind != "NAME" or inner_tok.text not in ("EF", "EG"):
-                    parser.fail("expected EF or EG")
                 inner = parser.next().text
                 q = parser.pred()
                 parser.expect(")")
                 parser.expect("EOF")
-                return NestedQuery(inner, p, q)
+                return Query("EF" + inner, p, q)
             except ParseError:
                 parser.pos = save
-        pred = parser.pred()
+        p = parser.pred()
         parser.expect("EOF")
-        return SimpleQuery(op, pred)
+        if op in ("AF", "AG"):
+            return Query("EG" if op == "AF" else "EF", expr.Not(p), negate=True)
+        return Query(op, p)
     p = parser.pred()
-    if parser.peek().kind == "-->":
-        parser.next()
-        q = parser.pred()
-        parser.expect("EOF")
-        return LeadsToQuery(p, q)
     parser.expect("-->")
-
-
-def _normalize(query):
-    """Reduce any query form to (kind, p, q, negate_verdict)."""
-    if isinstance(query, SimpleQuery):
-        if query.op == "EF":
-            return ("EF", query.pred, None, False)
-        if query.op == "EG":
-            return ("EG", query.pred, None, False)
-        if query.op == "AF":
-            return ("EG", expr.Not(query.pred), None, True)
-        return ("EF", expr.Not(query.pred), None, True)
-    if isinstance(query, NestedQuery):
-        kind = "EFEF" if query.inner == "EF" else "EFEG"
-        return (kind, query.p, query.q, False)
-    return ("EFEG", query.p, expr.Not(query.q), True)
+    q = parser.pred()
+    parser.expect("EOF")
+    return Query("EFEG", p, expr.Not(q), negate=True)
 
 
 def compile_entry_expr(kernel, node, boolean=False, final=None):
@@ -168,57 +143,55 @@ class Heuristic:
     weight: object
 
 
-class _Engine:
-    def __init__(self, m, kind, p, q, semantics, x_bound, budget):
-        self.kind = kind
-        self.kernel = sem.Kernel(m, semantics, x_bound)
-        self.budget = budget
-        self.stats = CheckStats()
-        # X bound reached, or nothing enabled: no successor either way
-        self.final = self.kernel.final
-        self.p = compile_entry_expr(self.kernel, p, True, self.final)
-        self.q = None if q is None else compile_entry_expr(self.kernel, q, True,
-                                                            self.final)
+def _visitor(kernel, query, budget, stats):
+    """The base evaluator of query as a walk's visit(entry, mark).
 
-    def process(self, s, mark):
-        """Apply the base evaluator to one walk entry.
+    It returns (verdict_found, keep_expanding, new_mark); a dropped state
+    (EG under !p) reports keep_expanding False.  p, q and final (X bound
+    reached, or nothing enabled) are compiled once, here.
+    """
+    final = kernel.final
+    p = compile_entry_expr(kernel, query.p, True, final)
+    if query.q is not None:
+        q = compile_entry_expr(kernel, query.q, True, final)
 
-        Returns (verdict_found, keep_expanding, new_mark); a dropped state
-        (EG under !p) reports keep_expanding False.
-        """
-        self.stats.states_expanded += 1
-        if self.stats.states_expanded > self.budget:
-            raise BudgetExceeded(f"check exceeded {self.budget} states")
-        if self.kind == "EF":
-            if self.p(s):
-                return (True, False, False)
-            return (False, True, False)
-        if self.kind == "EG":
-            if not self.p(s):
-                return (False, False, False)
-            if self.final(s):
-                return (True, False, False)
-            return (False, True, False)
-        if self.kind == "EFEF":
-            mark = mark or self.p(s)
-            if mark and self.q(s):
-                return (True, False, mark)
-            return (False, True, mark)
-        holds_q = self.q(s)
-        mark = holds_q and (mark or self.p(s))
-        if mark and self.final(s):
-            return (True, False, mark)
-        return (False, True, mark)
+    def ef(s, mark):
+        found = p(s)
+        return found, not found, False
+
+    def eg(s, mark):
+        holds = p(s)
+        found = holds and final(s)
+        return found, holds and not found, False
+
+    def efef(s, mark):
+        mark = mark or p(s)
+        found = mark and q(s)
+        return found, not found, mark
+
+    def efeg(s, mark):
+        mark = q(s) and (mark or p(s))
+        found = mark and final(s)
+        return found, not found, mark
+
+    evaluate = {"EF": ef, "EG": eg, "EFEF": efef, "EFEG": efeg}[query.kind]
+
+    def visit(s, mark):
+        stats.states_expanded += 1
+        if stats.states_expanded > budget:
+            raise BudgetExceeded(f"check exceeded {budget} states")
+        return evaluate(s, mark)
+
+    return visit
 
 
-def _width(engine):
-    kernel = engine.kernel
-    border, engine.stats.peak_frontier = layers.walk(
-        kernel, [(kernel.start, False)], engine.process, lambda pre, s, seed: False)
+def _width(kernel, visit, stats):
+    border, stats.peak_frontier = layers.walk(
+        kernel, [(kernel.start, False)], visit, lambda pre, s, seed: False)
     return border is None
 
 
-def _layered(engine, cuts, strong, heuristic):
+def _layered(kernel, visit, stats, cuts, strong, heuristic):
     """Walk cluster by cluster, each up to the next border.
 
     Pending clusters sit in one heap.  Without a heuristic the key is
@@ -235,10 +208,8 @@ def _layered(engine, cuts, strong, heuristic):
     popped cluster with nothing left to walk is dropped and crosses no
     border.
     """
-    kernel = engine.kernel
     configs, values = kernel.configs, kernel.values
     matcher = layers.CutMatcher(kernel, cuts)
-    stats = engine.stats
     seen = {}
     heap = []
     seq = count()
@@ -260,8 +231,7 @@ def _layered(engine, cuts, strong, heuristic):
         cluster = heapq.heappop(heap)[2]
         if not any(layers.unwalked(seen, s, mark) for s, mark in cluster):
             continue
-        border, _ = layers.walk(kernel, cluster, engine.process,
-                                matcher.crosses, seen)
+        border, _ = layers.walk(kernel, cluster, visit, matcher.crosses, seen)
         if border is None:
             return True
         stats.borders_crossed += 1
@@ -277,30 +247,30 @@ def check(m, query, x_bound=None, semantics="accelerated", strategy="layered-dfs
     """Evaluate a query at the initial state; returns CheckResult.
 
     With strategy 'layered-dfs' and no cuts supplied, the best coherent
-    cut (largest margin from every event window) is chosen automatically.
+    cut (largest margin from every event window) is chosen automatically;
+    supplied cuts are checked against the model first (MalformedState).
     """
     if isinstance(query, str):
         query = parse_query(query)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if semantics not in sem.SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
     if heuristic is not None and strategy != "layered-dfs":
         raise ValueError("a heuristic requires the layered-dfs strategy")
-    kind, p, q, negate = _normalize(query)
-    engine = _Engine(m, kind, p, q, semantics, x_bound, budget)
+    if cuts is not None:
+        layers.validate_cuts(m, cuts)
+    kernel = sem.Kernel(m, semantics, x_bound)
+    stats = CheckStats()
+    visit = _visitor(kernel, query, budget, stats)
     strong = layers.strong_components(m, strong_set)
     if strategy == "width":
-        verdict = _width(engine)
+        verdict = _width(kernel, visit, stats)
     else:
         if cuts is None:
             cuts = (layers.best_cut(m),)
         if not cuts:
             raise ValidationError("layered-dfs needs at least one cut")
-        verdict = _layered(engine, cuts, strong, heuristic)
-    if negate:
-        verdict = not verdict
-    return CheckResult(verdict, engine.stats)
+        verdict = _layered(kernel, visit, stats, cuts, strong, heuristic)
+    return CheckResult(verdict != query.negate, stats)
 
 
 # indicator sweep
@@ -455,7 +425,7 @@ def estimated_travel_time_heuristic(m, elapsed, position, speed, goal):
 
 def time_to_overtake_heuristic(m, lead_pos, lead_speed, chase_pos, chase_speed):
     """Time until the chasing component catches the leading one at current
-    speeds; soonest overtake explored first, diverging pairs never."""
+    speeds; soonest overtake explored first, diverging pairs last."""
     i_lead_pos, i_lead_speed, i_chase_pos, i_chase_speed = (
         _need(m, name) for name in (lead_pos, lead_speed, chase_pos, chase_speed))
 

@@ -12,12 +12,14 @@ shift in the accelerated one).
 """
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import expr
-from .errors import BudgetExceeded, MalformedState, NotEnabled, ValidationError
+from .errors import (BudgetExceeded, MalformedState, NotEnabled, ParseError,
+                     ValidationError)
 from .model import validate_acyclicity
 
 DEFAULT_BUDGET = 100_000
@@ -404,12 +406,23 @@ def project_word(trace):
     return tuple(e for e in trace if not isinstance(e, Delay))
 
 
+def _bound(raw, what):
+    """raw as an exact rational; a boolean or unreadable one raises
+    ParseError naming what."""
+    if not isinstance(raw, bool):
+        try:
+            return expr.exact(Fraction(raw))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ParseError(f"{what}: cannot read a rational from {raw!r}")
+
+
 def normalize_x_bound(m, x_bound):
     """None, a single rational for every X component, or a per-name mapping."""
     if x_bound is None:
         return None
-    if isinstance(x_bound, (int, Fraction, str)):
-        bound = expr.exact(Fraction(x_bound))
+    if not isinstance(x_bound, Mapping):
+        bound = _bound(x_bound, "x bound")
         names = sorted(m.x_names)
         if not names:
             raise ValidationError("model has no X components to bound")
@@ -417,7 +430,7 @@ def normalize_x_bound(m, x_bound):
     out = {}
     for name, raw in x_bound.items():
         m.component(name)
-        out[name] = expr.exact(Fraction(raw))
+        out[name] = _bound(raw, f"x bound of {name!r}")
     return out
 
 

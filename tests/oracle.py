@@ -100,7 +100,7 @@ def resets(m, state):
     out = []
     for i, agent in enumerate(m.agents):
         if locs[i] == agent["final"] and clocks[i] == agent["period"]:
-            new_locs = locs[:i] + (agent["init_loc"],) + locs[i + 1:]
+            new_locs = locs[:i] + (agent["locs"][0],) + locs[i + 1:]
             new_clocks = clocks[:i] + (0,) + clocks[i + 1:]
             out.append((("reset", agent["name"]), (new_locs, new_clocks, vals)))
     return out
@@ -311,7 +311,7 @@ def _agent_nodes(agent, m, t_max):
             if lo <= clock <= hi:
                 succ.append((tgt, clock, elapsed))
         if loc == agent["final"] and clock == agent["period"]:
-            succ.append((agent["init_loc"], 0, elapsed))
+            succ.append((agent["locs"][0], 0, elapsed))
         can_delay = (clock < agent["period"] if loc == agent["final"]
                      else any(clock < t[5] for t in m.outgoing(agent, loc)))
         if can_delay and elapsed < t_max:

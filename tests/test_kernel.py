@@ -187,13 +187,11 @@ def test_one_zone_per_configuration(request, monkeypatch, fixture, x_bound, stat
 def test_engine_final_matches_successors(request, semantics, fixture, x_bound,
                                          time_bound):
     m = request.getfixturevalue(fixture)
-    engine = mc._Engine(m, "EF", expr.parse_predicate("true"), None, semantics,
-                        x_bound, sem.DEFAULT_BUDGET)
     kernel = Kernel(m, semantics, x_bound)
     dist = sem.explore(m, semantics, x_bound, time_bound=time_bound).states
     assert len(dist) > 1
     for s in dist:
-        assert engine.final(engine.kernel.entry(s)) == (not kernel.successors(s))
+        assert kernel.final(kernel.entry(s)) == (not kernel.successors(s))
 
 
 def _count_transform_calls(monkeypatch):

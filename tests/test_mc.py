@@ -5,30 +5,35 @@ from fractions import Fraction
 
 import pytest
 
-from maptmc import layers, mc, semantics as sem
+from maptmc import expr, layers, mc, semantics as sem
 from maptmc.errors import (
     BudgetExceeded,
+    MalformedState,
     MissingComponent,
     ParseError,
     PredicateError,
     UnknownReference,
     ValidationError,
 )
-from maptmc.mc import LeadsToQuery, NestedQuery, SimpleQuery
+from maptmc.mc import Query
 
 
 def test_parse_query_forms():
     q = mc.parse_query("EF load > 4")
-    assert isinstance(q, SimpleQuery) and q.op == "EF"
-    assert isinstance(mc.parse_query("EG count <= 1"), SimpleQuery)
-    assert mc.parse_query("AF (count >= 2)").op == "AF"
-    assert mc.parse_query("AG load <= 4").op == "AG"
+    assert isinstance(q, Query) and (q.kind, q.negate) == ("EF", False)
+    q = mc.parse_query("EG count <= 1")
+    assert (q.kind, q.q, q.negate) == ("EG", None, False)
+    af = mc.parse_query("AF (count >= 2)")
+    assert (af.kind, af.negate) == ("EG", True) and isinstance(af.p, expr.Not)
+    ag = mc.parse_query("AG load <= 4")
+    assert (ag.kind, ag.negate) == ("EF", True) and isinstance(ag.p, expr.Not)
     nested_f = mc.parse_query("EF (count >= 1 && EF load > 7)")
-    assert isinstance(nested_f, NestedQuery) and nested_f.inner == "EF"
+    assert (nested_f.kind, nested_f.negate) == ("EFEF", False)
     nested_g = mc.parse_query("EF (count >= 1 && EG load >= 1/2)")
-    assert isinstance(nested_g, NestedQuery) and nested_g.inner == "EG"
+    assert (nested_g.kind, nested_g.negate) == ("EFEG", False)
     leads = mc.parse_query("count >= 1 --> load < 9")
-    assert isinstance(leads, LeadsToQuery)
+    assert (leads.kind, leads.negate) == ("EFEG", True)
+    assert isinstance(leads.q, expr.Not)
 
 
 QUERY_PARSE_ERRORS = [
@@ -105,6 +110,13 @@ def test_check_argument_validation(two_tasks):
                  strategy="width", heuristic=h)
     with pytest.raises(ValidationError):
         mc.check(two_tasks, "EF load > 4", x_bound=1, cuts=())
+
+
+def test_check_validates_given_cuts(two_tasks):
+    # a cut naming one agent of two matches no configuration
+    with pytest.raises(MalformedState):
+        mc.check(two_tasks, "AG (count >= 0)", x_bound={"count": 2},
+                 cuts=(layers.CutSpec(4, ("a_start",), (4,)),))
 
 
 @pytest.mark.parametrize("strategy", mc.STRATEGIES)

@@ -1,6 +1,7 @@
 """Concrete and accelerated step semantics, exploration and abstraction."""
 
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -16,9 +17,11 @@ from maptmc.errors import (
     BudgetExceeded,
     MalformedState,
     NotEnabled,
+    ParseError,
     UnknownReference,
     ValidationError,
 )
+from maptmc.model import model_from_dict, model_to_dict
 from maptmc.semantics import Delay, Fire, Reset
 
 import oracle
@@ -220,6 +223,13 @@ def test_normalize_x_bound(two_tasks, staged):
     assert sem.normalize_x_bound(staged, None) is None
 
 
+@pytest.mark.parametrize("x_bound", [{"count": "1/0"}, {"count": "abc"}, "1/0",
+                                     {"count": True}, [2]])
+def test_unreadable_x_bound_is_a_parse_error(two_tasks, x_bound):
+    with pytest.raises(ParseError, match="x bound"):
+        sem.normalize_x_bound(two_tasks, x_bound)
+
+
 @pytest.mark.parametrize("raw", [7, "7", Fraction(14, 2)])
 def test_normalize_x_bound_gives_ints_for_whole_bounds(two_tasks, raw):
     bound = sem.normalize_x_bound(two_tasks, raw)["count"]
@@ -344,6 +354,28 @@ def test_explore_graph_matches_oracle(request, fixture, x_bound, semantics):
     assert {_plain_state(s) for s in ex.finals} == finals
     assert (len(ex.dist), len(ex.arcs), len(ex.ends)) == \
         (len(dist), len(edges), len(finals))
+
+
+@pytest.mark.parametrize("semantics,sizes", [
+    ("original", (199, 231, 54)),
+    ("accelerated", (145, 160, 38)),
+])
+def test_oracle_resets_to_first_locality(two_tasks, tmp_path, semantics, sizes):
+    # with task_a placed on its final locality at time 0, a reset that
+    # returned it there would never let it tally again, so the count bound
+    # would never close the space
+    data = model_to_dict(two_tasks)
+    data["agents"][0]["init_locality"] = "a_end"
+    path = tmp_path / "placed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    raw = oracle.RawModel(path)
+    dist, edges, finals = oracle.build_graph(raw, semantics, {"count": Fraction(2)},
+                                             cap=1000)
+    ex = sem.explore(model_from_dict(data), semantics, {"count": 2})
+    assert {_plain_state(s): d for s, d in ex.states.items()} == dist
+    assert {_plain_state(s) for s in ex.finals} == finals
+    assert (len(ex.dist), len(ex.arcs), len(ex.ends)) == \
+        (len(dist), len(edges), len(finals)) == sizes
 
 
 def test_explore_two_tasks_invariants(two_tasks):
