@@ -129,8 +129,8 @@ def _cmd_explore(args, m):
     _require_mapt(m, args.assume_acyclic)
     result = sem.explore(m, args.semantics, args.x_bound,
                          time_bound=args.time_bound, budget=args.budget)
-    # the counts read the compact graph; only --dot builds its States
-    states, edges, finals = len(result.dist), len(result.arcs), len(result.ends)
+    # the batch pass counted the graph; only --dot builds it
+    states, edges, finals = result.counts
     if args.dot_path:
         if states > DOT_NODE_CAP:
             raise MaptError(

@@ -249,6 +249,8 @@ def check(m, query, x_bound=None, semantics="accelerated", strategy="layered-dfs
     With strategy 'layered-dfs' and no cuts supplied, the best coherent
     cut (largest margin from every event window) is chosen automatically;
     supplied cuts are checked against the model first (MalformedState).
+    The width strategy reads no cuts, strong set or heuristic, so it
+    refuses each with ValueError.
     """
     if isinstance(query, str):
         query = parse_query(query)
@@ -258,10 +260,15 @@ def check(m, query, x_bound=None, semantics="accelerated", strategy="layered-dfs
         raise ValueError("a heuristic requires the layered-dfs strategy")
     if cuts is not None:
         layers.validate_cuts(m, cuts)
+    strong = layers.strong_components(m, strong_set)
+    if strategy == "width":
+        if cuts is not None:
+            raise ValueError("cuts require the layered-dfs strategy")
+        if strong_set is not None:
+            raise ValueError("a strong or weak set requires the layered-dfs strategy")
     kernel = sem.Kernel(m, semantics, x_bound)
     stats = CheckStats()
     visit = _visitor(kernel, query, budget, stats)
-    strong = layers.strong_components(m, strong_set)
     if strategy == "width":
         verdict = _width(kernel, visit, stats)
     else:

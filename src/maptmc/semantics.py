@@ -16,6 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import filterfalse
 
 from . import expr
 from .errors import (BudgetExceeded, MalformedState, NotEnabled, ParseError,
@@ -189,7 +190,9 @@ class Kernel:
     left.  It never validates a state: the public functions below run
     check_state on the state they are given, and the exploring loops only
     feed it entries it produced.  A State is the view at the edge: entry,
-    state and view convert, and successors is moves over States.
+    state and view convert, and successors is moves over States.  expand
+    is moves over a batch, the value ids of one configuration at one time
+    distance, which explore takes at once.
 
     Events come out in a fixed order: fires by agent and then in
     declaration order, then resets by agent, then the delay.  With an X
@@ -347,6 +350,38 @@ class Kernel:
             out.append((delay[0], (delay[1], vid)))
         return out
 
+    def expand(self, cid, vids, elapsed=0):
+        """moves over a batch: the entries (cid, vid) for every vid in vids,
+        all at time distance elapsed, taken at once.  Returns (live,
+        targets): live lists the vids that have not reached the X bound, in
+        the order of vids, and targets holds (target cid, gain, target vids)
+        per event enabled in cid within the bounds, in the order of moves,
+        with one target vid per live vid; gain is the delay's amount, 0 for
+        a fire or a reset.  A fire applies its transform only to the vids
+        its memo misses."""
+        if self.x_bound:
+            vids = list(filterfalse(self._reached.__getitem__, vids))
+        if not vids:
+            return vids, []
+        fires, resets, delay = self._plans[cid] or self._plan(cid)
+        values = self.values
+        out = []
+        for _, target, apply, memo in fires:
+            t_vids = list(map(memo.get, vids))
+            if None in t_vids:
+                for i, t_vid in enumerate(t_vids):
+                    if t_vid is None:
+                        vid = vids[i]
+                        # a transform that raises stores nothing, as in moves
+                        t_vids[i] = memo[vid] = self._vid(apply(values[vid]))
+            out.append((target, 0, t_vids))
+        for _, target in resets:
+            out.append((target, 0, vids))
+        delay = self._delay(delay, elapsed)
+        if delay is not None:
+            out.append((delay[1], delay[0].amount, vids))
+        return vids, out
+
     def successors(self, s, elapsed=0):
         """moves over States: (event, target State) pairs for every event
         enabled in s within the bounds."""
@@ -454,9 +489,9 @@ def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None,
     acyclic: then a dropped entry would be walked again, and an entry met
     at two distances goes unnoticed.  So sweep_indicators,
     state_space_equiv and abstract_reachable trim only when
-    validate_acyclicity proves the model, and explore never does, since
-    its seen map is its output.  The walk order and what it yields do not
-    change.
+    validate_acyclicity proves the model, and the graph of explore never
+    does, since its seen map is its output.  The walk order and what it
+    yields do not change.
     """
     key = start if fold is None else (start, tag)
     queue = deque([(start, tag, 0)])
@@ -509,17 +544,47 @@ def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None,
 
 
 class Exploration:
-    """The reachable graph that explore returns, kept compact: dist maps
-    each entry of kernel to its time distance from the initial state,
-    arcs holds (entry, event, entry) triples and ends the entries with no
-    successor within the bounds.  states, edges and finals are the same
-    graph over States, built on first access, once."""
+    """The reachable graph that explore returns.
 
-    def __init__(self, kernel, dist, arcs, ends):
+    counts is (states, edges, finals), known as soon as explore returns.
+    The graph itself is built on first access, once: dist maps each entry
+    of kernel to its time distance from the initial state, arcs holds
+    (entry, event, entry) triples and ends the entries with no successor
+    within the bounds.  It comes from a replay of walk over the same
+    kernel, whose plans and memos the batch pass has filled, so its order
+    is walk's FIFO order.  states, edges and finals are the same graph
+    over States."""
+
+    def __init__(self, kernel, counts, budget):
         self.kernel = kernel
-        self.dist = dist
-        self.arcs = arcs
-        self.ends = ends
+        self.counts = counts
+        self._budget = budget
+
+    @cached_property
+    def _graph(self):
+        dist = {}
+        arcs = []
+        ends = []
+        for s, _, succ in walk(self.kernel, self.kernel.start, budget=self._budget,
+                               seen=dist,
+                               message=f"exploration exceeded {self._budget} states"):
+            if not succ:
+                ends.append(s)
+            for e, t in succ:
+                arcs.append((s, e, t))
+        return dist, arcs, ends
+
+    @property
+    def dist(self):
+        return self._graph[0]
+
+    @property
+    def arcs(self):
+        return self._graph[1]
+
+    @property
+    def ends(self):
+        return self._graph[2]
 
     @cached_property
     def _view(self):
@@ -545,23 +610,63 @@ class Exploration:
 
 
 def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGET):
-    """Width-first reachable graph within the given bounds.
+    """The reachable graph within the given bounds, as an Exploration.
 
-    Every reachable state of a valid model sits at a single time distance
-    from the start; a state found at two distances means the model is not
-    acyclic and exploration stops with ValidationError.
+    A batch pass counts it.  It takes the time distances lowest first; at
+    each, it expands one batch per configuration id, the value ids new
+    there, through Kernel.expand.  Fires and resets land at the same
+    distance, the delay at distance + its amount.  A target batch is
+    deduplicated against the value ids its configuration has seen, as one
+    set difference.  Every reachable state of a valid model sits at a
+    single time distance from the start; a state found at two distances
+    means the model is not acyclic and exploration stops with
+    ValidationError.  More than budget states raise BudgetExceeded.
     """
     kernel = Kernel(m, semantics, x_bound, time_bound)
-    dist = {}
-    arcs = []
-    ends = []
-    for s, _, succ in walk(kernel, kernel.start, budget=budget,
-                           seen=dist, message=f"exploration exceeded {budget} states"):
-        if not succ:
-            ends.append(s)
-        for e, t in succ:
-            arcs.append((s, e, t))
-    return Exploration(kernel, dist, tuple(arcs), tuple(ends))
+    message = f"exploration exceeded {budget} states"
+    cid, vid = kernel.start
+    seen = {cid: {vid: 0}}      # cid -> {vid: time distance}
+    # time distance -> {cid: [vids found there, vids not yet expanded]}
+    levels = {0: {cid: [{vid}, [vid]]}}
+    states, edges, finals = 1, 0, 0
+    if states > budget:
+        raise BudgetExceeded(message)
+    while levels:
+        d = min(levels)
+        level = levels[d]
+        ready = deque(c for c, (_, todo) in level.items() if todo)
+        while ready:
+            cid = ready.popleft()
+            slot = level[cid]
+            vids, slot[1] = slot[1], []
+            live, targets = kernel.expand(cid, vids, d)
+            edges += len(live) * len(targets)
+            finals += len(vids) - len(live) if targets else len(vids)
+            for target, gain, t_vids in targets:
+                t_level = levels.setdefault(d + gain, {}) if gain else level
+                t_slot = t_level.get(target)
+                if t_slot is None:
+                    t_slot = t_level[target] = [set(), []]
+                fresh = set(t_vids).difference(t_slot[0])
+                if not fresh:
+                    continue
+                t_seen = seen.setdefault(target, {})
+                new = fresh.difference(t_seen)
+                if len(new) != len(fresh):
+                    known = t_seen[next(v for v in fresh if v in t_seen)]
+                    raise ValidationError(
+                        "a state was reached at two distinct time distances "
+                        f"({known} and {d + gain}); the model is not acyclic")
+                states += len(new)
+                if states > budget:
+                    raise BudgetExceeded(message)
+                t_seen.update(dict.fromkeys(new, d + gain))
+                t_slot[0] |= new
+                if not gain and not t_slot[1]:
+                    ready.append(target)
+                t_slot[1].extend(new)
+        del levels[d]
+    return Exploration(kernel, (states, edges, finals), budget)
 
 
 def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,

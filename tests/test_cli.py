@@ -39,6 +39,27 @@ def test_explore_counts_build_no_states(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_explore_walks_entries_only_for_dot(capsys, monkeypatch, tmp_path):
+    # the count line comes from the batch pass; only --dot replays the
+    # per-entry walk, once, to build the graph it writes
+    walks = []
+    walk = sem.walk
+
+    def spy(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(sem, "walk", spy)
+    line = "explored semantics=accelerated states=365 edges=406 finals=94\n"
+    argv = ["explore", TWO_TASKS, "--x-bound", "count=3", "--format", "machine"]
+    assert run_cli(capsys, *argv) == (0, line, "")
+    assert walks == []
+    dot = tmp_path / "g.dot"
+    assert run_cli(capsys, *argv, "--dot", str(dot)) == (0, line, "")
+    assert len(walks) == 1
+    assert dot.read_text(encoding="utf-8").count(" -> ") == 406
+
+
 def test_validate_ok(capsys):
     code, out, _ = run_cli(capsys, "validate", TWO_TASKS)
     assert code == 0
@@ -324,6 +345,14 @@ def assert_one_error_line(code, err):
                   "--heuristic-arg", "ahead=load"],
                  "error: --heuristic-arg needs --heuristic",
                  id="heuristic-arg-without-heuristic-before-load"),
+    pytest.param(["check", TWO_TASKS, "EF load >= 2", "--x-bound", "count=1",
+                  "--strategy", "width", "--strong-set", "count"],
+                 "error: a strong or weak set requires the layered-dfs strategy",
+                 id="width-strong-set"),
+    pytest.param(["check", TWO_TASKS, "EF load >= 2", "--x-bound", "count=1",
+                  "--strategy", "width", "--weak-set", "load"],
+                 "error: a strong or weak set requires the layered-dfs strategy",
+                 id="width-weak-set"),
     pytest.param(["explore", TWO_TASKS, "--budget", "-5"],
                  "error: bad --budget value '-5', expected a whole number >= 0",
                  id="negative-budget"),
@@ -407,6 +436,15 @@ def test_check_with_cuts_file(capsys, tmp_path, two_tasks):
         capsys, "check", TWO_TASKS, "EF load >= 2",
         "--x-bound", "count=1", "--cuts", str(path))
     assert code == 0
+
+
+def test_width_check_refuses_cuts_file(capsys, tmp_path, two_tasks):
+    path = tmp_path / "cuts.txt"
+    path.write_text(layers.format_cuts(layers.find_cuts(two_tasks)),
+                    encoding="utf-8")
+    assert run_cli(capsys, "check", TWO_TASKS, "EF load >= 2", "--x-bound", "count=1",
+                   "--strategy", "width", "--cuts", str(path)) == (
+        2, "", "error: cuts require the layered-dfs strategy\n")
 
 
 def test_check_strong_weak_sets(capsys):

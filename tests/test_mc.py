@@ -112,6 +112,20 @@ def test_check_argument_validation(two_tasks):
         mc.check(two_tasks, "EF load > 4", x_bound=1, cuts=())
 
 
+@pytest.mark.parametrize("options,message", [
+    ({"cuts": ()}, "^cuts require the layered-dfs strategy$"),
+    ({"strong_set": ("count",)},
+     "^a strong or weak set requires the layered-dfs strategy$"),
+    ({"strong_set": ()}, "^a strong or weak set requires the layered-dfs strategy$"),
+], ids=["cuts", "strong-set", "empty-strong-set"])
+def test_width_refuses_layered_options(two_tasks, options, message):
+    # the width walk reads no cut and no strong set, so it refuses them as
+    # it refuses a heuristic, instead of giving a verdict without them
+    with pytest.raises(ValueError, match=message):
+        mc.check(two_tasks, "AG load <= 18/5", x_bound={"count": 2},
+                 strategy="width", **options)
+
+
 def test_check_validates_given_cuts(two_tasks):
     # a cut naming one agent of two matches no configuration
     with pytest.raises(MalformedState):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maptmc import semantics as sem
+from maptmc import layers, semantics as sem
 from maptmc.errors import (
     BudgetExceeded,
     MalformedState,
@@ -21,10 +21,11 @@ from maptmc.errors import (
     UnknownReference,
     ValidationError,
 )
-from maptmc.model import model_from_dict, model_to_dict
+from maptmc.model import model_from_dict, model_to_dict, validate_acyclicity
 from maptmc.semantics import Delay, Fire, Reset
 
 import oracle
+from test_layers import agents_model, live_agents
 
 
 def advance(m, s, *events):
@@ -332,6 +333,38 @@ def _plain_state(s):
     return (s.localities, s.clocks, s.values)
 
 
+def _two_distances(dist, edges):
+    """True when an edge of the oracle's graph joins two states whose
+    first-found distances it does not bridge: then some state is reachable
+    at two time distances."""
+    return any(dist[s] + (lab[1] if lab[0] == "delay" else 0) != dist[t]
+               for s, lab, t in edges)
+
+
+def assert_explore_matches_oracle(m, raw, semantics, x_bound=None, time_bound=None):
+    """explore's graph is the oracle's: every state with its distance,
+    every edge with its event, in walk order, and the finals; the counts of
+    the batch pass equal the sizes of the graph the walk replays.  Where the
+    oracle's graph holds a state at two time distances, explore stops with
+    the not-acyclic error instead.  Returns whether the graphs were
+    compared."""
+    bound = None if x_bound is None else {n: Fraction(v) for n, v in x_bound.items()}
+    dist, edges, finals = oracle.build_graph(raw, semantics, bound, time_bound)
+    if _two_distances(dist, edges):
+        with pytest.raises(ValidationError, match="the model is not acyclic$"):
+            sem.explore(m, semantics, x_bound, time_bound=time_bound)
+        return False
+    ex = sem.explore(m, semantics, x_bound, time_bound=time_bound)
+    assert ex.counts == (len(dist), len(edges), len(finals))
+    assert {_plain_state(s): d for s, d in ex.states.items()} == dist
+    assert [(_plain_state(s), _oracle_label(e), _plain_state(t))
+            for s, e, t in ex.edges] == edges
+    assert {_plain_state(s) for s in ex.finals} == finals
+    assert (len(ex.dist), len(ex.arcs), len(ex.ends)) == \
+        (len(dist), len(edges), len(finals))
+    return True
+
+
 # two_tasks at the petri-check CI bound and vehicles at the explore CI
 # bound, both run under each semantics; staged at the bound its tests use
 @pytest.mark.parametrize("semantics", sem.SEMANTICS)
@@ -341,19 +374,25 @@ def _plain_state(s):
     ("staged", {"cycles": 3}),
 ])
 def test_explore_graph_matches_oracle(request, fixture, x_bound, semantics):
-    # the whole graph, not only its size: every state with its distance,
-    # every edge with its event, in walk order, and the finals
-    m = request.getfixturevalue(fixture)
-    raw = request.getfixturevalue(f"raw_{fixture}")
-    bound = {n: Fraction(v) for n, v in x_bound.items()}
-    dist, edges, finals = oracle.build_graph(raw, semantics, bound)
-    ex = sem.explore(m, semantics, x_bound)
-    assert {_plain_state(s): d for s, d in ex.states.items()} == dist
-    assert [(_plain_state(s), _oracle_label(e), _plain_state(t))
-            for s, e, t in ex.edges] == edges
-    assert {_plain_state(s) for s in ex.finals} == finals
-    assert (len(ex.dist), len(ex.arcs), len(ex.ends)) == \
-        (len(dist), len(edges), len(finals))
+    assert assert_explore_matches_oracle(request.getfixturevalue(fixture),
+                                         request.getfixturevalue(f"raw_{fixture}"),
+                                         semantics, x_bound)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda k: st.tuples(*(live_agents(f"g{i}") for i in range(k)))))
+def test_explore_matches_oracle_on_generated_models(tmp_path_factory, agents):
+    # Every hop bumps the X counter n, so validate_acyclicity proves a model
+    # as soon as one agent has a hop, and only then does an X bound on n
+    # close the space; a time bound of two hyperperiods always does.
+    m, raw = agents_model(agents, tmp_path_factory.mktemp("gen") / "model.json")
+    horizon = 2 * layers.lcm_periods(m)
+    proven = validate_acyclicity(m)[0]
+    for semantics in sem.SEMANTICS:
+        if proven:
+            assert_explore_matches_oracle(m, raw, semantics, x_bound={"n": 3})
+        assert_explore_matches_oracle(m, raw, semantics, time_bound=horizon)
 
 
 @pytest.mark.parametrize("semantics,sizes", [
@@ -394,13 +433,20 @@ def test_explore_frozen_staged_counts(staged):
     assert len(sem.explore(staged, "accelerated", time_bound=30).states) == 58
 
 
-def test_explore_budget(staged):
-    with pytest.raises(BudgetExceeded):
-        sem.explore(staged, "original", time_bound=30, budget=10)
-    # the budget counts expanded states: the 116-state space fits exactly
-    assert len(sem.explore(staged, "original", time_bound=30, budget=116).states) == 116
-    with pytest.raises(BudgetExceeded, match="^exploration exceeded 115 states$"):
-        sem.explore(staged, "original", time_bound=30, budget=115)
+def test_explore_budget(staged, vehicles):
+    # the budget counts states: the whole space fits exactly, and its
+    # graph, built after the count, holds exactly that many states
+    for m, semantics, bounds, size in (
+            (staged, "original", {"time_bound": 30}, 116),
+            (staged, "accelerated", {"time_bound": 30}, 58),
+            (vehicles, "accelerated", {"x_bound": {"pos_a": 20, "pos_b": 20}}, 12375)):
+        with pytest.raises(BudgetExceeded):
+            sem.explore(m, semantics, budget=10, **bounds)
+        ex = sem.explore(m, semantics, budget=size, **bounds)
+        assert ex.counts[0] == len(ex.states) == len(ex.dist) == size
+        with pytest.raises(BudgetExceeded,
+                           match=f"^exploration exceeded {size - 1} states$"):
+            sem.explore(m, semantics, budget=size - 1, **bounds)
 
 
 def _word(word, e, t):
