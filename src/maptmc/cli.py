@@ -265,15 +265,15 @@ def _build_parser():
         description="Model checker for multi-agent systems with timed periodic tasks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run, semantics=True):
+    def common(p, run, explores=True):
         p.set_defaults(run=run)
         p.add_argument("model", help="model file (JSON)")
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--budget", type=_whole("--budget"), default=sem.DEFAULT_BUDGET,
-                       help="node budget for explorations")
         p.add_argument("--assume-acyclic", action="store_true",
                        help="waive a failed acyclicity proof")
-        if semantics:
+        if explores:
+            p.add_argument("--budget", type=_whole("--budget"), default=sem.DEFAULT_BUDGET,
+                           help="node budget for explorations")
             p.add_argument("--semantics", choices=sem.SEMANTICS,
                            default="accelerated")
             p.add_argument("--x-bound", action="append", default=[],
@@ -282,7 +282,7 @@ def _build_parser():
                                 "for all of them); repeatable")
 
     p = sub.add_parser("validate", help="check the two model constraints")
-    common(p, _cmd_validate, semantics=False)
+    common(p, _cmd_validate, explores=False)
 
     p = sub.add_parser("explore", help="build the bounded reachable graph")
     common(p, _cmd_explore)
@@ -292,7 +292,7 @@ def _build_parser():
                         f"{DOT_NODE_CAP} nodes)")
 
     p = sub.add_parser("cuts", help="list coherent cut offsets")
-    common(p, _cmd_cuts, semantics=False)
+    common(p, _cmd_cuts, explores=False)
     p.add_argument("--exclude-endpoints", action="store_true",
                    help="also reject offsets on event window endpoints")
 

@@ -29,7 +29,7 @@ from . import expr, layers
 from . import semantics as sem
 from .errors import (BudgetExceeded, MissingComponent, ParseError,
                      PredicateError, UnknownReference, ValidationError)
-from .model import _IDENT, validate_acyclicity
+from .model import _IDENT
 
 STRATEGIES = ("width", "layered-dfs")
 
@@ -310,7 +310,8 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
     expression may read components, clocks and at(), but not final, and
     is compiled once.  A version is one final state together with the
     envelope its run history produced; distinct histories with different
-    envelopes survive deduplication separately.  Each name must be an
+    envelopes survive deduplication separately.  Versions come sorted on
+    their localities, clocks, values and bounds.  Each name must be an
     identifier, given once.
     """
     if isinstance(indicators, dict):
@@ -365,23 +366,10 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
 
     steps = sem.walk(kernel, kernel.start,
                      intern(tuple((v, v) for v in measure(kernel.start))), widen,
-                     budget=budget, message=f"sweep exceeded {budget} entries",
-                     trim=validate_acyclicity(m)[0])
-    ends = [(s, eid) for s, eid, succ in steps if not succ]
-    # sort on the rank of each number among the distinct final values and
-    # bounds: the same order as on the numbers, without Fraction compares.
-    # The ranks are read once per value id and per envelope id, not once
-    # per version
+                     budget=budget, message=f"sweep exceeded {budget} entries")
+    ends = [(s, eid) for s, eid, _, succ in steps if not succ]
     configs, values = kernel.configs, kernel.values
-    vids = {vid for (_, vid), _ in ends}
-    bounds = {eid: [b for pair in envelopes[eid] for b in pair] for _, eid in ends}
-    numbers = {v for vid in vids for v in values[vid]}
-    numbers.update(b for flat in bounds.values() for b in flat)
-    rank = {v: i for i, v in enumerate(sorted(numbers))}
-    value_ranks = {vid: [rank[v] for v in values[vid]] for vid in vids}
-    bound_ranks = {eid: [rank[b] for b in flat] for eid, flat in bounds.items()}
-    ends.sort(key=lambda end: (configs[end[0][0]], value_ranks[end[0][1]],
-                               bound_ranks[end[1]]))
+    ends.sort(key=lambda end: (configs[end[0][0]], values[end[0][1]], envelopes[end[1]]))
     view = kernel.view(s for s, _ in ends)
     versions = [SweepVersion(view[s], envelopes[eid]) for s, eid in ends]
     return SweepResult(names, tuple(versions))

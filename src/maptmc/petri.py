@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import semantics as sem
 from .errors import MalformedModel, NotEnabled
-from .model import eval_transform, validate_acyclicity
+from .model import eval_transform
 
 PLACES = ("localities", "clocks", "valuation")
 
@@ -235,9 +235,8 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
     kernel = sem.Kernel(m, semantics, x_bound)
     configs, values = kernel.configs, kernel.values
     steps = sem.walk(kernel, kernel.start,
-                     budget=budget, message=f"equivalence walk exceeded {budget} states",
-                     trim=validate_acyclicity(m)[0])
-    for checked, (s, _, succ) in enumerate(steps, 1):
+                     budget=budget, message=f"equivalence walk exceeded {budget} states")
+    for checked, (s, _, _, succ) in enumerate(steps, 1):
         if kernel.reached(s):
             continue
         mk = Marking(*configs[s[0]], values[s[1]])

@@ -469,39 +469,37 @@ def normalize_x_bound(m, x_bound):
     return out
 
 
-def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None,
-         trim=False):
+def walk(kernel, start, tag=None, fold=None, *, budget, message):
     """Width-first walk over the kernel's moves from the entry start;
-    yields (entry, tag, moves) per walk entry, in FIFO order.
+    yields (entry, tag, elapsed, moves) per walk entry, in FIFO order,
+    where elapsed is its time distance from start.
 
     Entries are the kernel's (cid, vid) pairs, so the walk queues and
     dedups pairs of small ints and builds no State.  Without fold a walk
     entry is an entry.  With fold it is an (entry, tag) pair, and a
-    successor's tag is fold(tag, event, target entry).  seen maps each
-    walk entry found to its time distance from start (pass a dict to keep
-    it); one found at two distances means the model is not acyclic.
-    Taking more than budget walk entries raises BudgetExceeded(message).
+    successor's tag is fold(tag, event, target entry).  A walk entry
+    found at two time distances means the model is not acyclic and raises
+    ValidationError.  Taking more than budget walk entries raises
+    BudgetExceeded(message).
 
-    With trim, the walk keeps one seen map per time distance instead, and
-    drops a distance's map once every queued entry is further away (the
-    sweep-line method).  No edge lowers the distance, so no entry below
-    the least queued distance can be found again, unless the model is not
-    acyclic: then a dropped entry would be walked again, and an entry met
-    at two distances goes unnoticed.  So sweep_indicators,
-    state_space_equiv and abstract_reachable trim only when
-    validate_acyclicity proves the model, and the graph of explore never
-    does, since its seen map is its output.  The walk order and what it
-    yields do not change.
+    When validate_acyclicity proves the kernel's model, which the walk
+    reads on its first step, it frees the distances it has passed (the
+    sweep-line method): it keeps one seen map per time distance and drops
+    a distance's map once every queued entry is further away.  No edge
+    lowers the distance, so no dropped entry can be found again, unless
+    the model is not acyclic; an unproven model keeps one seen map for
+    the whole walk, which catches an entry met at two distances.  The
+    walk order and what it yields are the same either way.
     """
     key = start if fold is None else (start, tag)
     queue = deque([(start, tag, 0)])
-    # with trim: time distance -> [entries queued, seen map], and the
-    # least distance still queued
+    # on a proven model: time distance -> [entries queued, seen map], and
+    # the least distance still queued
     levels = None
-    if trim:
+    if validate_acyclicity(kernel.model)[0]:
         levels = {0: [1, {}]}
         seen = levels[0][1]
-    elif seen is None:
+    else:
         seen = {}
     seen[key] = 0
     low = 0
@@ -512,7 +510,7 @@ def walk(kernel, start, tag=None, fold=None, *, budget, message, seen=None,
         taken += 1
         s, tag, elapsed = queue.popleft()
         succ = kernel.moves(s, elapsed)
-        yield s, tag, succ
+        yield s, tag, elapsed, succ
         for e, t in succ:
             t_elapsed = elapsed + e.amount if isinstance(e, Delay) else elapsed
             t_tag = None if fold is None else fold(tag, e, t)
@@ -547,13 +545,15 @@ class Exploration:
     """The reachable graph that explore returns.
 
     counts is (states, edges, finals), known as soon as explore returns.
-    The graph itself is built on first access, once: dist maps each entry
-    of kernel to its time distance from the initial state, arcs holds
-    (entry, event, entry) triples and ends the entries with no successor
-    within the bounds.  It comes from a replay of walk over the same
-    kernel, whose plans and memos the batch pass has filled, so its order
-    is walk's FIFO order.  states, edges and finals are the same graph
-    over States."""
+    The graph itself is built on first access, once, from a replay of
+    walk over the same kernel, whose plans and memos the batch pass has
+    filled, so its order is walk's FIFO order: states maps each State to
+    its time distance from the initial state, edges holds (State, event,
+    State) triples and finals the States with no successor within the
+    bounds.  On a proven model the replay frees the distances it has
+    passed, and that is exact: it runs only after the batch pass has
+    walked the same bounded space, which stops with ValidationError
+    wherever a state sits at two distances."""
 
     def __init__(self, kernel, counts, budget):
         self.kernel = kernel
@@ -565,48 +565,32 @@ class Exploration:
         dist = {}
         arcs = []
         ends = []
-        for s, _, succ in walk(self.kernel, self.kernel.start, budget=self._budget,
-                               seen=dist,
-                               message=f"exploration exceeded {self._budget} states"):
+        for s, _, d, succ in walk(self.kernel, self.kernel.start, budget=self._budget,
+                                  message=f"exploration exceeded {self._budget} states"):
+            dist[s] = d
             if not succ:
                 ends.append(s)
             for e, t in succ:
                 arcs.append((s, e, t))
-        return dist, arcs, ends
+        view = self.kernel.view(dist)
+        return ({view[s]: d for s, d in dist.items()},
+                tuple([(view[s], e, view[t]) for s, e, t in arcs]),
+                frozenset(view[s] for s in ends))
 
     @property
-    def dist(self):
+    def states(self):
+        """State -> time distance from the initial state."""
         return self._graph[0]
 
     @property
-    def arcs(self):
+    def edges(self):
+        """(State, event, State) triples."""
         return self._graph[1]
 
     @property
-    def ends(self):
-        return self._graph[2]
-
-    @cached_property
-    def _view(self):
-        return self.kernel.view(self.dist)
-
-    @cached_property
-    def states(self):
-        """State -> time distance from the initial state."""
-        view = self._view
-        return {view[entry]: d for entry, d in self.dist.items()}
-
-    @cached_property
-    def edges(self):
-        """(State, event, State) triples."""
-        view = self._view
-        return tuple([(view[s], e, view[t]) for s, e, t in self.arcs])
-
-    @cached_property
     def finals(self):
         """States with no successor within the bounds."""
-        view = self._view
-        return frozenset(view[entry] for entry in self.ends)
+        return self._graph[2]
 
 
 def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGET):
@@ -615,56 +599,51 @@ def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGE
     A batch pass counts it.  It takes the time distances lowest first; at
     each, it expands one batch per configuration id, the value ids new
     there, through Kernel.expand.  Fires and resets land at the same
-    distance, the delay at distance + its amount.  A target batch is
-    deduplicated against the value ids its configuration has seen, as one
-    set difference.  Every reachable state of a valid model sits at a
-    single time distance from the start; a state found at two distances
-    means the model is not acyclic and exploration stops with
-    ValidationError.  More than budget states raise BudgetExceeded.
+    distance, the delay at distance + its amount.  One seen map holds,
+    per configuration id, the time distance of each value id found; a
+    target batch keeps the value ids that map lacks, as one set
+    difference.  Every reachable state of a valid model sits at a single
+    time distance from the start; a state found at two distances means
+    the model is not acyclic and exploration stops with ValidationError.
+    More than budget states raise BudgetExceeded.
     """
     kernel = Kernel(m, semantics, x_bound, time_bound)
     message = f"exploration exceeded {budget} states"
     cid, vid = kernel.start
     seen = {cid: {vid: 0}}      # cid -> {vid: time distance}
-    # time distance -> {cid: [vids found there, vids not yet expanded]}
-    levels = {0: {cid: [{vid}, [vid]]}}
+    levels = {0: {cid: [vid]}}  # time distance -> {cid: vids not yet expanded}
     states, edges, finals = 1, 0, 0
     if states > budget:
         raise BudgetExceeded(message)
     while levels:
         d = min(levels)
         level = levels[d]
-        ready = deque(c for c, (_, todo) in level.items() if todo)
-        while ready:
-            cid = ready.popleft()
-            slot = level[cid]
-            vids, slot[1] = slot[1], []
-            live, targets = kernel.expand(cid, vids, d)
-            edges += len(live) * len(targets)
-            finals += len(vids) - len(live) if targets else len(vids)
-            for target, gain, t_vids in targets:
-                t_level = levels.setdefault(d + gain, {}) if gain else level
-                t_slot = t_level.get(target)
-                if t_slot is None:
-                    t_slot = t_level[target] = [set(), []]
-                fresh = set(t_vids).difference(t_slot[0])
-                if not fresh:
-                    continue
-                t_seen = seen.setdefault(target, {})
-                new = fresh.difference(t_seen)
-                if len(new) != len(fresh):
-                    known = t_seen[next(v for v in fresh if v in t_seen)]
-                    raise ValidationError(
-                        "a state was reached at two distinct time distances "
-                        f"({known} and {d + gain}); the model is not acyclic")
-                states += len(new)
-                if states > budget:
-                    raise BudgetExceeded(message)
-                t_seen.update(dict.fromkeys(new, d + gain))
-                t_slot[0] |= new
-                if not gain and not t_slot[1]:
-                    ready.append(target)
-                t_slot[1].extend(new)
+        while level:
+            # FIFO: a batch that grows again once taken goes to the back
+            for cid in list(level):
+                vids = level.pop(cid)
+                live, targets = kernel.expand(cid, vids, d)
+                edges += len(live) * len(targets)
+                finals += len(vids) - len(live) if targets else len(vids)
+                for target, gain, t_vids in targets:
+                    t_d = d + gain
+                    t_seen = seen.setdefault(target, {})
+                    fresh = set(t_vids)
+                    new = fresh.difference(t_seen)
+                    if len(new) != len(fresh):
+                        known = {t_seen[v] for v in fresh - new} - {t_d}
+                        if known:
+                            raise ValidationError(
+                                "a state was reached at two distinct time distances "
+                                f"({min(known)} and {t_d}); the model is not acyclic")
+                        if not new:
+                            continue
+                    states += len(new)
+                    if states > budget:
+                        raise BudgetExceeded(message)
+                    t_seen.update(dict.fromkeys(new, t_d))
+                    t_level = levels.setdefault(t_d, {}) if gain else level
+                    t_level.setdefault(target, []).extend(new)
         del levels[d]
     return Exploration(kernel, (states, edges, finals), budget)
 
@@ -687,16 +666,15 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
     kernel = Kernel(m, semantics, x_bound, time_bound)
     start = kernel.start
     message = f"abstract exploration exceeded {budget} entries"
-    proven = validate_acyclicity(m)[0]
-    if not proven:
+    if not validate_acyclicity(m)[0]:
         for _ in walk(kernel, start, budget=budget, message=message):
             pass
     configs, values = kernel.configs, kernel.values
     out = {}
-    for (cid, vid), word, succ in walk(
+    for (cid, vid), word, _, succ in walk(
             kernel, start, (),
             lambda word, e, t: word if isinstance(e, Delay) else word + (e,),
-            budget=budget, message=message, trim=proven):
+            budget=budget, message=message):
         if succ:
             continue
         label = (configs[cid][0], values[vid])

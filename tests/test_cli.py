@@ -132,24 +132,30 @@ def test_cyclic_model_stops_with_error(capsys, tmp_path, two_tasks, command, ext
 
 
 def test_walks_trim_only_proven_models(monkeypatch, two_tasks):
-    # sweep, petri-check and abstract_reachable free passed distances only
-    # when validate_acyclicity proves the model; on the drop-count model
-    # they keep the full map, so a state met at two distances still stops
-    # sweep and petri-check.  A (state, word) entry cannot be met at two
-    # distances, since the word counts every reset, so abstract_reachable
-    # first walks the states alone there, which stops it the same way.
+    # sweep, petri-check, abstract_reachable and the graph of explore free
+    # passed distances only when validate_acyclicity proves the model; on
+    # the drop-count model they keep the full map, so a state met at two
+    # distances still stops sweep and petri-check.  A (state, word) entry
+    # cannot be met at two distances, since the word counts every reset,
+    # so abstract_reachable first walks the states alone there, which
+    # stops it the same way.  Whether a walk trims is read from its
+    # levels local once it has taken its first step.
     trims = []
     walk = sem.walk
 
-    def spy(*args, trim=False, **kwargs):
-        trims.append(trim)
-        return walk(*args, trim=trim, **kwargs)
+    def spy(*args, **kwargs):
+        steps = walk(*args, **kwargs)
+        first = next(steps)
+        trims.append(steps.gi_frame.f_locals["levels"] is not None)
+        yield first
+        yield from steps
 
     monkeypatch.setattr(sem, "walk", spy)
     sem.abstract_reachable(two_tasks, "original", time_bound=4)
     mc.sweep_indicators(two_tasks, {"load": "load"}, 1, "original")
     petri.state_space_equiv(two_tasks, 1)
-    assert trims == [True, True, True]
+    assert sem.explore(two_tasks, "original", 1).states
+    assert trims == [True, True, True, True]
 
     data = model_to_dict(two_tasks)
     drop_count(data)
@@ -376,6 +382,16 @@ def test_argument_errors(capsys, argv, message):
     assert lines[-1] == message
     # only argparse's own errors print its usage above the error line
     assert len(lines) == 1 or message.startswith("maptmc ")
+
+
+@pytest.mark.parametrize("command", ["validate", "cuts"])
+def test_budget_only_where_read(capsys, command):
+    # validate and cuts explore nothing, so they take no --budget
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, TWO_TASKS, "--budget", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "maptmc: error: unrecognized arguments: --budget 5"
 
 
 def test_zero_bounds_are_valid(capsys):

@@ -117,7 +117,8 @@ def test_start_is_the_first_entry(two_tasks, semantics):
     assert kernel.state(kernel.start) == sem.initial_state(two_tasks)
     assert kernel.entry(sem.initial_state(two_tasks)) == kernel.start
     assert kernel.reached(kernel.start)
-    assert next(iter(sem.explore(two_tasks, semantics, 1).dist)) == (0, 0)
+    assert next(iter(sem.explore(two_tasks, semantics, 1).states)) == \
+        sem.initial_state(two_tasks)
 
 
 @pytest.mark.parametrize("semantics", sem.SEMANTICS)
@@ -229,14 +230,11 @@ def test_fire_memo_matches_interpreter(request, monkeypatch, semantics, fixture,
     m = request.getfixturevalue(fixture)
     calls = _count_transform_calls(monkeypatch)
     result = sem.explore(m, semantics, x_bound)
-    kernel = result.kernel
-    fires = [(s, e, t) for s, e, t in result.arcs if isinstance(e, Fire)]
-    pairs = {(s[1], id(_transform(m, e))) for s, e, _ in fires}
+    fires = [(s, e, t) for s, e, t in result.edges if isinstance(e, Fire)]
+    pairs = {(s.values, id(_transform(m, e))) for s, e, _ in fires}
     assert len(calls) == len(pairs) < len(fires)
     for s, e, t in fires:
-        source = kernel.state(s).values
-        assert kernel.values[t[1]] == eval_transform(_transform(m, e),
-                                                     m.component_names, source)
+        assert t.values == eval_transform(_transform(m, e), m.component_names, s.values)
 
 
 def test_fire_memo_keeps_no_failed_transform(two_tasks):

@@ -73,7 +73,12 @@ def test_exclude_endpoints_keeps_strictly_clear_offsets(staged):
 
 
 def assert_cuts_match_oracle(m, raw):
-    valid = oracle.cut_times(raw, layers.lcm_periods(m))
+    # cuts describe each agent's steady cycle, which it has entered by its
+    # first reset, at reset_period - init_clock; so the oracle is read over
+    # the second hyperperiod, shifted back by one
+    period = layers.lcm_periods(m)
+    valid = {t - period: points
+             for t, points in oracle.cut_times(raw, 2 * period).items() if t > period}
     cuts = layers.find_cuts(m)
     assert [c.t for c in cuts] == sorted(valid)
     for cut in cuts:
@@ -120,7 +125,9 @@ def live_agents(draw, name):
     """One strongly live agent: 1 to 4 localities in a row, maybe one skip
     hop.  Each locality has a level, rising along the row and at most the
     period; a hop's upper bound lies between the levels of its ends, so no
-    upper bound falls along a path and none passes the period."""
+    upper bound falls along a path and none passes the period.  The
+    initial clock is at most the latest exit of the first locality (the
+    period when it is the only one), so the agent starts live."""
     n = draw(st.integers(1, 4))
     period = draw(st.integers(1, 9))
     levels = sorted(draw(st.lists(st.integers(0, period), min_size=n, max_size=n)))
@@ -134,8 +141,10 @@ def live_agents(draw, name):
         hi = draw(st.integers(levels[i], levels[j]))
         lo = draw(st.integers(0, hi))
         hops.append(hop(f"{name}_{k}", locs[i], locs[j], lo, hi))
+    cap = max((h["interval"][1] for h in hops if h["from"] == locs[0]), default=period)
     return {"name": name, "localities": locs, "transitions": hops,
-            "reset_period": period, "init_locality": locs[0], "init_clock": 0}
+            "reset_period": period, "init_locality": locs[0],
+            "init_clock": draw(st.integers(0, cap))}
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
