@@ -23,13 +23,13 @@ NUMBER literals may be integers, decimals (kept exact) or p/q rationals.
 Transforms use plain arith with component names only; indicator and
 predicate arithmetic may also read agent clocks via clock(agent).
 
-Every expression is compiled once by compile_expr into a closure; the
-caller supplies how a name, clock, at or final is read.  eval_arith, a
-plain interpreter of transform arithmetic, is kept only as the reference
-the compiled transforms are checked against.
+The parser refuses nesting deeper than MAX_NESTING.  Every expression is
+compiled once into one generated Python function by the codegen module,
+whose code reads the overflow and division checks, checked and divide,
+from here.  eval_arith, a plain interpreter of transform arithmetic, is
+kept only as the reference the compiled transforms are checked against.
 """
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +38,13 @@ from .errors import DivisionByZero, Overflow, ParseError, PredicateError
 # Cap on numerator/denominator size; rationals are arbitrary precision, the
 # cap only stops runaway growth with a clear error instead of a hang.
 MAGNITUDE_BITS = 1 << 16
+
+# How deep the parser lets an expression nest.  Each parenthesis, min or
+# max call, unary minus and negation opens one level, an ite two (its call
+# and its comparison).  A level takes up to four Python frames of the
+# recursive descent, so a parse at the cap stays well inside Python's
+# default recursion limit of 1000, and one past it is a ParseError.
+MAX_NESTING = 200
 
 RESERVED = {
     "true", "false", "final", "at", "clock", "min", "max", "ite",
@@ -188,12 +195,21 @@ def tokenize(text):
 
 class Parser:
     """Recursive-descent parser over a token list; literal backtracks from
-    a comparison to a parenthesised predicate."""
+    a comparison to a parenthesised predicate.  depth counts the levels of
+    nesting open at pos (see MAX_NESTING)."""
 
     def __init__(self, text, allow_clock=False):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.allow_clock = allow_clock
+
+    def mark(self):
+        """Where the parser is, for reset to backtrack to."""
+        return self.pos, self.depth
+
+    def reset(self, mark):
+        self.pos, self.depth = mark
 
     def peek(self):
         return self.tokens[self.pos]
@@ -214,6 +230,13 @@ class Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column)
 
+    def deeper(self, levels=1):
+        """Open levels of nesting at the next token; the caller closes
+        them by taking them off depth when the nested part is parsed."""
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested more than {MAX_NESTING} levels deep")
+
     # arithmetic
 
     def arith(self):
@@ -232,8 +255,11 @@ class Parser:
 
     def unary(self):
         if self.peek().kind == "-":
+            self.deeper()
             self.next()
-            return Neg(self.unary())
+            node = Neg(self.unary())
+            self.depth -= 1
+            return node
         return self.atom()
 
     def atom(self):
@@ -245,21 +271,26 @@ class Parser:
             except ValueError:
                 raise ParseError(f"bad number {tok.text!r}", tok.line, tok.column)
         if tok.kind == "(":
+            self.deeper()
             self.next()
             node = self.arith()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.kind == "NAME":
             name = tok.text
             if name in ("min", "max"):
+                self.deeper()
                 self.next()
                 self.expect("(")
                 first = self.arith()
                 self.expect(",")
                 second = self.arith()
                 self.expect(")")
+                self.depth -= 1
                 return Call(name, (first, second))
             if name == "ite":
+                self.deeper(2)
                 self.next()
                 self.expect("(")
                 cond = self.compare()
@@ -268,6 +299,7 @@ class Parser:
                 self.expect(",")
                 orelse = self.arith()
                 self.expect(")")
+                self.depth -= 2
                 return Ite(cond, then, orelse)
             if name == "clock":
                 if not self.allow_clock:
@@ -314,8 +346,11 @@ class Parser:
     def literal(self):
         tok = self.peek()
         if tok.kind == "!":
+            self.deeper()
             self.next()
-            return Not(self.literal())
+            node = Not(self.literal())
+            self.depth -= 1
+            return node
         if tok.kind == "NAME":
             if tok.text == "true":
                 self.next()
@@ -334,15 +369,17 @@ class Parser:
                 locality = self.expect("NAME").text
                 self.expect(")")
                 return At(agent, locality)
-        save = self.pos
+        save = self.mark()
         try:
             return self.compare()
         except ParseError:
-            self.pos = save
+            self.reset(save)
         if tok.kind == "(":
+            self.deeper()
             self.next()
             node = self.pred()
             self.expect(")")
+            self.depth -= 1
             return node
         self.fail(f"expected a predicate, found {tok.text or 'end of input'!r}")
 
@@ -368,105 +405,23 @@ def exact(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def _checked(value, node):
+def checked(value, node):
     """value in canonical form, unless it outgrew the cap; node is the
     operation that made it and is rendered only for the error message."""
-    if value.numerator.bit_length() > MAGNITUDE_BITS or \
-            value.denominator.bit_length() > MAGNITUDE_BITS:
+    numerator, denominator = value.as_integer_ratio()
+    if numerator.bit_length() > MAGNITUDE_BITS or \
+            denominator.bit_length() > MAGNITUDE_BITS:
         raise Overflow(f"value in {to_text(node)} exceeds {MAGNITUDE_BITS} bits")
-    return exact(value)
+    return numerator if denominator == 1 else value
 
 
-def _divide(left, right, node):
+def divide(left, right, node):
     if right == 0:
         raise DivisionByZero(f"division by zero in {to_text(node)!r}")
     if type(right) is int:
         # int / int would be a float
-        return _checked(Fraction(left, right), node)
-    return _checked(left / right, node)
-
-
-_ARITH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_CMP_OPS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
-            ">=": operator.ge, ">": operator.gt}
-_BOOL_NODES = (Cmp, BoolLit, Not, BoolBin, At, FinalTest)
-_LEAVES = (Ref, ClockRef, At, FinalTest)
-
-
-def compile_expr(node, leaf, boolean=False):
-    """Compile an arithmetic expression, or with boolean a predicate, into
-    a function of one argument.
-
-    leaf(node) compiles each Ref, ClockRef, At and FinalTest: the caller
-    says what the argument is and how a leaf reads it, and refuses a leaf
-    by raising.  Every other node is compiled here, so each name is
-    resolved once, before anything is evaluated, also in a branch that is
-    never taken.  Arithmetic raises Overflow and DivisionByZero with the
-    same messages as eval_arith, rendered only when a check fails; && and
-    || short-circuit.  A node of the wrong kind raises PredicateError.
-    """
-    if isinstance(node, _BOOL_NODES) != boolean:
-        raise PredicateError(
-            f"not {'a boolean' if boolean else 'an arithmetic'} node: {node!r}")
-    if isinstance(node, _LEAVES):
-        return leaf(node)
-    if isinstance(node, Num):
-        value = exact(node.value)
-        return lambda arg: value
-    if isinstance(node, BoolLit):
-        value = node.value
-        return lambda arg: value
-    if isinstance(node, Neg):
-        operand = compile_expr(node.operand, leaf)
-        return lambda arg: -operand(arg)
-    if isinstance(node, Not):
-        operand = compile_expr(node.operand, leaf, True)
-        return lambda arg: not operand(arg)
-    if isinstance(node, Bin):
-        left = compile_expr(node.left, leaf)
-        right = compile_expr(node.right, leaf)
-        if node.op == "/":
-            return lambda arg: _divide(left(arg), right(arg), node)
-        op = _ARITH_OPS[node.op]
-        return lambda arg: _checked(op(left(arg), right(arg)), node)
-    if isinstance(node, Cmp):
-        test = _CMP_OPS[node.op]
-        left = compile_expr(node.left, leaf)
-        right = compile_expr(node.right, leaf)
-        return lambda arg: test(left(arg), right(arg))
-    if isinstance(node, BoolBin):
-        left = compile_expr(node.left, leaf, True)
-        right = compile_expr(node.right, leaf, True)
-        if node.op == "&&":
-            return lambda arg: left(arg) and right(arg)
-        return lambda arg: left(arg) or right(arg)
-    if isinstance(node, Call):
-        args = tuple(compile_expr(arg, leaf) for arg in node.args)
-        pick = min if node.fn == "min" else max
-        return lambda arg: pick([a(arg) for a in args])
-    if isinstance(node, Ite):
-        cond = compile_expr(node.cond, leaf, True)
-        then = compile_expr(node.then, leaf)
-        orelse = compile_expr(node.orelse, leaf)
-        return lambda arg: then(arg) if cond(arg) else orelse(arg)
-    raise PredicateError(f"not an arithmetic node: {node!r}")
-
-
-def compile_arith(node, index):
-    """Compile a transform expression into a function of a value tuple.
-
-    index maps each component name to its position in the tuple.  A
-    transform reads components only, so a name missing from index or a
-    clock, at or final is refused here.
-    """
-    def leaf(ref):
-        if not isinstance(ref, Ref):
-            raise PredicateError(f"{to_text(ref)!r} is not transform arithmetic")
-        if ref.name not in index:
-            raise PredicateError(f"unknown component {ref.name!r}")
-        return operator.itemgetter(index[ref.name])
-
-    return compile_expr(node, leaf)
+        return checked(Fraction(left, right), node)
+    return checked(left / right, node)
 
 
 def eval_arith(node, values):
@@ -474,7 +429,7 @@ def eval_arith(node, values):
 
     This is the reference the compiled transforms are checked against
     (model.eval_transform, and so petri-check): it shares nothing with
-    compile_expr but the overflow and division checks.
+    the generated code but the overflow and division checks.
     """
     if isinstance(node, Num):
         return exact(node.value)
@@ -489,12 +444,12 @@ def eval_arith(node, values):
         left = eval_arith(node.left, values)
         right = eval_arith(node.right, values)
         if node.op == "+":
-            return _checked(left + right, node)
+            return checked(left + right, node)
         if node.op == "-":
-            return _checked(left - right, node)
+            return checked(left - right, node)
         if node.op == "*":
-            return _checked(left * right, node)
-        return _divide(left, right, node)
+            return checked(left * right, node)
+        return divide(left, right, node)
     if isinstance(node, Call):
         args = [eval_arith(arg, values) for arg in node.args]
         return min(args) if node.fn == "min" else max(args)

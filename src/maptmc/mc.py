@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from . import expr, layers
+from . import codegen, expr, layers
 from . import semantics as sem
 from .errors import (BudgetExceeded, MissingComponent, ParseError,
                      PredicateError, UnknownReference, ValidationError)
@@ -52,7 +52,7 @@ def parse_query(text):
     if tok.kind == "NAME" and tok.text in ("EF", "EG", "AF", "AG"):
         op = parser.next().text
         if op == "EF" and parser.peek().kind == "(":
-            save = parser.pos
+            save = parser.mark()
             try:
                 parser.next()
                 p = parser.pred()
@@ -64,7 +64,7 @@ def parse_query(text):
                 parser.expect("EOF")
                 return Query("EF" + inner, p, q)
             except ParseError:
-                parser.pos = save
+                parser.reset(save)
         p = parser.pred()
         parser.expect("EOF")
         if op in ("AF", "AG"):
@@ -93,29 +93,27 @@ def compile_entry_expr(kernel, node, boolean=False, final=None):
     index = {name: i for i, name in enumerate(m.component_names)}
     agents = {a.name: (i, a) for i, a in enumerate(m.agents)}
 
-    def leaf(node):
+    def leaf(node, bind):
         if isinstance(node, expr.Ref):
             if node.name not in index:
                 raise UnknownReference(f"unknown component {node.name!r}")
-            i = index[node.name]
-            return lambda e: values[e[1]][i]
+            return f"{bind(values)}[a[1]][{index[node.name]:d}]"
         if isinstance(node, expr.FinalTest):
             if final is None:
                 raise PredicateError("'final' is not available in an indicator")
-            return final
+            return f"{bind(final)}(a)"
         atom = "clock" if isinstance(node, expr.ClockRef) else "at"
         if node.agent not in agents:
             raise PredicateError(f"unknown agent {node.agent!r} in {atom}(...)")
         i, agent = agents[node.agent]
         if atom == "clock":
-            return lambda e: configs[e[0]][1][i]
-        locality = node.locality
-        if locality not in agent.localities:
+            return f"{bind(configs)}[a[0]][1][{i:d}]"
+        if node.locality not in agent.localities:
             raise PredicateError(
-                f"{locality!r} is not a locality of agent {node.agent!r}")
-        return lambda e: configs[e[0]][0][i] == locality
+                f"{node.locality!r} is not a locality of agent {node.agent!r}")
+        return f"{bind(configs)}[a[0]][0][{i:d}] == {bind(node.locality)}"
 
-    return expr.compile_expr(node, leaf, boolean)
+    return codegen.compile_expr(node, leaf, boolean)
 
 
 @dataclass

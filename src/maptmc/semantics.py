@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import filterfalse
 
-from . import expr
+from . import codegen, expr
 from .errors import (BudgetExceeded, MalformedState, NotEnabled, ParseError,
                      ValidationError)
 from .model import validate_acyclicity
@@ -121,20 +121,6 @@ class _Row:
     restart: str
 
 
-def _compile_transform(f, index):
-    """Apply transform f to a value tuple; all effects read the old values."""
-    effects = sorted((index[name], expr.compile_arith(node, index))
-                     for name, node in f.effects.items())
-
-    def apply(values):
-        out = list(values)
-        for i, effect in effects:
-            out[i] = effect(values)
-        return tuple(out)
-
-    return apply
-
-
 def _zone(rows, clocks):
     """Horizon b per agent and overall, next-activation distance a and jump
     width delta.
@@ -176,16 +162,17 @@ class Kernel:
     lives as long as the kernel too: a fire applies its transform and
     hashes the result only the first time the transform meets that value
     id, and looks the target up after that.  A reset or a delay keeps its
-    value id.  The X-bound test runs once per value id, when it is
-    interned.  start is the entry of the initial state, interned first,
-    so it is (0, 0).
+    value id.  The X-bound test, compiled once as a predicate over the
+    components, runs once per value id, when it is interned.  start is the
+    entry of the initial state, interned first, so it is (0, 0).
 
     Which fires, resets and delay an entry can take depends only on its
     configuration, so the kernel plans each configuration id once, the
     first time it is expanded, from its per-agent tables of outgoing
-    transitions, with shared Fire and Reset events and transforms
-    compiled by expr.compile_arith: the enabled events, their target
-    configuration ids and, when accelerated, the one zone computation.
+    transitions, with shared Fire and Reset events and each transform
+    compiled by codegen.compile_transform into one generated function of
+    the value tuple: the enabled events, their target configuration ids
+    and, when accelerated, the one zone computation.
     Per entry only the X bound, the time bound and the transforms are
     left.  It never validates a state: the public functions below run
     check_state on the state they are given, and the exploring loops only
@@ -206,11 +193,16 @@ class Kernel:
         self.model = m
         self.accelerated = semantics == "accelerated"
         index = {name: i for i, name in enumerate(m.component_names)}
-        self.x_bound = tuple((index[name], bound) for name, bound in
-                             (normalize_x_bound(m, x_bound) or {}).items())
+        # the X-bound test: every bounded component at or past its bound
+        at_bound = None
+        for name, bound in (normalize_x_bound(m, x_bound) or {}).items():
+            test = expr.Cmp(">=", expr.Ref(name), expr.Num(bound))
+            at_bound = test if at_bound is None else expr.BoolBin("&&", at_bound, test)
+        self._at_bound = (None if at_bound is None else
+                          codegen.compile_arith(at_bound, index, boolean=True))
         self.time_bound = time_bound
         # one memo per transform: value id -> the value id it yields
-        transforms = {fid: (_compile_transform(f, index), {})
+        transforms = {fid: (codegen.compile_transform(f.effects, index), {})
                       for fid, f in m.transforms.items()}
         self._tables = []
         for a in m.agents:
@@ -250,8 +242,7 @@ class Kernel:
         vid = self._vids.setdefault(values, len(self.values))
         if vid == len(self.values):
             self.values.append(values)
-            self._reached.append(bool(self.x_bound) and
-                                 all(values[i] >= bound for i, bound in self.x_bound))
+            self._reached.append(self._at_bound is not None and self._at_bound(values))
         return vid
 
     def entry(self, s):
@@ -359,7 +350,7 @@ class Kernel:
         with one target vid per live vid; gain is the delay's amount, 0 for
         a fire or a reset.  A fire applies its transform only to the vids
         its memo misses."""
-        if self.x_bound:
+        if self._at_bound is not None:
             vids = list(filterfalse(self._reached.__getitem__, vids))
         if not vids:
             return vids, []

@@ -298,15 +298,16 @@ def border_first_hit(m, cut_config, semantics="original", seeds=None, cap=200_00
 # per-agent timing analysis for cut validity
 
 
-def _agent_nodes(agent, m, t_max):
-    """Single-agent reachable (loc, clock, elapsed) nodes and edges."""
+def _agent_graph(agent, m, t_max):
+    """Single-agent reachable (loc, clock, elapsed) nodes, up to elapsed
+    t_max, and their successor lists."""
     init = (agent["init_loc"], agent["init_clock"], 0)
-    seen = {init}
+    adj = {init: []}
     queue = deque([init])
-    edges = []
     while queue:
-        loc, clock, elapsed = queue.popleft()
-        succ = []
+        u = queue.popleft()
+        loc, clock, elapsed = u
+        succ = adj[u]
         for tid, src, tgt, transform, lo, hi in m.outgoing(agent, loc):
             if lo <= clock <= hi:
                 succ.append((tgt, clock, elapsed))
@@ -317,29 +318,22 @@ def _agent_nodes(agent, m, t_max):
         if can_delay and elapsed < t_max:
             succ.append((loc, clock + 1, elapsed + 1))
         for node in succ:
-            edges.append(((loc, clock, elapsed), node))
-            if node not in seen:
-                seen.add(node)
+            if node not in adj:
+                adj[node] = []
                 queue.append(node)
-    return seen, edges
+    return adj
 
 
-def mandatory_points(m, agent, t):
-    """(loc, clock) pairs every run of one agent shows at elapsed t.
+def mandatory_points(agent, adj, t):
+    """(loc, clock) pairs every run of one agent shows at elapsed t, given
+    the agent's graph adj up to elapsed t + 1 or later.
 
     A pair is mandatory when no run can reach elapsed t+1 while avoiding
     it at elapsed t; zero-duration visits between discrete moves count.
     """
-    nodes, edges = _agent_nodes(agent, m, t + 1)
-    candidates = {(loc, clock) for loc, clock, elapsed in nodes if elapsed == t}
+    start = (agent["init_loc"], agent["init_clock"], 0)
     out = set()
-    for cand in candidates:
-        blocked = (cand[0], cand[1], t)
-        adj = {}
-        for u, v in edges:
-            if u != blocked and v != blocked:
-                adj.setdefault(u, []).append(v)
-        start = (agent["init_loc"], agent["init_clock"], 0)
+    for blocked in [u for u in adj if u[2] == t]:
         stack = [start] if start != blocked else []
         seen = set(stack)
         escaped = False
@@ -348,20 +342,22 @@ def mandatory_points(m, agent, t):
             if u[2] == t + 1:
                 escaped = True
                 break
-            for v in adj.get(u, ()):
-                if v not in seen:
+            for v in adj[u]:
+                if v != blocked and v not in seen:
                     seen.add(v)
                     stack.append(v)
         if not escaped:
-            out.add(cand)
+            out.add(blocked[:2])
     return out
 
 
 def cut_times(m, t_max):
     """Times in [1, t_max] where every agent has a mandatory point."""
+    graphs = [_agent_graph(agent, m, t_max + 1) for agent in m.agents]
     out = {}
     for t in range(1, t_max + 1):
-        per_agent = [mandatory_points(m, agent, t) for agent in m.agents]
+        per_agent = [mandatory_points(agent, adj, t)
+                     for agent, adj in zip(m.agents, graphs)]
         if all(per_agent):
             out[t] = per_agent
     return out

@@ -503,6 +503,21 @@ def test_check_bad_query(capsys):
     assert "error:" in err
 
 
+def test_check_nesting_cap(capsys):
+    # nested 200 deep a query runs; 300 deep it is one error line and exit
+    # 2, not a RecursionError
+    args = ("--x-bound", "count=2", "--format", "machine")
+    code, out, _ = run_cli(capsys, "check", TWO_TASKS,
+                           "EF " + "(" * 200 + "count >= 1" + ")" * 200, *args)
+    assert (code, out) == (0, "verdict value=true states_expanded=3 "
+                              "borders_crossed=0 clusters_formed=0 peak_frontier=1\n")
+    code, out, err = run_cli(capsys, "check", TWO_TASKS,
+                             "EF " + "(" * 300 + "count >= 1" + ")" * 300, *args)
+    assert (code, out) == (2, "")
+    assert err == ("error: expression nested more than 200 levels deep "
+                   "(line 1, column 204)\n")
+
+
 @pytest.mark.parametrize("query", ["EF (true || at(nobody, x))",
                                    "EF(false && EF at(nobody, x))"])
 def test_check_unknown_name_in_untaken_branch(capsys, query):

@@ -1,12 +1,13 @@
 """Tokenizer, parser, compiler and reference interpreter for arithmetic
 and predicate expressions."""
 
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from maptmc import expr, mc
+from maptmc import codegen, expr, mc
 from maptmc.errors import (DivisionByZero, Overflow, ParseError, PredicateError,
                            UnknownReference)
 from maptmc.semantics import Kernel, State
@@ -73,7 +74,7 @@ def test_arith_eval(text, env, expected):
     node = expr.parse_arith(text)
     assert expr.eval_arith(node, env) == expected
     names = sorted(env)
-    compiled = expr.compile_arith(node, {n: i for i, n in enumerate(names)})
+    compiled = codegen.compile_arith(node, {n: i for i, n in enumerate(names)})
     assert compiled(tuple(env[n] for n in names)) == expected
 
 
@@ -88,7 +89,7 @@ def test_whole_literals_are_ints():
     half = expr.parse_arith("2.5")
     assert type(half.value) is Fraction and half.value == Fraction(5, 2)
     # a tree built through the API is canonical once compiled
-    compiled = expr.compile_arith(expr.Num(Fraction(6, 3)), {})
+    compiled = codegen.compile_arith(expr.Num(Fraction(6, 3)), {})
     assert type(compiled(())) is int
 
 
@@ -339,7 +340,7 @@ def test_compile_arith_matches_eval_arith(tree, values, huge):
     # component values are canonical, as in every state
     values = tuple(map(expr.exact, values))
     env = dict(zip(COMPONENTS, values))
-    compiled = expr.compile_arith(tree, {n: i for i, n in enumerate(COMPONENTS)})
+    compiled = codegen.compile_arith(tree, {n: i for i, n in enumerate(COMPONENTS)})
     got = outcome(lambda: compiled(values))
     assert got == outcome(lambda: expr.eval_arith(tree, env))
     if got[0] == "value":
@@ -351,7 +352,7 @@ def test_compile_arith_matches_eval_arith(tree, values, huge):
 @pytest.mark.parametrize("text", ["y + 1", "clock(task_a) + 1"])
 def test_compile_arith_refuses_non_transform_nodes(text):
     with pytest.raises(PredicateError):
-        expr.compile_arith(expr.parse_arith(text, allow_clock=True), {"x": 0})
+        codegen.compile_arith(expr.parse_arith(text, allow_clock=True), {"x": 0})
 
 
 PRED_ROUND_TRIP = [
@@ -381,3 +382,199 @@ def test_min_max_agree_with_python(a, b):
 def test_refs():
     node = expr.parse_predicate("x + clock(task_a) < y && at(task_b, b_end)")
     assert expr.refs(node) == {"x", "y"}
+
+
+def test_parser_caps_nesting():
+    # 200 levels parse; one more is a ParseError at the opener that passes
+    # the cap, not a RecursionError, whatever opens the levels
+    deep = "(" * 200 + "x >= 1" + ")" * 200
+    assert expr.parse_predicate(deep) == expr.parse_predicate("x >= 1")
+    too_deep = [
+        (expr.parse_predicate, "(" * 201 + "x >= 1" + ")" * 201, 201),
+        (expr.parse_arith, "(" * 300 + "x" + ")" * 300, 201),
+        (expr.parse_arith, "-" * 201 + "x", 201),
+        (expr.parse_predicate, "!" * 201 + "x > 1", 201),
+        (expr.parse_arith, "min(x, " * 201 + "x" + ")" * 201, 7 * 200 + 1),
+        (expr.parse_arith, "ite(" * 101 + "x" + " > 0, 1, 2)" * 101, 4 * 100 + 1),
+        (expr.parse_predicate, "x > 1 && (" * 201 + "x > 1" + ")" * 201, 10 * 200 + 10),
+    ]
+    for parse, text, column in too_deep:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == (f"expression nested more than {expr.MAX_NESTING} "
+                                  f"levels deep (line 1, column {column})")
+    # a query backtracks from its nested form and meets the cap all the same
+    for text in ("EF " + "(" * 300 + "x >= 1" + ")" * 300,
+                 "EF (" + "(" * 300 + "x >= 1" + ")" * 300 + " && EF x > 1)"):
+        with pytest.raises(ParseError, match="nested more than 200 levels deep"):
+            mc.parse_query(text)
+
+
+def test_backtracking_restores_the_nesting_depth():
+    # each literal tries a comparison first, which opens the levels of
+    # every parenthesis after it before it fails; 150 such literals in a
+    # row would pass the cap if a failed attempt kept its levels
+    text = " && ".join(["((x >= 1) && y < 2)"] * 150)
+    node = expr.parse_predicate(text)
+    assert expr.parse_predicate(expr.to_text(node)) == node
+
+
+# two_tasks' agents and their localities, and its components
+AGENTS = {"task_a": ("a_start", "a_end"), "task_b": ("b_start", "b_end")}
+LOAD_COUNT = ("load", "count")
+
+
+def entry_trees():
+    """(tree, boolean) pairs over two_tasks: indicators and predicates of
+    every node kind a check or a sweep compiles, conditions of ite
+    included."""
+    numbers = st.one_of(
+        small_fractions().map(expr.Num),
+        st.sampled_from(LOAD_COUNT).map(expr.Ref),
+        st.sampled_from(sorted(AGENTS)).map(expr.ClockRef),
+    )
+    truths = st.one_of(
+        st.booleans().map(expr.BoolLit),
+        st.just(expr.FinalTest()),
+        st.sampled_from([expr.At(a, loc) for a, locs in sorted(AGENTS.items())
+                         for loc in locs]),
+    )
+    arith = st.deferred(lambda: st.one_of(
+        numbers,
+        st.tuples(st.sampled_from("+-*/"), arith, arith).map(
+            lambda t: expr.Bin(t[0], t[1], t[2])),
+        arith.map(expr.Neg),
+        st.tuples(st.sampled_from(("min", "max")), arith, arith).map(
+            lambda t: expr.Call(t[0], (t[1], t[2]))),
+        st.tuples(pred, arith, arith).map(lambda t: expr.Ite(*t)),
+    ))
+    pred = st.deferred(lambda: st.one_of(
+        truths,
+        st.tuples(st.sampled_from(("<", "<=", "=", ">=", ">")), arith, arith).map(
+            lambda t: expr.Cmp(t[0], t[1], t[2])),
+        pred.map(expr.Not),
+        st.tuples(st.sampled_from(("&&", "||")), pred, pred).map(
+            lambda t: expr.BoolBin(t[0], t[1], t[2])),
+    ))
+    return st.one_of(arith.map(lambda n: (n, False)), pred.map(lambda n: (n, True)))
+
+
+def reference(node, state, final):
+    """A plain recursive reading of node at a State of two_tasks, with the
+    messages of the compiled checks."""
+    def read(node):
+        if isinstance(node, expr.Num):
+            return node.value
+        if isinstance(node, expr.Ref):
+            return state.values[LOAD_COUNT.index(node.name)]
+        if isinstance(node, expr.ClockRef):
+            return state.clocks[sorted(AGENTS).index(node.agent)]
+        if isinstance(node, expr.At):
+            return state.localities[sorted(AGENTS).index(node.agent)] == node.locality
+        if isinstance(node, expr.FinalTest):
+            return final
+        if isinstance(node, expr.BoolLit):
+            return node.value
+        if isinstance(node, expr.Neg):
+            return -read(node.operand)
+        if isinstance(node, expr.Not):
+            return not read(node.operand)
+        if isinstance(node, expr.Bin):
+            left, right = Fraction(read(node.left)), Fraction(read(node.right))
+            if node.op == "/":
+                if right == 0:
+                    raise DivisionByZero(f"division by zero in {expr.to_text(node)!r}")
+                value = left / right
+            else:
+                value = {"+": left + right, "-": left - right,
+                         "*": left * right}[node.op]
+            if max(value.numerator.bit_length(),
+                   value.denominator.bit_length()) > 1 << 16:
+                raise Overflow(f"value in {expr.to_text(node)} exceeds 65536 bits")
+            return int(value) if value.denominator == 1 else value
+        if isinstance(node, expr.Cmp):
+            left, right = read(node.left), read(node.right)
+            return {"<": left < right, "<=": left <= right, "=": left == right,
+                    ">=": left >= right, ">": left > right}[node.op]
+        if isinstance(node, expr.BoolBin):
+            if node.op == "&&":
+                return read(node.left) and read(node.right)
+            return read(node.left) or read(node.right)
+        if isinstance(node, expr.Call):
+            args = [read(arg) for arg in node.args]
+            return min(args) if node.fn == "min" else max(args)
+        if isinstance(node, expr.Ite):
+            return read(node.then) if read(node.cond) else read(node.orelse)
+        raise AssertionError(node)
+
+    return read(node)
+
+
+SHORT_CIRCUITS = [
+    (expr.parse_predicate("false && 1 / 0 > 0"), True),
+    (expr.parse_predicate("true || 1 / 0 > 0"), True),
+    (expr.parse_arith("ite(count = 0, 0, 1 / count)"), False),
+    (expr.parse_arith("ite(count > 0, 1 / count, 0)", allow_clock=True), False),
+]
+
+
+@pytest.fixture(scope="module")
+def kernel(two_tasks):
+    return Kernel(two_tasks, "original")
+
+
+@example(SHORT_CIRCUITS[0], ("a_end", "b_start"), (3, 0), (0, 0), False, False)
+@example(SHORT_CIRCUITS[1], ("a_end", "b_start"), (3, 0), (0, 0), False, False)
+@example(SHORT_CIRCUITS[2], ("a_end", "b_start"), (3, 0), (0, 0), False, False)
+@example(SHORT_CIRCUITS[3], ("a_end", "b_start"), (3, 0), (0, 0), False, False)
+@example((expr.parse_arith("count * count", allow_clock=True), False),
+         ("a_end", "b_start"), (3, 0), (0, 0), False, True)
+@example((expr.parse_arith("clock(task_a) / clock(task_b)", allow_clock=True), False),
+         ("a_end", "b_start"), (3, 0), (0, 0), False, False)
+@given(entry_trees(),
+       st.tuples(*(st.sampled_from(locs) for _, locs in sorted(AGENTS.items()))),
+       st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       st.tuples(small_fractions(), small_fractions()), st.booleans(), st.booleans())
+def test_compile_entry_expr_matches_reference(kernel, tree, localities, clocks,
+                                              values, final, huge):
+    node, boolean = tree
+    # component values are canonical, as in every state; HUGE squared
+    # overflows
+    values = tuple(map(expr.exact, values[:1] + ((HUGE,) if huge else values[1:])))
+    state = State(localities, clocks, values)
+    read = mc.compile_entry_expr(kernel, node, boolean, lambda e: final)
+    got = outcome(lambda: read(kernel.entry(state)))
+    assert got == outcome(lambda: reference(node, state, final))
+    if got[0] == "value":
+        if boolean:
+            assert type(got[1]) is bool
+        else:
+            assert type(got[1]) is (int if got[1].denominator == 1 else Fraction)
+
+
+# a sum of 900 terms, x + 1 in all; x + 150 nested 150 deep on the right
+SUM_900 = "x" + " + 1 - 1" * 449 + " + 1"
+RIGHT_150 = "x + (" + "1 + (" * 149 + "1" + ")" * 150
+
+
+@pytest.mark.parametrize("text,gain", [(SUM_900, 1), (RIGHT_150, 150)])
+def test_long_and_deep_transforms_compile(text, gain):
+    node = expr.parse_arith(text)
+    compiled = codegen.compile_arith(node, {"x": 0})
+    apply = codegen.compile_transform({"x": node}, {"w": 1, "x": 0})
+    for x in (0, 7, Fraction(1, 3), Fraction(-5, 2)):
+        value = compiled((x,))
+        assert value == expr.eval_arith(node, {"x": x}) == x + gain
+        assert type(value) is type(x)
+        assert apply((x, "w")) == (value, "w")
+
+
+def test_generated_code_is_labelled_for_profiles():
+    # each compile makes its own function, named apart, in the file name
+    # that profiles count as this module's
+    node = expr.parse_arith("x + 1")
+    first, second = (codegen.compile_arith(node, {"x": 0}) for _ in range(2))
+    assert first.__code__.co_filename == codegen.GENERATED_FILE
+    assert os.path.splitext(os.path.basename(codegen.GENERATED_FILE))[0] == "expr"
+    assert first.__code__.co_firstlineno != second.__code__.co_firstlineno
+    assert first((1,)) == second((1,)) == 2

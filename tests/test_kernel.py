@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from maptmc import expr, mc, petri
+from maptmc import codegen, mc, petri
 from maptmc import semantics as sem
 from maptmc.errors import Overflow
 from maptmc.model import eval_transform
@@ -61,18 +61,24 @@ def test_kernel_matches_oracle_on_bounded_space(request, semantics, fixture,
 
 def test_cross_check_covers_compiled_transforms(monkeypatch, two_tasks):
     # The net applies transforms through the interpreter, the model side
-    # through compile_arith: a miscompiled effect must show as a divergence.
+    # through compile_transform: a miscompiled effect must show as a
+    # divergence.
     target = two_tasks.transform("halve").effects["load"]
-    compile_arith = expr.compile_arith
+    load = two_tasks.component_names.index("load")
+    compile_transform = codegen.compile_transform
 
-    def miscompile(node, index):
-        compiled = compile_arith(node, index)
-        if node is target:
-            return lambda values: compiled(values) + 1
+    def miscompile(effects, index):
+        compiled = compile_transform(effects, index)
+        if effects.get("load") is target:
+            def apply(values):
+                out = list(compiled(values))
+                out[load] += 1
+                return tuple(out)
+            return apply
         return compiled
 
     assert petri.state_space_equiv(two_tasks, {"count": 1}).equal
-    monkeypatch.setattr(expr, "compile_arith", miscompile)
+    monkeypatch.setattr(codegen, "compile_transform", miscompile)
     res = petri.state_space_equiv(two_tasks, {"count": 1})
     assert not res.equal
     assert "early_b" in res.detail or "late_b" in res.detail
@@ -199,10 +205,10 @@ def _count_transform_calls(monkeypatch):
     """Wrap every transform a kernel compiles; returns the list of the
     value tuples they are applied to, in call order."""
     calls = []
-    compile_transform = sem._compile_transform
+    compile_transform = codegen.compile_transform
 
-    def counting(f, index):
-        apply = compile_transform(f, index)
+    def counting(effects, index):
+        apply = compile_transform(effects, index)
 
         def counted(values):
             calls.append(values)
@@ -210,7 +216,7 @@ def _count_transform_calls(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(sem, "_compile_transform", counting)
+    monkeypatch.setattr(codegen, "compile_transform", counting)
     return calls
 
 

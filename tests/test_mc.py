@@ -1,5 +1,6 @@
 """Query parsing, reachability checking, heuristics and indicator sweeps."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from maptmc.errors import (
     ValidationError,
 )
 from maptmc.mc import Query
+from maptmc.model import model_from_dict, model_to_dict
 
 
 def test_parse_query_forms():
@@ -426,3 +428,56 @@ def test_sweep_versions_match_oracle(request, fixture, semantics, x_bound, indic
                          for (locs, clocks, values), bounds in expected)
     # the envelopes really differ between versions of one final state
     assert len({(locs, clocks, values) for locs, clocks, values, _ in got}) < len(got)
+
+
+# (term, the oracle's reading of it at a state (localities, clocks, values))
+TERMS = [
+    ("count >= 1", lambda s: s[2][1] >= 1),
+    ("load > 0", lambda s: s[2][0] > 0),
+    ("clock(task_a) >= 0", lambda s: s[1][0] >= 0),
+    ("count <= 2", lambda s: s[2][1] <= 2),
+]
+
+
+@pytest.mark.parametrize("form", ["EF", "AG"])
+def test_long_conjunction_matches_oracle(two_tasks, raw_two_tasks, form):
+    # 2000 terms compile into one flat function, whose verdict is the
+    # oracle's under either strategy
+    import oracle
+
+    terms = TERMS * 500
+    query = f"{form} (" + " && ".join(text for text, _ in terms) + ")"
+    graph = oracle.CtlGraph(raw_two_tasks, "accelerated", {"count": Fraction(2)})
+    expected = graph.holds(form, lambda m, s, final: all(f(s) for _, f in terms))
+    for strategy in mc.STRATEGIES:
+        got = mc.check(two_tasks, query, x_bound={"count": 2}, strategy=strategy)
+        assert got.verdict is expected
+
+
+def test_long_and_deep_transforms_match_oracle(two_tasks, tmp_path):
+    # each tally as a 900-term sum and as a sum nested 150 deep on the
+    # right: the same graph and verdicts as the oracle's, whose transforms
+    # Python evaluates
+    import oracle
+
+    data = model_to_dict(two_tasks)
+    tallies = {"double_and_tally": "count" + " + 1 - 1" * 449 + " + 1",
+               "shift_and_tally": ("count + (" + "1 + (" * 149 + "1" + ")" * 150
+                                   + " - 149")}
+    for fid, text in tallies.items():
+        data["transforms"][fid]["count"] = text
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    m, raw = model_from_dict(data), oracle.RawModel(path)
+    for semantics in sem.SEMANTICS:
+        dist, edges, finals = oracle.build_graph(raw, semantics, {"count": Fraction(3)})
+        ex = sem.explore(m, semantics, {"count": 3})
+        assert ex.counts == (len(dist), len(edges), len(finals))
+        graph = oracle.CtlGraph(raw, semantics, {"count": Fraction(3)})
+        for query, form, p in [
+            ("EF count >= 3", "EF", lambda s: s[2][1] >= 3),
+            ("AG load <= 18/5", "AG", lambda s: s[2][0] <= Fraction(18, 5)),
+        ]:
+            expected = graph.holds(form, lambda m, s, final: p(s))
+            got = mc.check(m, query, x_bound={"count": 3}, semantics=semantics)
+            assert got.verdict is expected, query
