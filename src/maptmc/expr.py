@@ -30,6 +30,7 @@ from here.  eval_arith, a plain interpreter of transform arithmetic, is
 kept only as the reference the compiled transforms are checked against.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -441,7 +442,8 @@ def eval_arith(node, values):
     if isinstance(node, Neg):
         return -eval_arith(node.operand, values)
     if isinstance(node, Bin):
-        left = eval_arith(node.left, values)
+        left = node.left
+        left = _chain(left, values) if isinstance(left, Bin) else eval_arith(left, values)
         right = eval_arith(node.right, values)
         if node.op == "+":
             return checked(left + right, node)
@@ -465,6 +467,28 @@ def eval_arith(node, values):
         }[node.cond.op]
         return eval_arith(node.then if holds else node.orelse, values)
     raise PredicateError(f"not an arithmetic node: {node!r}")
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _chain(node, values):
+    """eval_arith of a Bin node, down its left side in a loop.  a + b + ...
+    parses as a tree as deep as it is long down that side, so eval_arith
+    hands a left operand that is a Bin here: only the parentheses a right
+    operand opens (at most MAX_NESTING) cost a frame."""
+    spine = []
+    while isinstance(node, Bin):
+        spine.append(node)
+        node = node.left
+    left = eval_arith(node, values)
+    for node in reversed(spine):
+        right = eval_arith(node.right, values)
+        if node.op == "/":
+            left = divide(left, right, node)
+        else:
+            left = checked(_ARITH[node.op](left, right), node)
+    return left
 
 
 def refs(node):
@@ -535,14 +559,21 @@ def _render(node):
             inner = f"({inner})"
         return f"-{inner}", 7
     if isinstance(node, (Bin, BoolBin)):
-        mine = _PREC[node.op]
-        left, lp = _render(node.left)
-        right, rp = _render(node.right)
-        if lp < mine:
-            left = f"({left})"
-        if rp <= mine:
-            right = f"({right})"
-        return f"{left} {node.op} {right}", mine
+        # a left-deep chain is rendered in a loop, as eval_arith walks it
+        spine = []
+        while isinstance(node, (Bin, BoolBin)):
+            spine.append(node)
+            node = node.left
+        left, lp = _render(node)
+        for node in reversed(spine):
+            mine = _PREC[node.op]
+            right, rp = _render(node.right)
+            if lp < mine:
+                left = f"({left})"
+            if rp <= mine:
+                right = f"({right})"
+            left, lp = f"{left} {node.op} {right}", mine
+        return left, lp
     if isinstance(node, Call):
         args = ", ".join(_render(a)[0] for a in node.args)
         return f"{node.fn}({args})", 8

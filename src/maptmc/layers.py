@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import count
 from math import inf
+from operator import itemgetter
 
 from . import semantics as sem
 from .errors import BudgetExceeded, MalformedState, ValidationError
@@ -192,12 +193,19 @@ def validate_cuts(m, cuts):
 
 
 class CutMatcher:
-    """Prepared form of a cut list for repeated border tests; it reads the
-    semantics, the configurations and the enabled fires and resets from
-    the walk's kernel.
+    """Prepared form of a cut list for the border tests of one check, and
+    the step table its walks expand entries from; it reads the semantics,
+    the configurations and the enabled fires and resets from the walk's
+    kernel.  A matcher with no cuts answers False everywhere.
 
-    A border test reads configurations only, so each answer is kept per
-    (pre configuration id, configuration id, pre_is_seed)."""
+    A border test reads configurations only, so the table holds one row
+    per (configuration id, from_seed), built by row the first time a walk
+    expands that pair: one (target cid, transform, memo, on_border) tuple
+    per step of kernel.steps, in the order of moves, where on_border is
+    the answer of crosses for that edge, computed once.  rows[from_seed]
+    maps a configuration id to its row.  The table lives as long as the
+    matcher, and the memos as long as the kernel.
+    """
 
     def __init__(self, kernel, cuts):
         self.kernel = kernel
@@ -205,10 +213,19 @@ class CutMatcher:
         self.by_loc = {}
         for cut in cuts:
             self.by_loc.setdefault(cut.localities, []).append(cut.clocks)
-        self._answers = {}
+        self.rows = ({}, {})
 
     def on_cut(self, cid):
         return self.kernel.configs[cid] in self.configs
+
+    def row(self, cid, from_seed):
+        """The steps of configuration cid with their border answers, as
+        walk expands an entry there; from_seed tells that the entry is one
+        of the walk's seeds.  Built once per (cid, from_seed)."""
+        out = self.rows[from_seed][cid] = tuple([
+            (target, apply, memo, self._crosses(cid, target, from_seed))
+            for _, target, apply, memo in self.kernel.steps(cid)])
+        return out
 
     def crosses(self, pre, entry, pre_is_seed=False):
         """Is entry the first past (or at) a cut when coming from pre?
@@ -220,16 +237,12 @@ class CutMatcher:
         clocks.  Walks set pre_is_seed on edges leaving their seeds: a
         seed sitting on a cut configuration is the border just crossed,
         not the next one, so the jump-from-cut case must not retrigger
-        there.
+        there.  The answer reads the configuration ids alone.
 
         An edge whose clocks grew is a delay, so its pre enables only that
         delay exactly when no fire or reset is enabled there (kernel.acts).
         """
-        key = (None if pre is None else pre[0], entry[0], pre_is_seed)
-        answer = self._answers.get(key)
-        if answer is None:
-            answer = self._answers[key] = self._crosses(*key)
-        return answer
+        return self._crosses(None if pre is None else pre[0], entry[0], pre_is_seed)
 
     def _crosses(self, pre, cid, pre_is_seed):
         if not self.kernel.accelerated:
@@ -257,41 +270,59 @@ def unwalked(seen, s, mark):
     return s not in seen or (mark and not seen[s])
 
 
-def walk(kernel, seeds, visit, crosses, seen=None):
+def walk(kernel, seeds, visit, matcher, seen=None):
     """Width-first walk over (entry, mark) pairs from seeds up to the next
     border; entries are the kernel's (cid, vid) pairs.
 
     seen maps each entry walked so far to its strongest mark; a caller
     passes one dict to several walks to share it, otherwise each walk
-    starts afresh.  A seed, and any successor t of u for which
-    crosses(u, t, u is a seed) does not hold, is walked only when
-    unwalked(seen, ...); a successor for which it holds is on the border
-    and is not walked.  visit(entry, mark) returns (stop, expand, mark):
-    stop ends the walk, and only an expanded entry passes its new mark on
-    to its successors.  Returns the border, mapping each entry to whether
-    it was reached marked (None when visit stopped the walk), and the
-    longest queue seen.
+    starts afresh.  An entry is expanded from matcher's step table (see
+    CutMatcher): a fire reads its memo and applies its transform only on
+    a miss, a reset or the delay keeps the value id, and an entry that
+    has reached the X bound has no steps.  A seed, and any successor t of
+    u whose step is not on_border, is walked only when unwalked(seen,
+    ...); a successor whose step is on_border is on the border and is not
+    walked.  visit(entry, mark) returns (stop, expand, mark): stop ends
+    the walk, and only an expanded entry passes its new mark on to its
+    successors.  Returns the border, mapping each entry to whether it was
+    reached marked (None when visit stopped the walk), and the longest
+    queue seen.
     """
     if seen is None:
         seen = {}
     queue = deque((s, mark) for s, mark in seeds if unwalked(seen, s, mark))
     seen.update(queue)
     seed_set = frozenset(s for s, _ in queue)
+    values, reached, intern = kernel.values, kernel._reached, kernel._vid
+    rows = matcher.rows
     border = {}
     peak = 0
     while queue:
-        peak = max(peak, len(queue))
+        if len(queue) > peak:
+            peak = len(queue)
         s, mark = queue.popleft()
         stop, expand, mark = visit(s, mark)
         if stop:
             return None, peak
-        if not expand:
+        cid, vid = s
+        if not expand or reached[vid]:
             continue
         from_seed = s in seed_set
-        for _, t in kernel.moves(s):
-            if crosses(s, t, from_seed):
+        row = rows[from_seed].get(cid)
+        if row is None:
+            row = matcher.row(cid, from_seed)
+        for target, apply, memo, on_border in row:
+            if memo is None:
+                t = (target, vid)
+            else:
+                t_vid = memo.get(vid)
+                if t_vid is None:
+                    # a transform that raises stores nothing, as in Kernel.moves
+                    t_vid = memo[vid] = intern(apply(values[vid]))
+                t = (target, t_vid)
+            if on_border:
                 border[t] = border.get(t, False) or mark
-            elif unwalked(seen, t, mark):
+            elif t not in seen or (mark and not seen[t]):   # unwalked, inline
                 seen[t] = mark
                 queue.append((t, mark))
     return border, peak
@@ -305,19 +336,30 @@ def strong_components(m, strong_set=None):
     return frozenset(m.component(name).name for name in strong_set)
 
 
-def clusters(kernel, border, strong):
-    """Split a border (entry -> mark) into clusters of equal strong-component
-    values, in values order; each is a tuple of (entry, mark) pairs in the
-    order of configs[cid] + (values,), which is the State order."""
+def clusters(kernel, strong):
+    """The function that splits a border (entry -> mark) into clusters of
+    equal strong-component values, in values order; each is a tuple of
+    (entry, mark) pairs in the order of configs[cid] + (values,), which is
+    the State order.  The strong components are picked once, here; an
+    empty border has no cluster and a one-entry border is one."""
     configs, values = kernel.configs, kernel.values
     picks = [i for i, name in enumerate(kernel.model.component_names) if name in strong]
-    groups = {}
-    for t, mark in border.items():
-        v = values[t[1]]
-        groups.setdefault(tuple([v[i] for i in picks]), []).append((t, mark))
-    return [tuple(sorted(groups[key],
-                         key=lambda kv: configs[kv[0][0]] + (values[kv[0][1]],)))
-            for key in sorted(groups)]
+    # with one pick the key is the value itself, which orders as its 1-tuple
+    strong_key = itemgetter(*picks) if picks else lambda v: ()
+
+    def order(kv):
+        cid, vid = kv[0]
+        return configs[cid] + (values[vid],)
+
+    def split(border):
+        if len(border) < 2:
+            return [tuple(border.items())] if border else []
+        groups = {}
+        for t, mark in border.items():
+            groups.setdefault(strong_key(values[t[1]]), []).append((t, mark))
+        return [tuple(sorted(groups[key], key=order)) for key in sorted(groups)]
+
+    return split
 
 
 def _border(m, cuts, seeds, semantics, visitor, budget):
@@ -336,8 +378,7 @@ def _border(m, cuts, seeds, semantics, visitor, budget):
             visitor(kernel.state(s))
         return False, True, mark
 
-    border, _ = walk(kernel, [(kernel.entry(s), False) for s in seeds], visit,
-                     matcher.crosses)
+    border, _ = walk(kernel, [(kernel.entry(s), False) for s in seeds], visit, matcher)
     return kernel, border
 
 
@@ -364,4 +405,4 @@ def clustered_next_border(m, cuts, cluster, semantics, visitor=None, *,
     kernel, border = _border(m, cuts, seeds, semantics, visitor, budget)
     view = kernel.view(border)
     return tuple(frozenset(view[t] for t, _ in c)
-                 for c in clusters(kernel, border, strong))
+                 for c in clusters(kernel, strong)(border))

@@ -185,7 +185,7 @@ def _visitor(kernel, query, budget, stats):
 
 def _width(kernel, visit, stats):
     border, stats.peak_frontier = layers.walk(
-        kernel, [(kernel.start, False)], visit, lambda pre, s, seed: False)
+        kernel, [(kernel.start, False)], visit, layers.CutMatcher(kernel, ()))
     return border is None
 
 
@@ -208,6 +208,7 @@ def _layered(kernel, visit, stats, cuts, strong, heuristic):
     """
     configs, values = kernel.configs, kernel.values
     matcher = layers.CutMatcher(kernel, cuts)
+    split = layers.clusters(kernel, strong)
     seen = {}
     heap = []
     seq = count()
@@ -229,11 +230,11 @@ def _layered(kernel, visit, stats, cuts, strong, heuristic):
         cluster = heapq.heappop(heap)[2]
         if not any(layers.unwalked(seen, s, mark) for s, mark in cluster):
             continue
-        border, _ = layers.walk(kernel, cluster, visit, matcher.crosses, seen)
+        border, _ = layers.walk(kernel, cluster, visit, matcher, seen)
         if border is None:
             return True
         stats.borders_crossed += 1
-        found = layers.clusters(kernel, border, strong)
+        found = split(border)
         stats.clusters_formed += len(found)
         for c in found:
             push(c)

@@ -179,7 +179,9 @@ class Kernel:
     feed it entries it produced.  A State is the view at the edge: entry,
     state and view convert, and successors is moves over States.  expand
     is moves over a batch, the value ids of one configuration at one time
-    distance, which explore takes at once.
+    distance, which explore takes at once.  A plan is one flat tuple of
+    steps, which moves and expand apply and steps reads: layers.walk keeps
+    it in a step table beside the cut answers and applies it itself.
 
     Events come out in a fixed order: fires by agent and then in
     declaration order, then resets by agent, then the delay.  With an X
@@ -224,7 +226,7 @@ class Kernel:
         self.values = []        # vid -> component values
         self._cids = {}
         self._vids = {}
-        self._plans = []        # cid -> (fires, resets, delay), None until planned
+        self._plans = []        # cid -> (steps, delay amount), None until planned
         self._reached = []      # vid -> True when the X bound is reached
         self.start = self.entry(initial_state(m))
 
@@ -262,31 +264,31 @@ class Kernel:
         return [table[loc] for table, loc in zip(self._tables, self.configs[cid][0])]
 
     def _plan(self, cid):
-        """The moves of configuration cid, whatever the valuation and the
-        bounds: (fires, resets, delay).  A fire is (event, target cid,
-        transform, memo), a reset (event, target cid) and the delay
-        (event, target cid), or None when time cannot pass."""
+        """(steps, delay amount) of configuration cid, whatever the
+        valuation and the bounds (see steps); the amount is 0 when time
+        cannot pass, and then no step is a delay."""
         locs, clocks = self.configs[cid]
         rows = self._rows(cid)
-        fires = []
+        steps = []
         resets = []
         for i, (row, c) in enumerate(zip(rows, clocks)):
             for lower, upper, event, target, apply, memo in row.exits:
                 if lower <= c <= upper:
-                    fires.append((event, self._cid(
+                    steps.append((event, self._cid(
                         locs[:i] + (target,) + locs[i + 1:], clocks), apply, memo))
             if row.reset is not None and c == row.cap:
                 resets.append((row.reset, self._cid(
                     locs[:i] + (row.restart,) + locs[i + 1:],
-                    clocks[:i] + (0,) + clocks[i + 1:])))
+                    clocks[:i] + (0,) + clocks[i + 1:]), None, None))
+        steps += resets
         if self.accelerated:
             amount = _zone(rows, clocks)[3]
         else:
             amount = 1 if all(c < row.cap for row, c in zip(rows, clocks)) else 0
-        delay = None
         if amount:
-            delay = (Delay(amount), self._cid(locs, tuple([c + amount for c in clocks])))
-        plan = self._plans[cid] = (tuple(fires), tuple(resets), delay)
+            steps.append((Delay(amount), self._cid(
+                locs, tuple([c + amount for c in clocks])), None, None))
+        plan = self._plans[cid] = (tuple(steps), amount)
         return plan
 
     def zone(self, cid):
@@ -295,30 +297,29 @@ class Kernel:
     def acts(self, cid):
         """True when a fire or a reset is enabled in configuration cid,
         whatever the valuation and the bounds."""
-        fires, resets, _ = self._plans[cid] or self._plan(cid)
-        return bool(fires or resets)
+        steps, amount = self._plans[cid] or self._plan(cid)
+        return len(steps) > bool(amount)
 
     def reached(self, entry):
         """True when the entry has reached the X bound: every bounded
         component is at or past its bound."""
         return self._reached[entry[1]]
 
-    def _delay(self, delay, elapsed):
-        """The planned delay, unless it would take a run at time distance
-        elapsed past the time bound."""
-        if delay is not None and (self.time_bound is None or
-                                  elapsed + delay[0].amount <= self.time_bound):
-            return delay
-        return None
+    def steps(self, cid, elapsed=0):
+        """The plan of configuration cid at time distance elapsed: one
+        (event, target cid, transform, memo) per event in the order of
+        moves, the delay dropped past the time bound.  A reset or the
+        delay keeps the value id and has None for transform and memo.  The
+        X bound is left to the caller."""
+        steps, amount = self._plans[cid] or self._plan(cid)
+        if amount and self.time_bound is not None and elapsed + amount > self.time_bound:
+            return steps[:-1]
+        return steps
 
     def final(self, entry, elapsed=0):
         """True when the entry has no move within the bounds, the same as
         not self.moves(entry, elapsed), without building any."""
-        cid, vid = entry
-        if self._reached[vid]:
-            return True
-        fires, resets, delay = self._plans[cid] or self._plan(cid)
-        return not (fires or resets or self._delay(delay, elapsed))
+        return self._reached[entry[1]] or not self.steps(entry[0], elapsed)
 
     def moves(self, entry, elapsed=0):
         """(event, target entry) pairs for every event enabled at entry
@@ -326,19 +327,16 @@ class Kernel:
         cid, vid = entry
         if self._reached[vid]:
             return []
-        fires, resets, delay = self._plans[cid] or self._plan(cid)
         out = []
-        for event, target, apply, memo in fires:
+        for event, target, apply, memo in self.steps(cid, elapsed):
+            if memo is None:
+                out.append((event, (target, vid)))
+                continue
             t_vid = memo.get(vid)
             if t_vid is None:
                 # a transform that raises stores nothing, so it raises again
                 t_vid = memo[vid] = self._vid(apply(self.values[vid]))
             out.append((event, (target, t_vid)))
-        for event, target in resets:
-            out.append((event, (target, vid)))
-        delay = self._delay(delay, elapsed)
-        if delay is not None:
-            out.append((delay[0], (delay[1], vid)))
         return out
 
     def expand(self, cid, vids, elapsed=0):
@@ -354,10 +352,12 @@ class Kernel:
             vids = list(filterfalse(self._reached.__getitem__, vids))
         if not vids:
             return vids, []
-        fires, resets, delay = self._plans[cid] or self._plan(cid)
         values = self.values
         out = []
-        for _, target, apply, memo in fires:
+        for event, target, apply, memo in self.steps(cid, elapsed):
+            if memo is None:
+                out.append((target, event.amount if isinstance(event, Delay) else 0, vids))
+                continue
             t_vids = list(map(memo.get, vids))
             if None in t_vids:
                 for i, t_vid in enumerate(t_vids):
@@ -366,11 +366,6 @@ class Kernel:
                         # a transform that raises stores nothing, as in moves
                         t_vids[i] = memo[vid] = self._vid(apply(values[vid]))
             out.append((target, 0, t_vids))
-        for _, target in resets:
-            out.append((target, 0, vids))
-        delay = self._delay(delay, elapsed)
-        if delay is not None:
-            out.append((delay[1], delay[0].amount, vids))
         return vids, out
 
     def successors(self, s, elapsed=0):

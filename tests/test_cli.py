@@ -1,6 +1,8 @@
 """Command line interface: exit codes, output formats and file handling."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from maptmc import semantics as sem
 from maptmc.errors import ValidationError
 from maptmc.fixtures import fixture_path
 from maptmc.model import model_from_dict, model_to_dict
+
+import oracle
 
 TWO_TASKS = str(fixture_path("two_tasks.json"))
 STAGED = str(fixture_path("staged_cycles.json"))
@@ -578,3 +582,39 @@ def test_argparse_rejects_unknown(capsys):
         cli.main([])
     with pytest.raises(SystemExit):
         cli.main(["check", TWO_TASKS, "EF load >= 2", "--strategy", "depth"])
+
+
+# two_tasks with the load effect of halve as a flat sum of 1501 terms, and
+# as a 1500-term sum scaled past the magnitude cap by its fifth factor
+LONG_HALVE = "load / 2" + " + 1 - 1" * 750
+OVERFLOW_HALVE = "(load" + " + 0" * 1499 + ")" + (" * 1" + "0" * 4000) * 5
+
+
+def halve_model(tmp_path, text):
+    data = json.loads(Path(TWO_TASKS).read_text(encoding="utf-8"))
+    data["transforms"]["halve"]["load"] = text
+    path = tmp_path / "halve.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_petri_check_long_flat_sum(capsys, tmp_path):
+    # the net's interpreter walks the sum's left side in a loop, so the
+    # cross-check answers instead of dying in a RecursionError
+    path = halve_model(tmp_path, LONG_HALVE)
+    dist, _, _ = oracle.build_graph(oracle.RawModel(path), "original",
+                                    {"count": Fraction(1)})
+    code, out, err = run_cli(capsys, "petri-check", path, "--x-bound", "count=1",
+                             "--semantics", "original", "--format", "machine")
+    assert (code, err) == (0, "")
+    assert out == f'equivalence equal=true states_checked={len(dist)} detail=""\n'
+
+
+@pytest.mark.parametrize("command", ["explore", "petri-check"])
+def test_overflow_in_long_sum_is_one_error_line(capsys, tmp_path, command):
+    # the message renders the overflowing product, the sum inside it too
+    path = halve_model(tmp_path, OVERFLOW_HALVE)
+    code, out, err = run_cli(capsys, command, path, "--x-bound", "count=1",
+                             "--semantics", "original")
+    assert (code, out) == (2, "")
+    assert err == f"error: value in {OVERFLOW_HALVE} exceeds 65536 bits\n"

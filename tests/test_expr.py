@@ -578,3 +578,22 @@ def test_generated_code_is_labelled_for_profiles():
     assert os.path.splitext(os.path.basename(codegen.GENERATED_FILE))[0] == "expr"
     assert first.__code__.co_firstlineno != second.__code__.co_firstlineno
     assert first((1,)) == second((1,)) == 2
+
+
+# 3000 terms down the left side: a sum, and a sum scaled past the
+# magnitude cap by a product whose fifth factor overflows before the
+# division by zero after it is reached
+SUM_3000 = "x" + " + 2 * x - 1" * 1499 + " + 1 / 3"
+OVERFLOW_3000 = "(x" + " + 0" * 2999 + ")" + (" * 1" + "0" * 4000) * 5 + " + 1 / (x - x)"
+
+
+def test_eval_arith_walks_long_chains():
+    for text in (SUM_3000, OVERFLOW_3000):
+        node = expr.parse_arith(text)
+        compiled = codegen.compile_arith(node, {"x": 0})
+        for x in (0, 7, Fraction(1, 3), Fraction(-5, 2)):
+            got = outcome(lambda: expr.eval_arith(node, {"x": x}))
+            assert got == outcome(lambda: compiled((x,)))
+            if text is SUM_3000:
+                assert got == ("value", x + 1499 * (2 * x - 1) + Fraction(1, 3))
+        assert expr.to_text(node) == text

@@ -1,6 +1,7 @@
 """Coherent cuts, borders and clustered border walks."""
 
 import json
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -375,3 +376,89 @@ def test_clustered_border_rejects_unknown_strong_name(two_tasks):
     with pytest.raises(UnknownReference, match="'nosuch'"):
         layers.clustered_next_border(two_tasks, cuts, [sem.initial_state(two_tasks)],
                                      "original", strong_set={"nosuch"})
+
+
+def reference_walk(kernel, seeds, visit, matcher, seen):
+    """The per-entry walk layers.walk replaced: every edge comes from
+    kernel.moves and is border-tested by matcher.crosses."""
+    queue = deque((s, mark) for s, mark in seeds if layers.unwalked(seen, s, mark))
+    seen.update(queue)
+    seed_set = frozenset(s for s, _ in queue)
+    border = {}
+    peak = 0
+    while queue:
+        peak = max(peak, len(queue))
+        s, mark = queue.popleft()
+        stop, expand, mark = visit(s, mark)
+        if stop:
+            return None, peak
+        if not expand:
+            continue
+        from_seed = s in seed_set
+        for _, t in kernel.moves(s):
+            if matcher.crosses(s, t, from_seed):
+                border[t] = border.get(t, False) or mark
+            elif layers.unwalked(seen, t, mark):
+                seen[t] = mark
+                queue.append((t, mark))
+    return border, peak
+
+
+def layered_trace(walk, m, semantics, x_bound, cuts, seed_mark, limit):
+    """Walk cluster by cluster, FIFO, with one seen map and one matcher;
+    returns every visit, border (with its marks) and peak, over States."""
+    kernel = sem.Kernel(m, semantics, x_bound)
+    matcher = layers.CutMatcher(kernel, cuts)
+    split = layers.clusters(kernel, m.strong_names)
+    trace = []
+
+    def visit(s, mark):
+        state = kernel.state(s)
+        trace.append((state, mark))
+        # marks and drops follow the visit count, which both walks share
+        # as long as they agree
+        drop = not mark and len(trace) % 5 == 4
+        return len(trace) > limit, not drop, mark or len(trace) % 17 == 0
+
+    seen = {}
+    pending = deque([((kernel.start, seed_mark),)])
+    for _ in range(60):
+        if not pending:
+            break
+        border, peak = walk(kernel, pending.popleft(), visit, matcher, seen)
+        if border is None:
+            trace.append(("stopped", peak))
+            break
+        trace.append(("border", [(kernel.state(t), mark) for t, mark in border.items()],
+                      peak))
+        pending.extend(split(border))
+    return trace
+
+
+def assert_walks_agree(m, x_bound):
+    cut_lists = [(), layers.find_cuts(m)] + [(cut,) for cut in layers.find_cuts(m)]
+    if cut_lists[1]:
+        cut_lists.append((layers.best_cut(m),))
+    for semantics in sem.SEMANTICS:
+        for cuts in cut_lists:
+            for seed_mark in (False, True):
+                for limit in (40, 5000):
+                    args = (m, semantics, x_bound, cuts, seed_mark, limit)
+                    assert (layered_trace(layers.walk, *args)
+                            == layered_trace(reference_walk, *args)), args[1:]
+
+
+def test_walk_matches_reference_walk(two_tasks, staged, vehicles):
+    # the step table gives the same visits, marks, borders and peaks as
+    # expanding each entry through kernel.moves and matcher.crosses
+    assert_walks_agree(two_tasks, {"count": 3})
+    assert_walks_agree(staged, {"cycles": 2})
+    assert_walks_agree(vehicles, {"pos_a": 6, "pos_b": 6})
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda k: st.tuples(*(live_agents(f"g{i}") for i in range(k)))))
+def test_walk_matches_reference_walk_on_generated_models(tmp_path_factory, agents):
+    m, _ = agents_model(agents, tmp_path_factory.mktemp("gen") / "model.json")
+    assert_walks_agree(m, {"n": 4})

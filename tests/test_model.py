@@ -49,6 +49,20 @@ def test_dumps_loads(two_tasks, tmp_path):
     assert model_to_dict(load_model(path)) == model_to_dict(two_tasks)
 
 
+@pytest.mark.parametrize("text", [
+    "load / 2" + " + 1 - 1" * 750,
+    "(load" + " + 0" * 1499 + ")" + (" * 1" + "0" * 4000) * 5,
+], ids=["sum", "scaled"])
+def test_dumps_loads_long_sums(two_tasks, text):
+    # a 1500-term sum renders in a loop and reads back as the same text
+    data = model_to_dict(two_tasks)
+    data["transforms"]["halve"]["load"] = text
+    m = model_from_dict(data)
+    again = loads_model(dumps_model(m))
+    assert model_to_dict(again) == data
+    assert dumps_model(again) == dumps_model(m)
+
+
 def test_fraction_inits_survive_json(two_tasks):
     load = two_tasks.component("load")
     assert load.init == Fraction(1, 2)
