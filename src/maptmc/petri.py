@@ -18,12 +18,13 @@ valuation (through model.eval_transform) per valuation token, and the
 time guard and the accelerated jump per (localities, clocks) pair.  The
 caches belong to one translate call and live as long as its net.
 
-state_space_equiv compares moves by label and by target fields: the
-model's moves, read from the kernel's configuration and value tables,
-become {label: (localities, clocks, values)} and the net's fired
-markings {label: Marking}, a tuple of the same three fields, and tuple
-equality decides, with no marking decoded into a state.  Every net
-guard is called once per marking.
+state_space_equiv checks the states of semantics.explore's batch pass,
+so it counts exactly the states explore counts, and compares moves by
+label and by target fields: the model's moves, read from the kernel's
+configuration and value tables, become {label: (localities, clocks,
+values)} and the net's fired markings {label: Marking}, a tuple of the
+same three fields, and tuple equality decides, with no marking decoded
+into a state.  Every net guard is called once per marking.
 """
 
 from dataclasses import dataclass, field
@@ -224,31 +225,38 @@ class EquivResult:
 
 def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
                       budget=sem.DEFAULT_BUDGET):
-    """Walk model and net in lockstep, comparing moves state by state.
+    """Compare the moves of model and net at every state of the bounded
+    space, the states of explore's batch pass, in the order of its map.
 
     Returns the first divergence found, or equal=True after the whole
-    bounded space agrees.  A caller-supplied net lets tests check that a
-    corrupted net is detected.
+    bounded space agrees; states_checked counts the states looked at, so
+    on agreement it is explore's state count.  explore's errors pass
+    through: a state at two time distances raises ValidationError, more
+    than budget states BudgetExceeded.  A caller-supplied net lets tests
+    check that a corrupted net is detected.
     """
     if net is None:
         net = translate(m, accelerated=(semantics == "accelerated"))
-    kernel = sem.Kernel(m, semantics, x_bound)
+    ex = sem.explore(m, semantics, x_bound, budget=budget)
+    kernel = ex.kernel
     configs, values = kernel.configs, kernel.values
-    steps = sem.walk(kernel, kernel.start,
-                     budget=budget, message=f"equivalence walk exceeded {budget} states")
-    for checked, (s, _, _, succ) in enumerate(steps, 1):
-        if kernel.reached(s):
-            continue
-        mk = Marking(*configs[s[0]], values[s[1]])
-        model_moves = [("time" if isinstance(e, sem.Delay) else sem.event_label(e),
-                        configs[t[0]] + (values[t[1]],))
-                       for e, t in succ]
-        # enabled_net has just evaluated each guard: fire's check would
-        # repeat it.  A Marking is a tuple, so it equals a model target.
-        net_moves = {name: net.transitions[name].effect(mk)
-                     for name in enabled_net(net, mk)}
-        if len(net_moves) != len(model_moves) or dict(model_moves) != net_moves:
-            return EquivResult(False, _divergence(mk, model_moves, net_moves), checked)
+    checked = 0
+    for cid, vids in ex.distances.items():
+        for vid, distance in vids.items():
+            checked += 1
+            entry = (cid, vid)
+            if kernel.reached(entry):
+                continue
+            mk = Marking(*configs[cid], values[vid])
+            model_moves = [("time" if isinstance(e, sem.Delay) else sem.event_label(e),
+                            configs[t[0]] + (values[t[1]],))
+                           for e, t in kernel.moves(entry, distance)]
+            # enabled_net has just evaluated each guard: fire's check would
+            # repeat it.  A Marking is a tuple, so it equals a model target.
+            net_moves = {name: net.transitions[name].effect(mk)
+                         for name in enabled_net(net, mk)}
+            if len(net_moves) != len(model_moves) or dict(model_moves) != net_moves:
+                return EquivResult(False, _divergence(mk, model_moves, net_moves), checked)
     return EquivResult(True, "", checked)
 
 

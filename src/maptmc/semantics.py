@@ -21,7 +21,6 @@ from itertools import filterfalse
 from . import codegen, expr
 from .errors import (BudgetExceeded, MalformedState, NotEnabled, ParseError,
                      ValidationError)
-from .model import validate_acyclicity
 
 DEFAULT_BUDGET = 100_000
 
@@ -463,32 +462,17 @@ def walk(kernel, start, tag=None, fold=None, *, budget, message):
     Entries are the kernel's (cid, vid) pairs, so the walk queues and
     dedups pairs of small ints and builds no State.  Without fold a walk
     entry is an entry.  With fold it is an (entry, tag) pair, and a
-    successor's tag is fold(tag, event, target entry).  A walk entry
-    found at two time distances means the model is not acyclic and raises
-    ValidationError.  Taking more than budget walk entries raises
-    BudgetExceeded(message).
-
-    When validate_acyclicity proves the kernel's model, which the walk
-    reads on its first step, it frees the distances it has passed (the
-    sweep-line method): it keeps one seen map per time distance and drops
-    a distance's map once every queued entry is further away.  No edge
-    lowers the distance, so no dropped entry can be found again, unless
-    the model is not acyclic; an unproven model keeps one seen map for
-    the whole walk, which catches an entry met at two distances.  The
-    walk order and what it yields are the same either way.
+    successor's tag is fold(tag, event, target entry); one set of flat
+    (cid, vid, tag) keys dedups those.  One distance map, cid -> {vid:
+    time distance}, holds every entry met for the whole walk, whatever
+    its tag, so an entry met at two time distances, which means the model
+    is not acyclic, raises ValidationError under any tag.  Taking more
+    than budget walk entries raises BudgetExceeded(message).
     """
-    key = start if fold is None else (start, tag)
+    cid, vid = start
+    dist = {cid: {vid: 0}}      # cid -> {vid: time distance}
+    tagged = None if fold is None else {(cid, vid, tag)}
     queue = deque([(start, tag, 0)])
-    # on a proven model: time distance -> [entries queued, seen map], and
-    # the least distance still queued
-    levels = None
-    if validate_acyclicity(kernel.model)[0]:
-        levels = {0: [1, {}]}
-        seen = levels[0][1]
-    else:
-        seen = {}
-    seen[key] = 0
-    low = 0
     taken = 0
     while queue:
         if taken >= budget:
@@ -499,51 +483,46 @@ def walk(kernel, start, tag=None, fold=None, *, budget, message):
         yield s, tag, elapsed, succ
         for e, t in succ:
             t_elapsed = elapsed + e.amount if isinstance(e, Delay) else elapsed
-            t_tag = None if fold is None else fold(tag, e, t)
-            key = t if fold is None else (t, t_tag)
-            if levels is not None:
-                level = levels.get(t_elapsed)
-                if level is None:
-                    level = levels[t_elapsed] = [0, {}]
-                seen = level[1]
+            t_cid, t_vid = t
+            t_dist = dist.get(t_cid)
+            if t_dist is None:
+                t_dist = dist[t_cid] = {}
             # one hash per edge: setdefault adds a new entry, or returns
             # the distance an old one was found at
-            found = len(seen)
-            known = seen.setdefault(key, t_elapsed)
-            if len(seen) != found:
-                queue.append((t, t_tag, t_elapsed))
-                if levels is not None:
-                    level[0] += 1
-            elif known != t_elapsed:
+            found = len(t_dist)
+            known = t_dist.setdefault(t_vid, t_elapsed)
+            if known != t_elapsed:
                 raise ValidationError(
                     "a state was reached at two distinct time distances "
                     f"({known} and {t_elapsed}); the model is not acyclic")
-        if levels is not None:
-            level = levels[elapsed]
-            level[0] -= 1
-            if not level[0] and elapsed == low and queue:
-                low = min(d for d, (queued, _) in levels.items() if queued)
-                for d in [d for d in levels if d < low]:
-                    del levels[d]
+            if fold is None:
+                if len(t_dist) != found:
+                    queue.append((t, None, t_elapsed))
+                continue
+            t_tag = fold(tag, e, t)
+            found = len(tagged)
+            tagged.add((t_cid, t_vid, t_tag))
+            if len(tagged) != found:
+                queue.append((t, t_tag, t_elapsed))
 
 
 class Exploration:
     """The reachable graph that explore returns.
 
     counts is (states, edges, finals), known as soon as explore returns.
-    The graph itself is built on first access, once, from a replay of
-    walk over the same kernel, whose plans and memos the batch pass has
-    filled, so its order is walk's FIFO order: states maps each State to
-    its time distance from the initial state, edges holds (State, event,
-    State) triples and finals the States with no successor within the
-    bounds.  On a proven model the replay frees the distances it has
-    passed, and that is exact: it runs only after the batch pass has
-    walked the same bounded space, which stops with ValidationError
-    wherever a state sits at two distances."""
+    distances is the batch pass's own seen map, kept as it built it:
+    configuration id -> {value id: time distance}, one entry per state,
+    in the order the pass found them.  The graph itself is built on first
+    access, once, from a replay of walk over the same kernel, whose plans
+    and memos the batch pass has filled, so its order is walk's FIFO
+    order: states maps each State to its time distance from the initial
+    state, edges holds (State, event, State) triples and finals the
+    States with no successor within the bounds."""
 
-    def __init__(self, kernel, counts, budget):
+    def __init__(self, kernel, counts, budget, distances):
         self.kernel = kernel
         self.counts = counts
+        self.distances = distances
         self._budget = budget
 
     @cached_property
@@ -597,17 +576,17 @@ def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGE
     message = f"exploration exceeded {budget} states"
     cid, vid = kernel.start
     seen = {cid: {vid: 0}}      # cid -> {vid: time distance}
-    levels = {0: {cid: [vid]}}  # time distance -> {cid: vids not yet expanded}
+    pending = {0: {cid: [vid]}}  # time distance -> {cid: vids not yet expanded}
     states, edges, finals = 1, 0, 0
     if states > budget:
         raise BudgetExceeded(message)
-    while levels:
-        d = min(levels)
-        level = levels[d]
-        while level:
+    while pending:
+        d = min(pending)
+        batches = pending[d]
+        while batches:
             # FIFO: a batch that grows again once taken goes to the back
-            for cid in list(level):
-                vids = level.pop(cid)
+            for cid in list(batches):
+                vids = batches.pop(cid)
                 live, targets = kernel.expand(cid, vids, d)
                 edges += len(live) * len(targets)
                 finals += len(vids) - len(live) if targets else len(vids)
@@ -628,10 +607,10 @@ def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGE
                     if states > budget:
                         raise BudgetExceeded(message)
                     t_seen.update(dict.fromkeys(new, t_d))
-                    t_level = levels.setdefault(t_d, {}) if gain else level
-                    t_level.setdefault(target, []).extend(new)
-        del levels[d]
-    return Exploration(kernel, (states, edges, finals), budget)
+                    t_batches = pending.setdefault(t_d, {}) if gain else batches
+                    t_batches.setdefault(target, []).extend(new)
+        del pending[d]
+    return Exploration(kernel, (states, edges, finals), budget, seen)
 
 
 def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
@@ -643,24 +622,17 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
     event remains within the bounds.  Delays never extend the word, so
     the two semantics can be compared through the returned mapping.
 
-    A (state, word) entry never recurs at a second time distance, since
-    the word grows with every reset, so the word walk cannot tell that a
-    model is not acyclic.  When validate_acyclicity does not prove the
-    model, a walk over the states alone comes first, and stops with the
+    The walk keeps one time distance per state whatever its word, so a
+    model whose state sits at two distances stops it with the
     ValidationError that explore gives.
     """
     kernel = Kernel(m, semantics, x_bound, time_bound)
-    start = kernel.start
-    message = f"abstract exploration exceeded {budget} entries"
-    if not validate_acyclicity(m)[0]:
-        for _ in walk(kernel, start, budget=budget, message=message):
-            pass
     configs, values = kernel.configs, kernel.values
     out = {}
     for (cid, vid), word, _, succ in walk(
-            kernel, start, (),
+            kernel, kernel.start, (),
             lambda word, e, t: word if isinstance(e, Delay) else word + (e,),
-            budget=budget, message=message):
+            budget=budget, message=f"abstract exploration exceeded {budget} entries"):
         if succ:
             continue
         label = (configs[cid][0], values[vid])

