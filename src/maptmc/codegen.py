@@ -3,9 +3,13 @@ function.
 
 compile_expr walks an expression's tree once, with a stack of generators
 rather than by recursion, and emits Python source: one temporary per
-operation, the int case of the overflow check inline, and the branches of
-&&, || and ite under guard variables instead of nested blocks, so however
-deep the tree, the code is at most two blocks deep.  It then compiles
+operation, and the branches of &&, || and ite under guard variables
+instead of nested blocks, so however deep the tree, the code is at most
+two blocks deep.  The code computes in the kernel's number form (see
+expr): an int when whole, a canonical (numerator, denominator) pair
+otherwise.  An operation on two ints runs inline, with its overflow check;
+every other case of +, -, *, unary minus, a comparison, min and max, and
+every division, calls one of expr's exact helpers.  It then compiles
 exactly one function.  The caller supplies the source text that reads a
 name, clock, at or final from the function's argument; every other value
 the code reads, from a number to the node an error message renders, is
@@ -21,12 +25,13 @@ import sys
 
 from .errors import PredicateError
 from .expr import (MAGNITUDE_BITS, At, Bin, BoolBin, BoolLit, Call, ClockRef, Cmp,
-                   FinalTest, Ite, Neg, Not, Num, Ref, checked, divide, exact,
-                   to_text)
+                   FinalTest, Ite, Neg, Not, Num, Ref, add, capped, compare, div,
+                   mul, neg, sub, to_kernel, to_text)
 
-# the operators generated code may hold: a node's op is looked up here,
-# never written into the source
-_ARITH_SYMBOLS = {"+": "+", "-": "-", "*": "*"}
+# the operators generated code may hold, each with the helper that takes
+# every case but int and int: a node's op is looked up here, never written
+# into the source
+_ARITH = {"+": ("+", add), "-": ("-", sub), "*": ("*", mul)}
 _CMP_SYMBOLS = {"<": "<", "<=": "<=", "=": "==", ">=": ">=", ">": ">"}
 _BOOL_NODES = (Cmp, BoolLit, Not, BoolBin, At, FinalTest)
 _LEAVES = (Ref, ClockRef, At, FinalTest)
@@ -141,12 +146,13 @@ def _steps(fn, node, boolean):
     if isinstance(node, _LEAVES):
         return fn.assign(fn.leaf(node, fn.bind))
     if isinstance(node, Num):
-        return fn.bind(exact(node.value))
+        return fn.bind(to_kernel(node.value))
     if isinstance(node, BoolLit):
         return fn.bind(node.value)
     if isinstance(node, Neg):
         operand = yield node.operand, False
-        return fn.assign(f"-{operand}")
+        return fn.assign(f"-{operand} if type({operand}) is int else "
+                         f"{fn.bind(neg)}({operand})")
     if isinstance(node, Not):
         operand = yield node.operand, True
         return fn.assign(f"not {operand}")
@@ -154,18 +160,19 @@ def _steps(fn, node, boolean):
         left = yield node.left, False
         right = yield node.right, False
         if node.op == "/":
-            return fn.assign(f"{fn.bind(divide)}({left}, {right}, {fn.bind(node)})")
-        temp = fn.assign(f"{left} {_ARITH_SYMBOLS[node.op]} {right}")
-        # the int case of checked, inline
-        fn.emit(f"if type({temp}) is not int or {temp}.bit_length() > "
+            return fn.assign(f"{fn.bind(div)}({left}, {right}, {fn.bind(node)})")
+        symbol, helper = _ARITH[node.op]
+        temp = fn.assign(f"{left} {symbol} {right} if {_ints(left, right)} else "
+                         f"{fn.bind(helper)}({left}, {right}, {fn.bind(node)})")
+        # the overflow check of the int case, inline; a helper checks its own
+        fn.emit(f"if type({temp}) is int and {temp}.bit_length() > "
                 f"{fn.bind(MAGNITUDE_BITS)}: "
-                f"{temp} = {fn.bind(checked)}({temp}, {fn.bind(node)})")
+                f"{temp} = {fn.bind(capped)}({temp}, 1, {fn.bind(node)})")
         return temp
     if isinstance(node, Cmp):
-        symbol = _CMP_SYMBOLS[node.op]
         left = yield node.left, False
         right = yield node.right, False
-        return fn.assign(f"{left} {symbol} {right}")
+        return fn.assign(_compare(fn, left, _CMP_SYMBOLS[node.op], right))
     if isinstance(node, BoolBin):
         left = yield node.left, True
         # the operand of a child is read by its parent only, so a
@@ -185,7 +192,7 @@ def _steps(fn, node, boolean):
         symbol = "<" if node.fn == "min" else ">"
         best = args[0]
         for arg in args[1:]:
-            best = fn.assign(f"{arg} if {arg} {symbol} {best} else {best}")
+            best = fn.assign(f"{arg} if {_compare(fn, arg, symbol, best)} else {best}")
         return best
     if isinstance(node, Ite):
         cond = yield node.cond, True
@@ -197,6 +204,17 @@ def _steps(fn, node, boolean):
             fn.guard = outer
         return temp
     raise PredicateError(f"not an arithmetic node: {node!r}")
+
+
+def _ints(left, right):
+    """The source of the test that both operands are ints."""
+    return f"type({left}) is int and type({right}) is int"
+
+
+def _compare(fn, left, symbol, right):
+    """The source of an exact comparison of two operands."""
+    return (f"({left} {symbol} {right} if {_ints(left, right)} else "
+            f"{fn.bind(compare)}({left}, {right}) {symbol} 0)")
 
 
 def _source(fn, node, boolean):
@@ -222,23 +240,24 @@ def compile_expr(node, leaf, boolean=False):
     one generated function of one argument, a.
 
     leaf(node, bind) compiles each Ref, ClockRef, At and FinalTest into
-    the source text of an expression that reads it from a; bind(value)
-    gives the name under which the text may read any value.  The caller
-    says what a is and refuses a leaf by raising.  Every other node is
-    compiled here, so each name is resolved once, before anything is
-    evaluated, also in a branch that is never taken.  Arithmetic raises
-    Overflow and DivisionByZero with the same messages as eval_arith,
-    rendered only when a check fails; &&, || and ite short-circuit.  A
-    node of the wrong kind raises PredicateError.
+    the source text of an expression that reads it from a, a number in
+    kernel form (see expr); bind(value) gives the name under which the
+    text may read any value.  The caller says what a is and refuses a
+    leaf by raising.  Every other node is compiled here, so each name is
+    resolved once, before anything is evaluated, also in a branch that is
+    never taken.  Arithmetic returns kernel numbers and raises Overflow
+    and DivisionByZero with the same messages as eval_arith, rendered only
+    when a check fails; &&, || and ite short-circuit.  A node of the
+    wrong kind raises PredicateError.
     """
     fn = _Function(leaf)
     return fn.build(_source(fn, node, boolean))
 
 
 def _component_leaf(index):
-    """The leaf of transform arithmetic: a is a value tuple, index maps
-    each component name to its position, and clock, at and final are
-    refused."""
+    """The leaf of transform arithmetic: a is a tuple of kernel numbers,
+    index maps each component name to its position, and clock, at and
+    final are refused."""
     def leaf(ref, bind):
         if not isinstance(ref, Ref):
             raise PredicateError(f"{to_text(ref)!r} is not transform arithmetic")
@@ -251,7 +270,7 @@ def _component_leaf(index):
 
 def compile_arith(node, index, boolean=False):
     """Compile a transform expression, or with boolean a predicate over
-    the components, into a function of a value tuple.
+    the components, into a function of a tuple of kernel numbers.
 
     index maps each component name to its position in the tuple.  A
     transform reads components only, so a name missing from index or a
@@ -262,8 +281,9 @@ def compile_arith(node, index, boolean=False):
 
 def compile_transform(effects, index):
     """Compile a transform, a component name -> expression mapping, into
-    one function of a value tuple that returns the new tuple.  Every
-    effect reads the old values; they are computed in component order.
+    one function of a tuple of kernel numbers that returns the new tuple.
+    Every effect reads the old values; they are computed in component
+    order.
     """
     fn = _Function(_component_leaf(index))
     out = [f"a[{i:d}]" for i in range(len(index))]

@@ -1,10 +1,15 @@
 """Small expression language used by transforms, predicates and indicators.
 
-Arithmetic is exact, and every number has one canonical form: an int when
-it is whole, a fractions.Fraction otherwise (see exact).  Literals,
-component values, clocks and the result of every operation keep that
-form, so the values of an all-integer model stay ints.  The grammar is
-deliberately tiny:
+Arithmetic is exact, and every number has one canonical form on each side
+of the kernel's edge.  At the edge, in States, models and output, it is an
+int when it is whole and a fractions.Fraction otherwise (see exact).
+Inside the kernel, in its value tables and in every generated function,
+it is an int when it is whole and otherwise a (numerator, denominator)
+pair of ints, the denominator above 1, the two coprime and the sign on the
+numerator (see to_kernel and from_kernel): equal numbers are equal values,
+and a pair hashes as fast as its ints.  Literals, component values, clocks
+and the result of every operation keep their side's form, so the values
+of an all-integer model stay ints.  The grammar is deliberately tiny:
 
     arith  := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -25,14 +30,18 @@ predicate arithmetic may also read agent clocks via clock(agent).
 
 The parser refuses nesting deeper than MAX_NESTING.  Every expression is
 compiled once into one generated Python function by the codegen module,
-whose code reads the overflow and division checks, checked and divide,
-from here.  eval_arith, a plain interpreter of transform arithmetic, is
-kept only as the reference the compiled transforms are checked against.
+which computes in kernel form: the int case of each operation inline,
+every other case through the exact helpers here, add, sub, mul, div, neg
+and compare, which also hold the overflow and division checks.
+eval_arith, a plain interpreter of transform arithmetic over Fractions,
+is kept only as the reference the compiled transforms are checked
+against; it shares no arithmetic with those helpers.
 """
 
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, Overflow, ParseError, PredicateError
 
@@ -423,6 +432,96 @@ def divide(left, right, node):
         # int / int would be a float
         return checked(Fraction(left, right), node)
     return checked(left / right, node)
+
+
+# Kernel arithmetic.  Generated code does an operation on two ints inline
+# and calls these for every other case; each takes and returns numbers in
+# kernel form.  They share no code with the Fraction arithmetic of
+# eval_arith, the reference the generated code is checked against.
+
+
+def to_kernel(value):
+    """The kernel form of an int or a Fraction."""
+    if type(value) is int:
+        return value
+    numerator, denominator = value.as_integer_ratio()
+    return numerator if denominator == 1 else (numerator, denominator)
+
+
+def from_kernel(value):
+    """The edge form of a kernel number, an int or a Fraction (see exact);
+    any other value, such as a bool, is returned as it is.  Pairs and ints
+    do not compare, so this is also the key that sorts kernel numbers in
+    numeric order."""
+    return Fraction(*value) if type(value) is tuple else value
+
+
+def capped(numerator, denominator, node):
+    """The kernel form of numerator / denominator, coprime with the
+    denominator positive, unless either outgrew the cap; node is the
+    operation that made it and is rendered only for the error message."""
+    if numerator.bit_length() > MAGNITUDE_BITS or \
+            denominator.bit_length() > MAGNITUDE_BITS:
+        raise Overflow(f"value in {to_text(node)} exceeds {MAGNITUDE_BITS} bits")
+    return numerator if denominator == 1 else (numerator, denominator)
+
+
+def _sum(an, ad, bn, bd, node):
+    # an / ad + bn / bd, both canonical: as fractions.Fraction adds, only
+    # a factor that the denominators share can cancel
+    g = gcd(ad, bd)
+    if g == 1:
+        return capped(an * bd + bn * ad, ad * bd, node)
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g = gcd(t, g)
+    return capped(t // g, s * (bd // g), node)
+
+
+def add(a, b, node):
+    an, ad = (a, 1) if type(a) is int else a
+    bn, bd = (b, 1) if type(b) is int else b
+    return _sum(an, ad, bn, bd, node)
+
+
+def sub(a, b, node):
+    an, ad = (a, 1) if type(a) is int else a
+    bn, bd = (b, 1) if type(b) is int else b
+    return _sum(an, ad, -bn, bd, node)
+
+
+def mul(a, b, node):
+    an, ad = (a, 1) if type(a) is int else a
+    bn, bd = (b, 1) if type(b) is int else b
+    # cancel across before multiplying, as fractions.Fraction does
+    g1 = gcd(an, bd)
+    g2 = gcd(bn, ad)
+    return capped(an // g1 * (bn // g2), ad // g2 * (bd // g1), node)
+
+
+def div(a, b, node):
+    if b == 0:
+        raise DivisionByZero(f"division by zero in {to_text(node)!r}")
+    an, ad = (a, 1) if type(a) is int else a
+    bn, bd = (b, 1) if type(b) is int else b
+    g1 = gcd(an, bn)
+    g2 = gcd(ad, bd)
+    numerator, denominator = an // g1 * (bd // g2), ad // g2 * (bn // g1)
+    if denominator < 0:
+        # the sign goes on the numerator
+        numerator, denominator = -numerator, -denominator
+    return capped(numerator, denominator, node)
+
+
+def neg(a):
+    return -a if type(a) is int else (-a[0], a[1])
+
+
+def compare(a, b):
+    """An int of the sign of a - b, by cross-multiplication."""
+    an, ad = (a, 1) if type(a) is int else a
+    bn, bd = (b, 1) if type(b) is int else b
+    return an * bd - bn * ad
 
 
 def eval_arith(node, values):

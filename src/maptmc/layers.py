@@ -340,16 +340,22 @@ def clusters(kernel, strong):
     """The function that splits a border (entry -> mark) into clusters of
     equal strong-component values, in values order; each is a tuple of
     (entry, mark) pairs in the order of configs[cid] + (values,), which is
-    the State order.  The strong components are picked once, here; an
-    empty border has no cluster and a one-entry border is one."""
-    configs, values = kernel.configs, kernel.values
+    the State order.  Values group in kernel form and order in edge form,
+    as numbers: a pair and an int do not compare.  The strong components
+    are picked once, here; an empty border has no cluster and a one-entry
+    border is one."""
+    configs, values, numbers = kernel.configs, kernel.values, kernel.numbers
     picks = [i for i, name in enumerate(kernel.model.component_names) if name in strong]
     # with one pick the key is the value itself, which orders as its 1-tuple
     strong_key = itemgetter(*picks) if picks else lambda v: ()
 
     def order(kv):
         cid, vid = kv[0]
-        return configs[cid] + (values[vid],)
+        return configs[cid] + (numbers(vid),)
+
+    def group_order(group):
+        # the group's key in edge form, read off its first entry
+        return strong_key(numbers(group[0][0][1]))
 
     def split(border):
         if len(border) < 2:
@@ -357,7 +363,8 @@ def clusters(kernel, strong):
         groups = {}
         for t, mark in border.items():
             groups.setdefault(strong_key(values[t[1]]), []).append((t, mark))
-        return [tuple(sorted(groups[key], key=order)) for key in sorted(groups)]
+        return [tuple(sorted(group, key=order))
+                for group in sorted(groups.values(), key=group_order)]
 
     return split
 

@@ -83,7 +83,8 @@ def compile_entry_expr(kernel, node, boolean=False, final=None):
 
     Components are read by position in kernel.values, clocks and at() by
     agent position in kernel.configs; a clock reads as a plain int, which
-    expr keeps exact under division.  final(entry) answers 'final', which
+    expr keeps exact under division.  An indicator returns a number in
+    kernel form (see expr).  final(entry) answers 'final', which
     is refused when final is None.  Every name is resolved here, so a bad
     one is reported before any state is seen, also in a branch that is
     never taken.
@@ -206,7 +207,7 @@ def _layered(kernel, visit, stats, cuts, strong, heuristic):
     popped cluster with nothing left to walk is dropped and crosses no
     border.
     """
-    configs, values = kernel.configs, kernel.values
+    configs, numbers = kernel.configs, kernel.numbers
     matcher = layers.CutMatcher(kernel, cuts)
     split = layers.clusters(kernel, strong)
     seen = {}
@@ -219,7 +220,7 @@ def _layered(kernel, visit, stats, cuts, strong, heuristic):
         else:
             # the State of the entry with the least (values, State)
             rep = min((s for s, _ in cluster),
-                      key=lambda e: (values[e[1]],) + configs[e[0]])
+                      key=lambda e: (numbers(e[1]),) + configs[e[0]])
             w = heuristic.weight(kernel.state(rep))
             key = -w if heuristic.order == "ascending" else w
         heapq.heappush(heap, (key, next(seq), cluster))
@@ -344,7 +345,7 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
         return tuple([read(s) for read in readers])
 
     # the walk tags each entry with an envelope id: envelopes[eid] is a
-    # tuple of (low, high) pairs, one per indicator
+    # tuple of (low, high) pairs of kernel numbers, one per indicator
     envelopes = []
     eids = {}
 
@@ -358,20 +359,32 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
         bounds = envelopes[eid]
         measured = measure(t)
         for (lo, hi), v in zip(bounds, measured):
-            if v < lo or hi < v:
-                return intern(tuple([(min(lo, v), max(hi, v))
-                                     for (lo, hi), v in zip(bounds, measured)]))
+            if not _within(v, lo, hi):
+                return intern(tuple([
+                    (v if expr.compare(v, lo) < 0 else lo,
+                     v if expr.compare(v, hi) > 0 else hi)
+                    for (lo, hi), v in zip(bounds, measured)]))
         return eid
 
     steps = sem.walk(kernel, kernel.start,
                      intern(tuple((v, v) for v in measure(kernel.start))), widen,
                      budget=budget, message=f"sweep exceeded {budget} entries")
     ends = [(s, eid) for s, eid, _, succ in steps if not succ]
-    configs, values = kernel.configs, kernel.values
-    ends.sort(key=lambda end: (configs[end[0][0]], values[end[0][1]], envelopes[end[1]]))
     view = kernel.view(s for s, _ in ends)
-    versions = [SweepVersion(view[s], envelopes[eid]) for s, eid in ends]
+    bounds = {eid: tuple([(expr.from_kernel(lo), expr.from_kernel(hi))
+                          for lo, hi in envelopes[eid]])
+              for eid in {eid for _, eid in ends}}
+    versions = [SweepVersion(view[s], bounds[eid]) for s, eid in ends]
+    versions.sort(key=lambda v: (v.state.localities, v.state.clocks, v.state.values,
+                                 v.bounds))
     return SweepResult(names, tuple(versions))
+
+
+def _within(v, lo, hi):
+    """lo <= v <= hi, for kernel numbers."""
+    if type(v) is int and type(lo) is int and type(hi) is int:
+        return lo <= v <= hi
+    return expr.compare(lo, v) <= 0 <= expr.compare(hi, v)
 
 
 # builtin heuristics

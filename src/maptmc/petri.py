@@ -21,10 +21,13 @@ caches belong to one translate call and live as long as its net.
 state_space_equiv checks the states of semantics.explore's batch pass,
 so it counts exactly the states explore counts, and compares moves by
 label and by target fields: the model's moves, read from the kernel's
-configuration and value tables, become {label: (localities, clocks,
-values)} and the net's fired markings {label: Marking}, a tuple of the
-same three fields, and tuple equality decides, with no marking decoded
-into a state.  Every net guard is called once per marking.
+configuration table and its values in edge form, become {label:
+(localities, clocks, values)} and the net's fired markings {label:
+Marking}, a tuple of the same three fields, and tuple equality decides,
+with no marking decoded into a state.  So the net computes over ints and
+Fractions, the model side over the kernel's pairs, and the two number
+forms meet only in that comparison.  Every net guard is called once per
+marking.
 """
 
 from dataclasses import dataclass, field
@@ -239,7 +242,7 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
         net = translate(m, accelerated=(semantics == "accelerated"))
     ex = sem.explore(m, semantics, x_bound, budget=budget)
     kernel = ex.kernel
-    configs, values = kernel.configs, kernel.values
+    configs, numbers = kernel.configs, kernel.numbers
     checked = 0
     for cid, vids in ex.distances.items():
         for vid, distance in vids.items():
@@ -247,9 +250,9 @@ def state_space_equiv(m, x_bound=None, semantics="original", *, net=None,
             entry = (cid, vid)
             if kernel.reached(entry):
                 continue
-            mk = Marking(*configs[cid], values[vid])
+            mk = Marking(*configs[cid], numbers(vid))
             model_moves = [("time" if isinstance(e, sem.Delay) else sem.event_label(e),
-                            configs[t[0]] + (values[t[1]],))
+                            configs[t[0]] + (numbers(t[1]),))
                            for e, t in kernel.moves(entry, distance)]
             # enabled_net has just evaluated each guard: fire's check would
             # repeat it.  A Marking is a tuple, so it equals a model target.

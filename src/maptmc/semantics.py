@@ -156,7 +156,10 @@ class Kernel:
     Every exploring call builds one.  A walk entry is a pair (cid, vid) of
     small ints: the kernel interns each (localities, clocks) configuration
     to an index into configs and each tuple of component values to an
-    index into values, tables that live as long as the kernel.  Each
+    index into values, tables that live as long as the kernel.  values
+    holds the numbers in kernel form (see expr): each an int when it is
+    whole, else a canonical (numerator, denominator) pair, so equal
+    valuations are equal tuples and hash as tuples of ints.  Each
     transform has a memo from value id to the value id it yields, which
     lives as long as the kernel too: a fire applies its transform and
     hashes the result only the first time the transform meets that value
@@ -175,12 +178,14 @@ class Kernel:
     Per entry only the X bound, the time bound and the transforms are
     left.  It never validates a state: the public functions below run
     check_state on the state they are given, and the exploring loops only
-    feed it entries it produced.  A State is the view at the edge: entry,
-    state and view convert, and successors is moves over States.  expand
-    is moves over a batch, the value ids of one configuration at one time
-    distance, which explore takes at once.  A plan is one flat tuple of
-    steps, which moves and expand apply and steps reads: layers.walk keeps
-    it in a step table beside the cut answers and applies it itself.
+    feed it entries it produced.  A State is the view at the edge, its
+    numbers ints and Fractions: entry, state and view convert, numbers
+    converts the values of one value id, and successors is moves over
+    States.  expand is moves over a batch, the value ids of one
+    configuration at one time distance, which explore takes at once.  A
+    plan is one flat tuple of steps, which moves and expand apply and
+    steps reads: layers.walk keeps it in a step table beside the cut
+    answers and applies it itself.
 
     Events come out in a fixed order: fires by agent and then in
     declaration order, then resets by agent, then the delay.  With an X
@@ -227,6 +232,7 @@ class Kernel:
         self._vids = {}
         self._plans = []        # cid -> (steps, delay amount), None until planned
         self._reached = []      # vid -> True when the X bound is reached
+        self._numbers = {}      # vid -> its values in edge form, once asked
         self.start = self.entry(initial_state(m))
 
     def _cid(self, localities, clocks):
@@ -248,7 +254,17 @@ class Kernel:
 
     def entry(self, s):
         """The (cid, vid) entry of State s."""
-        return self._cid(s.localities, s.clocks), self._vid(s.values)
+        return (self._cid(s.localities, s.clocks),
+                self._vid(tuple([expr.to_kernel(v) for v in s.values])))
+
+    def numbers(self, vid):
+        """The component values of value id vid in edge form, ints and
+        Fractions, converted the first time they are asked for."""
+        out = self._numbers.get(vid)
+        if out is None:
+            out = self._numbers[vid] = tuple([expr.from_kernel(v)
+                                              for v in self.values[vid]])
+        return out
 
     def state(self, entry):
         """The State of an entry."""
@@ -256,8 +272,8 @@ class Kernel:
 
     def view(self, entries):
         """{entry: State} for the given entries."""
-        configs, values = self.configs, self.values
-        return {(cid, vid): State(*configs[cid], values[vid]) for cid, vid in entries}
+        configs, numbers = self.configs, self.numbers
+        return {(cid, vid): State(*configs[cid], numbers(vid)) for cid, vid in entries}
 
     def _rows(self, cid):
         return [table[loc] for table, loc in zip(self._tables, self.configs[cid][0])]
@@ -627,7 +643,7 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
     ValidationError that explore gives.
     """
     kernel = Kernel(m, semantics, x_bound, time_bound)
-    configs, values = kernel.configs, kernel.values
+    configs = kernel.configs
     out = {}
     for (cid, vid), word, _, succ in walk(
             kernel, kernel.start, (),
@@ -635,7 +651,7 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
             budget=budget, message=f"abstract exploration exceeded {budget} entries"):
         if succ:
             continue
-        label = (configs[cid][0], values[vid])
+        label = (configs[cid][0], kernel.numbers(vid))
         if word in out and out[word] != label:
             raise ValidationError(
                 f"word {[event_label(e) for e in word]} determined two labels")

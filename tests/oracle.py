@@ -70,7 +70,11 @@ class RawModel:
     def apply_transform(self, name, vals):
         effects = self.transforms[name]
         env = dict(zip(self.comp_names, vals))
-        env["Fraction"] = Fraction
+        # min and max keep the first of equal arguments, as the model's do;
+        # ite takes a condition written in Python (no '=' test) and
+        # evaluates both branches
+        env.update(Fraction=Fraction, min=min, max=max,
+                   ite=lambda cond, then, orelse: then if cond else orelse)
         out = []
         for comp, old in zip(self.comp_names, vals):
             if comp in effects:

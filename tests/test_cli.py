@@ -44,6 +44,17 @@ def test_explore_counts_build_no_states(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_explore_under_a_rational_x_bound_counts_the_oracle(capsys, raw_two_tasks):
+    # the bound is a pair in the kernel and count an int: the X-bound test
+    # compares the two exactly, as the oracle does over Fractions
+    dist, edges, finals = oracle.build_graph(raw_two_tasks, "accelerated",
+                                             {"count": Fraction(7, 2)})
+    code, out, _ = run_cli(capsys, "explore", TWO_TASKS, "--x-bound", "count=7/2",
+                           "--format", "machine")
+    assert (code, out) == (0, f"explored semantics=accelerated states={len(dist)} "
+                              f"edges={len(edges)} finals={len(finals)}\n")
+
+
 def test_explore_walks_entries_only_for_dot(capsys, monkeypatch, tmp_path):
     # the count line comes from the batch pass; only --dot replays the
     # per-entry walk, once, to build the graph it writes

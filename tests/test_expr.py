@@ -1,6 +1,7 @@
 """Tokenizer, parser, compiler and reference interpreter for arithmetic
 and predicate expressions."""
 
+import math
 import os
 from fractions import Fraction
 
@@ -15,6 +16,20 @@ from maptmc.semantics import Kernel, State
 
 def ev(text, **values):
     return expr.eval_arith(expr.parse_arith(text), values)
+
+
+def kernel_number(value):
+    """Is value a number in kernel form: an int, or a (numerator,
+    denominator) pair of coprime ints with the denominator above 1?"""
+    if type(value) is int:
+        return True
+    return (type(value) is tuple and len(value) == 2
+            and all(type(part) is int for part in value)
+            and value[1] > 1 and math.gcd(*value) == 1)
+
+
+def kernel_args(values):
+    return tuple(map(expr.to_kernel, values))
 
 
 def fixture_state(m):
@@ -75,7 +90,9 @@ def test_arith_eval(text, env, expected):
     assert expr.eval_arith(node, env) == expected
     names = sorted(env)
     compiled = codegen.compile_arith(node, {n: i for i, n in enumerate(names)})
-    assert compiled(tuple(env[n] for n in names)) == expected
+    got = compiled(kernel_args(env[n] for n in names))
+    assert kernel_number(got)
+    assert expr.from_kernel(got) == expected
 
 
 def test_exact_decimals_stay_fractions():
@@ -91,6 +108,8 @@ def test_whole_literals_are_ints():
     # a tree built through the API is canonical once compiled
     compiled = codegen.compile_arith(expr.Num(Fraction(6, 3)), {})
     assert type(compiled(())) is int
+    compiled = codegen.compile_arith(expr.Num(Fraction(-6, 4)), {})
+    assert compiled(()) == (-3, 2)
 
 
 PRED_CASES = [
@@ -133,8 +152,8 @@ def test_clock_rejected_outside_predicates(two_tasks):
     # opt-in flag used by indicator expressions
     node = expr.parse_arith("clock(task_a) / 2 + 1", allow_clock=True)
     value = state_expr(two_tasks, node)(fixture_state(two_tasks))
-    assert value == Fraction(5, 2)
-    assert isinstance(value, Fraction)
+    assert value == (5, 2)
+    assert expr.from_kernel(value) == Fraction(5, 2)
 
 
 @pytest.mark.parametrize("text", ["clock(task_a) / clock(task_b)", "clock(task_a) / 2"])
@@ -143,8 +162,8 @@ def test_clock_division_is_exact(two_tasks, text):
     s = State(s.localities, (3, 2), s.values)
     read = state_expr(two_tasks, expr.parse_arith(text, allow_clock=True))
     value = read(s)
-    assert value == Fraction(3, 2)
-    assert isinstance(value, Fraction)
+    assert value == (3, 2)
+    assert expr.from_kernel(value) == Fraction(3, 2)
     holds = state_expr(two_tasks, expr.parse_predicate(f"{text} = 3/2"), True,
                        lambda e: False)
     assert holds(s)
@@ -330,6 +349,19 @@ def outcome(evaluate):
 @example(expr.parse_arith("a / (b - b)"), (Fraction(1), Fraction(2), Fraction(0)), False)
 @example(expr.parse_arith("a / 0 / (b / 0)"), (Fraction(1), Fraction(2), Fraction(0)), False)
 @example(expr.parse_arith("-(a * 2) + c * c"), (Fraction(1), Fraction(0), Fraction(0)), True)
+# a negative divisor moves its sign to the numerator
+@example(expr.parse_arith("a / (0 - 3)"), (Fraction(1, 2), Fraction(0), Fraction(0)), False)
+@example(expr.parse_arith("b / (c - 2) - a / (0 - 3)"),
+         (Fraction(1, 2), Fraction(-5, 4), Fraction(1)), False)
+# = between a whole and a non-whole value, and between a pair product
+# that is whole and an int
+@example(expr.parse_arith("ite(a = b, 1, ite(a = b * 2, 2, 3))"),
+         (Fraction(1), Fraction(1, 2), Fraction(0)), False)
+@example(expr.parse_arith("min(-b, -a) + max(a, -c / 3)"),
+         (Fraction(-3, 2), Fraction(2), Fraction(7, 4)), False)
+# a pair whose product outgrows the cap
+@example(expr.parse_arith("(c + 1 / 3) * (c - 1 / 3)"),
+         (Fraction(0), Fraction(0), Fraction(0)), True)
 @given(transform_trees(), st.tuples(small_fractions(), small_fractions(),
                                     small_fractions()), st.booleans())
 def test_compile_arith_matches_eval_arith(tree, values, huge):
@@ -341,12 +373,18 @@ def test_compile_arith_matches_eval_arith(tree, values, huge):
     values = tuple(map(expr.exact, values))
     env = dict(zip(COMPONENTS, values))
     compiled = codegen.compile_arith(tree, {n: i for i, n in enumerate(COMPONENTS)})
-    got = outcome(lambda: compiled(values))
+    # the compiled function computes in kernel form, eval_arith over Fractions
+    kernel_got = outcome(lambda: compiled(kernel_args(values)))
+    got = kernel_got
+    if got[0] == "value":
+        got = ("value", expr.from_kernel(got[1]))
     assert got == outcome(lambda: expr.eval_arith(tree, env))
     if got[0] == "value":
         reference = expr.eval_arith(tree, env)
         assert type(got[1]) is type(reference)
         assert type(reference) is (int if reference.denominator == 1 else Fraction)
+        assert kernel_number(kernel_got[1])
+        assert kernel_got[1] == expr.to_kernel(reference)
 
 
 @pytest.mark.parametrize("text", ["y + 1", "clock(task_a) + 1"])
@@ -377,6 +415,20 @@ def test_predicate_to_text_round_trip(text):
 def test_min_max_agree_with_python(a, b):
     got = ev("min(a, b) + max(a, b)", a=a, b=b)
     assert got == a + b
+
+
+@given(st.lists(st.tuples(small_fractions(), small_fractions()), max_size=12))
+def test_kernel_numbers_sort_as_fractions(rows):
+    # pairs and ints do not compare, so kernel numbers sort on from_kernel:
+    # alone and in tuples, as layers.clusters and sweep sort them, in the
+    # order their Fractions sort, equal numbers keeping their places
+    kernel = [tuple(map(expr.to_kernel, row)) for row in rows]
+    assert all(kernel_number(v) for row in kernel for v in row)
+    positions = range(len(rows))
+    assert (sorted(positions, key=lambda i: expr.from_kernel(kernel[i][0]))
+            == sorted(positions, key=lambda i: rows[i][0]))
+    assert (sorted(positions, key=lambda i: tuple(map(expr.from_kernel, kernel[i])))
+            == sorted(positions, key=lambda i: rows[i]))
 
 
 def test_refs():
@@ -544,12 +596,13 @@ def test_compile_entry_expr_matches_reference(kernel, tree, localities, clocks,
     state = State(localities, clocks, values)
     read = mc.compile_entry_expr(kernel, node, boolean, lambda e: final)
     got = outcome(lambda: read(kernel.entry(state)))
-    assert got == outcome(lambda: reference(node, state, final))
     if got[0] == "value":
         if boolean:
             assert type(got[1]) is bool
         else:
-            assert type(got[1]) is (int if got[1].denominator == 1 else Fraction)
+            assert kernel_number(got[1])
+        got = ("value", expr.from_kernel(got[1]))
+    assert got == outcome(lambda: reference(node, state, final))
 
 
 # a sum of 900 terms, x + 1 in all; x + 150 nested 150 deep on the right
@@ -563,10 +616,11 @@ def test_long_and_deep_transforms_compile(text, gain):
     compiled = codegen.compile_arith(node, {"x": 0})
     apply = codegen.compile_transform({"x": node}, {"w": 1, "x": 0})
     for x in (0, 7, Fraction(1, 3), Fraction(-5, 2)):
-        value = compiled((x,))
-        assert value == expr.eval_arith(node, {"x": x}) == x + gain
-        assert type(value) is type(x)
-        assert apply((x, "w")) == (value, "w")
+        value = compiled((expr.to_kernel(x),))
+        assert expr.from_kernel(value) == expr.eval_arith(node, {"x": x}) == x + gain
+        assert kernel_number(value)
+        assert type(value) is type(expr.to_kernel(x))
+        assert apply((expr.to_kernel(x), "w")) == (value, "w")
 
 
 def test_generated_code_is_labelled_for_profiles():
@@ -593,7 +647,7 @@ def test_eval_arith_walks_long_chains():
         compiled = codegen.compile_arith(node, {"x": 0})
         for x in (0, 7, Fraction(1, 3), Fraction(-5, 2)):
             got = outcome(lambda: expr.eval_arith(node, {"x": x}))
-            assert got == outcome(lambda: compiled((x,)))
+            assert got == outcome(lambda: expr.from_kernel(compiled((expr.to_kernel(x),))))
             if text is SUM_3000:
                 assert got == ("value", x + 1499 * (2 * x - 1) + Fraction(1, 3))
         assert expr.to_text(node) == text

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from maptmc import codegen, mc, petri
+from maptmc import codegen, expr, mc, petri
 from maptmc import semantics as sem
 from maptmc.errors import Overflow
 from maptmc.model import eval_transform
@@ -72,7 +72,8 @@ def test_cross_check_covers_compiled_transforms(monkeypatch, two_tasks):
         if effects.get("load") is target:
             def apply(values):
                 out = list(compiled(values))
-                out[load] += 1
+                # the kernel's numbers are ints and pairs: add in edge form
+                out[load] = expr.to_kernel(expr.from_kernel(out[load]) + 1)
                 return tuple(out)
             return apply
         return compiled

@@ -25,6 +25,7 @@ from maptmc.model import model_from_dict, model_to_dict, validate_acyclicity
 from maptmc.semantics import Delay, Fire, Reset
 
 import oracle
+from test_expr import kernel_number
 from test_layers import agents_model, hop, live_agents
 
 
@@ -341,6 +342,16 @@ def _two_distances(dist, edges):
                for s, lab, t in edges)
 
 
+def assert_kernel_form(ex):
+    """Every number in the kernel's value table is an int or a canonical
+    pair, and every explored entry comes back from its State."""
+    kernel = ex.kernel
+    assert all(kernel_number(v) for values in kernel.values for v in values)
+    for cid, vids in ex.distances.items():
+        for vid in vids:
+            assert kernel.entry(kernel.state((cid, vid))) == (cid, vid)
+
+
 def assert_explore_matches_oracle(m, raw, semantics, x_bound=None, time_bound=None):
     """explore's graph is the oracle's: every state with its distance,
     every edge with its event, in walk order, and the finals; the counts of
@@ -355,6 +366,7 @@ def assert_explore_matches_oracle(m, raw, semantics, x_bound=None, time_bound=No
             sem.explore(m, semantics, x_bound, time_bound=time_bound)
         return None
     ex = sem.explore(m, semantics, x_bound, time_bound=time_bound)
+    assert_kernel_form(ex)
     assert ex.counts == (len(dist), len(edges), len(finals))
     assert {_plain_state(s): d for s, d in ex.states.items()} == dist
     assert [(_plain_state(s), _oracle_label(e), _plain_state(t))
