@@ -313,6 +313,13 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
     envelopes survive deduplication separately.  Versions come sorted on
     their localities, clocks, values and bounds.  Each name must be an
     identifier, given once.
+
+    The expressions are compiled first, so a bad name is reported before
+    any state is seen.  explore_kernel then decides the bounded space over
+    the same kernel, with its errors: a state at two time distances, or
+    more than budget states.  The walk tags each of its states with an
+    envelope; more than budget (state, envelope) entries raise
+    BudgetExceeded too.
     """
     if isinstance(indicators, dict):
         items = list(indicators.items())
@@ -340,6 +347,7 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
         if boolean:
             read = lambda s, holds=read: int(holds(s))
         readers.append(read)
+    ex = sem.explore_kernel(kernel, budget)
 
     def measure(s):
         return tuple([read(s) for read in readers])
@@ -366,10 +374,9 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
                     for (lo, hi), v in zip(bounds, measured)]))
         return eid
 
-    steps = sem.walk(kernel, kernel.start,
-                     intern(tuple((v, v) for v in measure(kernel.start))), widen,
+    steps = sem.walk(ex, intern(tuple((v, v) for v in measure(kernel.start))), widen,
                      budget=budget, message=f"sweep exceeded {budget} entries")
-    ends = [(s, eid) for s, eid, _, succ in steps if not succ]
+    ends = [(s, eid) for s, eid, succ in steps if not succ]
     view = kernel.view(s for s, _ in ends)
     bounds = {eid: tuple([(expr.from_kernel(lo), expr.from_kernel(hi))
                           for lo, hi in envelopes[eid]])

@@ -470,56 +470,36 @@ def normalize_x_bound(m, x_bound):
     return out
 
 
-def walk(kernel, start, tag=None, fold=None, *, budget, message):
-    """Width-first walk over the kernel's moves from the entry start;
-    yields (entry, tag, elapsed, moves) per walk entry, in FIFO order,
-    where elapsed is its time distance from start.
+def walk(ex, tag, fold, *, budget, message):
+    """Width-first walk of (entry, tag) pairs over the bounded space of
+    Exploration ex, from its kernel's start; yields (entry, tag, moves)
+    per walk entry, in FIFO order.
 
-    Entries are the kernel's (cid, vid) pairs, so the walk queues and
-    dedups pairs of small ints and builds no State.  Without fold a walk
-    entry is an entry.  With fold it is an (entry, tag) pair, and a
-    successor's tag is fold(tag, event, target entry); one set of flat
-    (cid, vid, tag) keys dedups those.  One distance map, cid -> {vid:
-    time distance}, holds every entry met for the whole walk, whatever
-    its tag, so an entry met at two time distances, which means the model
-    is not acyclic, raises ValidationError under any tag.  Taking more
-    than budget walk entries raises BudgetExceeded(message).
+    A successor's tag is fold(tag, event, target entry), and one set of
+    flat (cid, vid, tag) keys dedups the walk entries.  Each entry's moves
+    are taken at the time distance ex.distances holds for it: explore has
+    met every entry the walk meets, since a tag never prunes a move, and
+    has filled the kernel's plans and memos.  Taking more than budget walk
+    entries raises BudgetExceeded(message).
     """
-    cid, vid = start
-    dist = {cid: {vid: 0}}      # cid -> {vid: time distance}
-    tagged = None if fold is None else {(cid, vid, tag)}
-    queue = deque([(start, tag, 0)])
+    kernel, distances = ex.kernel, ex.distances
+    cid, vid = kernel.start
+    seen = {(cid, vid, tag)}
+    queue = deque([(kernel.start, tag)])
     taken = 0
     while queue:
         if taken >= budget:
             raise BudgetExceeded(message)
         taken += 1
-        s, tag, elapsed = queue.popleft()
-        succ = kernel.moves(s, elapsed)
-        yield s, tag, elapsed, succ
+        s, tag = queue.popleft()
+        succ = kernel.moves(s, distances[s[0]][s[1]])
+        yield s, tag, succ
         for e, t in succ:
-            t_elapsed = elapsed + e.amount if isinstance(e, Delay) else elapsed
-            t_cid, t_vid = t
-            t_dist = dist.get(t_cid)
-            if t_dist is None:
-                t_dist = dist[t_cid] = {}
-            # one hash per edge: setdefault adds a new entry, or returns
-            # the distance an old one was found at
-            found = len(t_dist)
-            known = t_dist.setdefault(t_vid, t_elapsed)
-            if known != t_elapsed:
-                raise ValidationError(
-                    "a state was reached at two distinct time distances "
-                    f"({known} and {t_elapsed}); the model is not acyclic")
-            if fold is None:
-                if len(t_dist) != found:
-                    queue.append((t, None, t_elapsed))
-                continue
             t_tag = fold(tag, e, t)
-            found = len(tagged)
-            tagged.add((t_cid, t_vid, t_tag))
-            if len(tagged) != found:
-                queue.append((t, t_tag, t_elapsed))
+            found = len(seen)
+            seen.add((t[0], t[1], t_tag))
+            if len(seen) != found:
+                queue.append((t, t_tag))
 
 
 class Exploration:
@@ -529,31 +509,31 @@ class Exploration:
     distances is the batch pass's own seen map, kept as it built it:
     configuration id -> {value id: time distance}, one entry per state,
     in the order the pass found them.  The graph itself is built on first
-    access, once, from a replay of walk over the same kernel, whose plans
-    and memos the batch pass has filled, so its order is walk's FIFO
-    order: states maps each State to its time distance from the initial
-    state, edges holds (State, event, State) triples and finals the
-    States with no successor within the bounds."""
+    access, once, from that map: each entry's moves at its distance, over
+    the same kernel, whose plans and memos the batch pass has filled.  So
+    it comes in the map's order: states maps each State to its time
+    distance from the initial state, edges holds (State, event, State)
+    triples and finals the States with no successor within the bounds."""
 
-    def __init__(self, kernel, counts, budget, distances):
+    def __init__(self, kernel, counts, distances):
         self.kernel = kernel
         self.counts = counts
         self.distances = distances
-        self._budget = budget
 
     @cached_property
     def _graph(self):
-        dist = {}
+        kernel = self.kernel
+        dist = {(cid, vid): d for cid, vids in self.distances.items()
+                for vid, d in vids.items()}
         arcs = []
         ends = []
-        for s, _, d, succ in walk(self.kernel, self.kernel.start, budget=self._budget,
-                                  message=f"exploration exceeded {self._budget} states"):
-            dist[s] = d
+        for s, d in dist.items():
+            succ = kernel.moves(s, d)
             if not succ:
                 ends.append(s)
             for e, t in succ:
                 arcs.append((s, e, t))
-        view = self.kernel.view(dist)
+        view = kernel.view(dist)
         return ({view[s]: d for s, d in dist.items()},
                 tuple([(view[s], e, view[t]) for s, e, t in arcs]),
                 frozenset(view[s] for s in ends))
@@ -575,7 +555,13 @@ class Exploration:
 
 
 def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGET):
-    """The reachable graph within the given bounds, as an Exploration.
+    """The reachable graph within the given bounds, as an Exploration:
+    explore_kernel over a new Kernel."""
+    return explore_kernel(Kernel(m, semantics, x_bound, time_bound), budget)
+
+
+def explore_kernel(kernel, budget=DEFAULT_BUDGET):
+    """The reachable graph of kernel within its bounds, as an Exploration.
 
     A batch pass counts it.  It takes the time distances lowest first; at
     each, it expands one batch per configuration id, the value ids new
@@ -586,9 +572,10 @@ def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGE
     difference.  Every reachable state of a valid model sits at a single
     time distance from the start; a state found at two distances means
     the model is not acyclic and exploration stops with ValidationError.
-    More than budget states raise BudgetExceeded.
+    More than budget states raise BudgetExceeded.  This pass is the one
+    place that decides time distances: the graph, walk, and so sweep and
+    abstract_reachable, read its map.
     """
-    kernel = Kernel(m, semantics, x_bound, time_bound)
     message = f"exploration exceeded {budget} states"
     cid, vid = kernel.start
     seen = {cid: {vid: 0}}      # cid -> {vid: time distance}
@@ -626,7 +613,7 @@ def explore(m, semantics, x_bound=None, *, time_bound=None, budget=DEFAULT_BUDGE
                     t_batches = pending.setdefault(t_d, {}) if gain else batches
                     t_batches.setdefault(target, []).extend(new)
         del pending[d]
-    return Exploration(kernel, (states, edges, finals), budget, seen)
+    return Exploration(kernel, (states, edges, finals), seen)
 
 
 def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
@@ -638,16 +625,18 @@ def abstract_reachable(m, semantics, x_bound=None, *, time_bound=None,
     event remains within the bounds.  Delays never extend the word, so
     the two semantics can be compared through the returned mapping.
 
-    The walk keeps one time distance per state whatever its word, so a
-    model whose state sits at two distances stops it with the
-    ValidationError that explore gives.
+    explore decides the bounded space first, so a model whose state sits
+    at two time distances stops with its ValidationError, and more than
+    budget states with its BudgetExceeded.  The walk then tags each state
+    with its word over explore's kernel; more than budget (state, word)
+    entries raise BudgetExceeded too.
     """
-    kernel = Kernel(m, semantics, x_bound, time_bound)
+    ex = explore(m, semantics, x_bound, time_bound=time_bound, budget=budget)
+    kernel = ex.kernel
     configs = kernel.configs
     out = {}
-    for (cid, vid), word, _, succ in walk(
-            kernel, kernel.start, (),
-            lambda word, e, t: word if isinstance(e, Delay) else word + (e,),
+    for (cid, vid), word, succ in walk(
+            ex, (), lambda word, e, t: word if isinstance(e, Delay) else word + (e,),
             budget=budget, message=f"abstract exploration exceeded {budget} entries"):
         if succ:
             continue

@@ -1,9 +1,11 @@
-"""Shared fixtures: bundled models, their oracle twins, and a scaling helper."""
+"""Shared fixtures: bundled models, their oracle twins, a scaling helper,
+and the Hypothesis profile every property test runs under."""
 
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -11,6 +13,13 @@ from maptmc import fixtures
 from maptmc.model import loads_model, model_from_dict, model_to_dict
 
 import oracle
+
+# The explain phase only annotates a failure already found, and on a slow
+# failing example it can take longer than finding and shrinking it; it
+# never decides pass or fail.  Every @settings inherits this profile's
+# phases and keeps its own other values.
+settings.register_profile("maptmc", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("maptmc")
 
 
 @pytest.fixture(scope="session")

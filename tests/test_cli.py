@@ -55,24 +55,24 @@ def test_explore_under_a_rational_x_bound_counts_the_oracle(capsys, raw_two_task
                               f"edges={len(edges)} finals={len(finals)}\n")
 
 
-def test_explore_walks_entries_only_for_dot(capsys, monkeypatch, tmp_path):
-    # the count line comes from the batch pass; only --dot replays the
-    # per-entry walk, once, to build the graph it writes
-    walks = []
-    walk = sem.walk
+def test_explore_builds_the_graph_only_for_dot(capsys, monkeypatch, tmp_path):
+    # the count line comes from the batch pass; only --dot builds the graph
+    # of States, once, from the pass's distance map
+    views = []
+    view = sem.Kernel.view
 
-    def spy(*args, **kwargs):
-        walks.append(args)
-        return walk(*args, **kwargs)
+    def spy(self, entries):
+        views.append(entries)
+        return view(self, entries)
 
-    monkeypatch.setattr(sem, "walk", spy)
+    monkeypatch.setattr(sem.Kernel, "view", spy)
     line = "explored semantics=accelerated states=365 edges=406 finals=94\n"
     argv = ["explore", TWO_TASKS, "--x-bound", "count=3", "--format", "machine"]
     assert run_cli(capsys, *argv) == (0, line, "")
-    assert walks == []
+    assert views == []
     dot = tmp_path / "g.dot"
     assert run_cli(capsys, *argv, "--dot", str(dot)) == (0, line, "")
-    assert len(walks) == 1
+    assert len(views) == 1
     assert dot.read_text(encoding="utf-8").count(" -> ") == 406
 
 
@@ -255,6 +255,20 @@ def test_explore_budget_exhausted(capsys):
         capsys, "explore", STAGED, "--time-bound", "30", "--budget", "5")
     assert code == 2
     assert "budget" in err or "exceeded" in err
+
+
+@pytest.mark.parametrize("budget,message", [
+    ("100", "error: exploration exceeded 100 states"),
+    ("7000", "error: sweep exceeded 7000 entries"),
+])
+def test_sweep_budget_stops_explore_then_the_walk(capsys, budget, message):
+    # two_tasks at count=5, original, has 6052 states and 11149 (state,
+    # envelope) entries: sweep explores the space first, so a budget below
+    # the state count stops there, and one above it stops the tagged walk
+    code, out, err = run_cli(capsys, "sweep", TWO_TASKS, "--semantics", "original",
+                             "--x-bound", "count=5", "--indicator", "load=load",
+                             "--budget", budget)
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_cuts_text_matches_library(capsys, two_tasks):

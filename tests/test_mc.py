@@ -347,6 +347,18 @@ def test_sweep_rejects_bad_indicator_names(two_tasks, indicators, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text,error,message", [
+    ("nosuch", UnknownReference, "unknown component 'nosuch'"),
+    ("clock(nobody)", PredicateError, "unknown agent 'nobody' in clock(...)"),
+])
+def test_sweep_resolves_names_before_exploring(two_tasks, text, error, message):
+    # a budget of 10 states stops any exploration of two_tasks, so the
+    # name is resolved before explore runs
+    with pytest.raises(error) as exc:
+        mc.sweep_indicators(two_tasks, {"x": text}, budget=10)
+    assert str(exc.value) == message
+
+
 def test_sweep_matches_semantics(two_tasks):
     a = mc.sweep_indicators(two_tasks, [("load", "load")], time_bound=5)
     b = mc.sweep_indicators(two_tasks, [("load", "load")], time_bound=5,

@@ -354,11 +354,13 @@ def assert_kernel_form(ex):
 
 def assert_explore_matches_oracle(m, raw, semantics, x_bound=None, time_bound=None):
     """explore's graph is the oracle's: every state with its distance,
-    every edge with its event, in walk order, and the finals; the counts of
-    the batch pass equal the sizes of the graph the walk replays.  Where the
-    oracle's graph holds a state at two time distances, explore stops with
-    the not-acyclic error instead.  Returns the number of states when the
-    graphs were compared, else None."""
+    every edge with its event, and the finals; the counts of the batch
+    pass equal the sizes of the graph built from its map.  Each (state,
+    event, target) triple occurs once in a graph, so the edges compare as
+    a set together with their count.  Where the oracle's graph holds a
+    state at two time distances, explore stops with the not-acyclic error
+    instead.  Returns the number of states when the graphs were compared,
+    else None."""
     bound = None if x_bound is None else {n: Fraction(v) for n, v in x_bound.items()}
     dist, edges, finals = oracle.build_graph(raw, semantics, bound, time_bound)
     if _two_distances(dist, edges):
@@ -369,8 +371,9 @@ def assert_explore_matches_oracle(m, raw, semantics, x_bound=None, time_bound=No
     assert_kernel_form(ex)
     assert ex.counts == (len(dist), len(edges), len(finals))
     assert {_plain_state(s): d for s, d in ex.states.items()} == dist
-    assert [(_plain_state(s), _oracle_label(e), _plain_state(t))
-            for s, e, t in ex.edges] == edges
+    assert len(ex.edges) == len(edges)
+    assert {(_plain_state(s), _oracle_label(e), _plain_state(t))
+            for s, e, t in ex.edges} == set(edges)
     assert {_plain_state(s) for s in ex.finals} == finals
     return len(dist)
 
@@ -389,6 +392,44 @@ def test_explore_graph_matches_oracle(request, fixture, x_bound, semantics):
                                          semantics, x_bound)
 
 
+# the sweep's indicators on a generated model, as text and over the
+# oracle's (localities, clocks, values) states
+GENERATED_INDICATORS = [("n", "n", lambda s: s[2][0]),
+                        ("c", "clock(g0)", lambda s: s[1][0])]
+
+
+def assert_tagged_walks_match_oracle(m, raw, semantics, x_bound=None, time_bound=None, *,
+                                     words=True):
+    """sweep_indicators, and with words abstract_reachable, walk explore's
+    space with a tag, so they give the oracle's (final state, envelope)
+    versions and its words.  Where the oracle's graph holds a state at two
+    time distances, each stops with explore's error instead."""
+    bound = None if x_bound is None else {n: Fraction(v) for n, v in x_bound.items()}
+
+    def versions():
+        return mc.sweep_indicators(m, [(name, text) for name, text, _ in GENERATED_INDICATORS],
+                                   x_bound, semantics, time_bound=time_bound).versions
+
+    def walk_words():
+        return sem.abstract_reachable(m, semantics, x_bound, time_bound=time_bound)
+
+    runs = (versions, walk_words) if words else (versions,)
+    if _two_distances(*oracle.build_graph(raw, semantics, bound, time_bound)[:2]):
+        for run in runs:
+            with pytest.raises(ValidationError, match="the model is not acyclic$"):
+                run()
+        return
+    expected = oracle.sweep_versions(raw, semantics, [f for _, _, f in GENERATED_INDICATORS],
+                                     bound, time_bound)
+    assert ([(v.state.localities, v.state.clocks, v.state.values, v.bounds)
+             for v in versions()]
+            == sorted((locs, clocks, values, bounds)
+                      for (locs, clocks, values), bounds in expected))
+    if words:
+        assert ({_plain_word(w): label for w, label in walk_words().items()}
+                == oracle.words(raw, semantics, bound, time_bound))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(1, 2).flatmap(
     lambda k: st.tuples(*(live_agents(f"g{i}") for i in range(k)))))
@@ -398,7 +439,9 @@ def test_explore_matches_oracle_on_generated_models(tmp_path_factory, agents):
     # close the space; a time bound of two hyperperiods always does.
     # petri-check checks explore's states, so under the X bound it agrees
     # on every one of them, or stops with explore's error; it takes no
-    # time bound.
+    # time bound.  abstract_reachable and sweep tag the states of explore's
+    # space, so under each bound they match the oracle's words and
+    # versions, or stop with explore's error.
     m, raw = agents_model(agents, tmp_path_factory.mktemp("gen") / "model.json")
     horizon = 2 * layers.lcm_periods(m)
     proven = validate_acyclicity(m)[0]
@@ -411,7 +454,13 @@ def test_explore_matches_oracle_on_generated_models(tmp_path_factory, agents):
             else:
                 res = petri.state_space_equiv(m, {"n": 3}, semantics)
                 assert (res.equal, res.states_checked) == (True, size)
+            assert_tagged_walks_match_oracle(m, raw, semantics, {"n": 3})
         assert_explore_matches_oracle(m, raw, semantics, time_bound=horizon)
+        # under a time bound alone the words number the interleavings of
+        # the hops, past 100000 on some of these models, so they are read
+        # under the X bound as well
+        assert_tagged_walks_match_oracle(m, raw, semantics, time_bound=horizon, words=False)
+        assert_tagged_walks_match_oracle(m, raw, semantics, {"n": 3}, time_bound=horizon)
 
 
 @pytest.mark.parametrize("semantics", sem.SEMANTICS)
