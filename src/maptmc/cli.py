@@ -12,9 +12,8 @@ import argparse
 import inspect
 import json
 import sys
-from fractions import Fraction
 
-from . import expr, layers, mc, petri
+from . import layers, mc, petri
 from . import semantics as sem
 from .errors import MaptError
 from .model import load_model, validate
@@ -26,18 +25,11 @@ def _q(text):
     return json.dumps(text)
 
 
-def _rational(text, what):
-    try:
-        return expr.exact(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise MaptError(f"bad {what} value {text!r}, expected a rational")
-
-
 def _parse_x_bound(values):
     if not values:
         return None
     if len(values) == 1 and "=" not in values[0]:
-        return _rational(values[0], "--x-bound")
+        return values[0]
     out = {}
     for item in values:
         name, _, raw = item.partition("=")
@@ -46,7 +38,7 @@ def _parse_x_bound(values):
         name = name.strip()
         if name in out:
             raise MaptError(f"--x-bound name {name!r} is given twice")
-        out[name] = _rational(raw.strip(), "--x-bound")
+        out[name] = raw.strip()
     return out
 
 
@@ -243,10 +235,10 @@ def _cmd_sweep(args, m):
 def _cmd_petri_check(args, m):
     _require_mapt(m, args.assume_acyclic)
     net = petri.translate(m, accelerated=(args.semantics == "accelerated"))
-    if args.dump_net:
-        print(petri.structure_text(net), end="")
     result = petri.state_space_equiv(m, args.x_bound, args.semantics,
                                      net=net, budget=args.budget)
+    if args.dump_net:
+        print(petri.structure_text(net), end="")
     if args.format == "machine":
         print(f"equivalence equal={str(result.equal).lower()} "
               f"states_checked={result.states_checked} "

@@ -27,6 +27,8 @@ of an all-integer model stay ints.  The grammar is deliberately tiny:
 NUMBER literals may be integers, decimals (kept exact) or p/q rationals.
 Transforms use plain arith with component names only; indicator and
 predicate arithmetic may also read agent clocks via clock(agent).
+MAGNITUDE_BITS caps every number, computed or read: rational reads each
+number given outside an expression, such as an X bound, under the cap.
 
 The parser refuses nesting deeper than MAX_NESTING.  Every expression is
 compiled once into one generated Python function by the codegen module,
@@ -39,14 +41,16 @@ against; it shares no arithmetic with those helpers.
 """
 
 import operator
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
 from .errors import DivisionByZero, Overflow, ParseError, PredicateError
 
-# Cap on numerator/denominator size; rationals are arbitrary precision, the
-# cap only stops runaway growth with a clear error instead of a hang.
+# Cap on numerator/denominator size, read or computed; the cap only stops
+# runaway growth with a clear error instead of a hang.
 MAGNITUDE_BITS = 1 << 16
 
 # How deep the parser lets an expression nest.  Each parenthesis, min or
@@ -413,6 +417,30 @@ def exact(value):
     A whole value compares, hashes and prints alike in either type; as an
     int it keeps arithmetic and hashing off the slow Fraction path."""
     return value.numerator if value.denominator == 1 else value
+
+
+def rational(raw, what):
+    """raw, a number from outside input, in canonical form (see exact):
+    anything fractions.Fraction reads but a boolean.  A ParseError naming
+    what refuses anything else, a decimal exponent past MAGNITUDE_BITS
+    before the number is built, and a numerator or denominator longer
+    than MAGNITUDE_BITS bits."""
+    if isinstance(raw, Decimal):
+        raw = str(raw)  # Fraction(Decimal) also builds 10 ** exponent
+    try:
+        if isinstance(raw, bool):
+            raise TypeError(raw)
+        # the exponent is measured before Fraction builds 10 ** exponent
+        exponent = isinstance(raw, str) and re.search(r"e([-+]?\d[\d_]*)\s*\Z", raw, re.I)
+        too_long = bool(exponent) and abs(int(exponent[1])) > MAGNITUDE_BITS
+        value = None if too_long else Fraction(raw)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ParseError(f"{what}: cannot read a rational from {raw!r}") from None
+    if too_long or value.numerator.bit_length() > MAGNITUDE_BITS or \
+            value.denominator.bit_length() > MAGNITUDE_BITS:
+        shown = repr(raw) if isinstance(raw, str) else "a number"  # too long to print
+        raise ParseError(f"{what}: {shown} exceeds {MAGNITUDE_BITS} bits")
+    return exact(value)
 
 
 def checked(value, node):

@@ -422,10 +422,7 @@ def estimated_travel_time_heuristic(m, elapsed, position, speed, goal):
     i_elapsed = _need(m, elapsed)
     i_position = _need(m, position)
     i_speed = _need(m, speed)
-    try:
-        goal = expr.exact(Fraction(goal))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"goal: cannot read a rational from {goal!r}")
+    goal = expr.rational(goal, "goal")
 
     def weight(s):
         values = s.values

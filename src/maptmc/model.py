@@ -342,17 +342,11 @@ def validate(m):
 
 
 def _fraction(raw, what):
-    """raw as an exact number in canonical form (see expr.exact)."""
-    if isinstance(raw, bool):
-        raise MalformedModel(f"{what}: expected a number, got a boolean")
-    if isinstance(raw, (int, Fraction)):
-        return expr.exact(raw)
-    if isinstance(raw, str):
-        try:
-            return expr.exact(Fraction(raw))
-        except (ValueError, ZeroDivisionError):
-            raise MalformedModel(f"{what}: cannot read rational from {raw!r}")
-    raise MalformedModel(f"{what}: expected a number, got {type(raw).__name__}")
+    """raw as an exact number in canonical form (see expr.rational)."""
+    try:
+        return expr.rational(raw, what)
+    except ParseError as e:
+        raise MalformedModel(str(e)) from None
 
 
 def _ident(raw, what):
@@ -559,7 +553,7 @@ def model_to_dict(m):
 
 def loads_model(text):
     try:
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=str)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno)
     return model_from_dict(data)

@@ -19,8 +19,7 @@ from functools import cached_property
 from itertools import filterfalse
 
 from . import codegen, expr
-from .errors import (BudgetExceeded, MalformedState, NotEnabled, ParseError,
-                     ValidationError)
+from .errors import BudgetExceeded, MalformedState, NotEnabled, ValidationError
 
 DEFAULT_BUDGET = 100_000
 
@@ -442,23 +441,12 @@ def project_word(trace):
     return tuple(e for e in trace if not isinstance(e, Delay))
 
 
-def _bound(raw, what):
-    """raw as an exact rational; a boolean or unreadable one raises
-    ParseError naming what."""
-    if not isinstance(raw, bool):
-        try:
-            return expr.exact(Fraction(raw))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            pass
-    raise ParseError(f"{what}: cannot read a rational from {raw!r}")
-
-
 def normalize_x_bound(m, x_bound):
     """None, a single rational for every X component, or a per-name mapping."""
     if x_bound is None:
         return None
     if not isinstance(x_bound, Mapping):
-        bound = _bound(x_bound, "x bound")
+        bound = expr.rational(x_bound, "x bound")
         names = sorted(m.x_names)
         if not names:
             raise ValidationError("model has no X components to bound")
@@ -466,7 +454,7 @@ def normalize_x_bound(m, x_bound):
     out = {}
     for name, raw in x_bound.items():
         m.component(name)
-        out[name] = _bound(raw, f"x bound of {name!r}")
+        out[name] = expr.rational(raw, f"x bound of {name!r}")
     return out
 
 

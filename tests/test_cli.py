@@ -169,7 +169,7 @@ def test_cyclic_model_stops_with_error(capsys, tmp_path, two_tasks, command, ext
     assert err.rstrip().endswith("the model is not acyclic")
 
 
-def test_walks_trim_only_proven_models(two_tasks):
+def test_whole_space_commands_refuse_a_second_distance(two_tasks):
     # sweep, petri-check and abstract_reachable keep one time distance per
     # state, so on the drop-count model, whose runs meet a state at two
     # distances, each stops with the not-acyclic error: abstract_reachable
@@ -340,10 +340,10 @@ def assert_one_error_line(code, err):
                  "error: bad --x-bound entry 'count=', expected name=value",
                  id="x-bound-no-value"),
     pytest.param(["check", TWO_TASKS, "EF load >= 2", "--x-bound", "1/0"],
-                 "error: bad --x-bound value '1/0', expected a rational",
+                 "error: x bound: cannot read a rational from '1/0'",
                  id="x-bound-bare-zero-denominator"),
     pytest.param(["check", TWO_TASKS, "EF load >= 2", "--x-bound", "count=1/0"],
-                 "error: bad --x-bound value '1/0', expected a rational",
+                 "error: x bound of 'count': cannot read a rational from '1/0'",
                  id="x-bound-zero-denominator"),
     pytest.param(["check", TWO_TASKS, "EF load >= 2",
                   "--x-bound", "1", "--x-bound", "count=1"],
@@ -401,6 +401,13 @@ def assert_one_error_line(code, err):
     pytest.param(["sweep", TWO_TASKS, "--indicator", "l=load", "--time-bound", "-3"],
                  "error: bad --time-bound value '-3', expected a whole number >= 0",
                  id="negative-sweep-time-bound"),
+    # the exponent is measured before the goal is built, so this is quick
+    pytest.param(["check", VEHICLES, "EF pos_a >= 4", "--x-bound", "pos_a=8",
+                  "--x-bound", "pos_b=8", "--heuristic", "estimated_travel_time",
+                  "--heuristic-arg", "elapsed=elapsed", "--heuristic-arg", "position=pos_b",
+                  "--heuristic-arg", "speed=speed_b", "--heuristic-arg", "goal=1e999999999"],
+                 "error: goal: '1e999999999' exceeds 65536 bits",
+                 id="goal-past-the-cap"),
 ])
 def test_argument_errors(capsys, argv, message):
     try:
@@ -598,6 +605,10 @@ def test_petri_check_dump_net(capsys):
     assert code == 0
     assert "transition early_a [task]" in out
     assert "model and net agree" in out
+    # the x bound is read when the check explores; an error prints no net
+    assert run_cli(capsys, "petri-check", TWO_TASKS, "--x-bound", "count=abc",
+                   "--dump-net") == (
+        2, "", "error: x bound of 'count': cannot read a rational from 'abc'\n")
 
 
 def test_argparse_rejects_unknown(capsys):

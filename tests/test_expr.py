@@ -3,10 +3,11 @@ and predicate expressions."""
 
 import math
 import os
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maptmc import codegen, expr, mc
 from maptmc.errors import (DivisionByZero, Overflow, ParseError, PredicateError,
@@ -98,6 +99,39 @@ def test_arith_eval(text, env, expected):
 def test_exact_decimals_stay_fractions():
     # 1.3 must parse to 13/10 exactly, not to the nearest binary float
     assert ev("x + 1.3", x=Fraction(1, 2)) == Fraction(9, 5)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(st.text(alphabet="0123456789.eE+-/ ", max_size=12))
+@example("1e65536")
+@example("1e70000")
+@example("1e999999999")
+@example("1e-70000")
+@example("0e99999")
+@example("1e9999")
+@example(" 3/2 ")
+@example("1/0")
+def test_rational_reads_what_fraction_reads_under_the_cap(text):
+    # every text of number characters is read as Fraction reads it, or
+    # refused with a ParseError; Fraction itself is asked only where each
+    # exponent has at most 4 digits, since it builds 10 ** exponent
+    def bits(number):
+        return max(part.bit_length() for part in number.as_integer_ratio())
+
+    try:
+        value = expr.rational(text, "n")
+        assert bits(value) <= expr.MAGNITUDE_BITS
+    except ParseError:
+        value = None
+    if all(len(digits) <= 4 for digits in re.findall(r"[eE][-+]?(\d*)", text)):
+        try:
+            want = expr.exact(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            want = None
+        if want is None or bits(want) > expr.MAGNITUDE_BITS:
+            assert value is None
+        else:
+            assert (value, type(value)) == (want, type(want))
 
 
 def test_whole_literals_are_ints():

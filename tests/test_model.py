@@ -70,6 +70,20 @@ def test_fraction_inits_survive_json(two_tasks):
     assert loads_model(text).component("load").init == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("number,init", [("0.1", Fraction(1, 10)), ("2.5e1", 25),
+                                         ("1e70000", None)])
+def test_json_number_inits_are_exact_and_capped(two_tasks, number, init):
+    # a JSON number that is not whole reaches the reader as its text
+    text = dumps_model(two_tasks).replace('"init": "1/2"', f'"init": {number}')
+    if init is None:
+        with pytest.raises(MalformedModel) as err:
+            loads_model(text)
+        assert str(err.value) == "component 'load' init: '1e70000' exceeds 65536 bits"
+    else:
+        value = loads_model(text).component("load").init
+        assert value == init and type(value) is type(init)
+
+
 def test_inits_are_canonical(mutated_two_tasks):
     def set_inits(data):
         data["components"][0]["init"] = "6/3"
@@ -150,6 +164,11 @@ STRUCTURE_ERRORS = [
     (
         "non-numeric init",
         lambda d: d["components"][0].update(init="three"),
+        MalformedModel,
+    ),
+    (
+        "init past the magnitude cap",
+        lambda d: d["components"][0].update(init="1e70000"),
         MalformedModel,
     ),
     (

@@ -112,7 +112,7 @@ def test_equivalence_budget(staged):
         petri.state_space_equiv(staged, {"cycles": 3}, budget=5)
 
 
-def test_equivalence_walk_frees_passed_states(monkeypatch, two_tasks):
+def test_petri_check_counts_explores_states(monkeypatch, two_tasks):
     # petri-check two_tasks count=6 original checks the 18243 states that
     # explore counts, and the kernel's value table holds each distinct
     # valuation they reach, 3324

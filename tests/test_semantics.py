@@ -6,11 +6,12 @@ import os
 import pickle
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from maptmc import layers, mc, petri, semantics as sem
 from maptmc.errors import (
@@ -226,7 +227,9 @@ def test_normalize_x_bound(two_tasks, staged):
 
 
 @pytest.mark.parametrize("x_bound", [{"count": "1/0"}, {"count": "abc"}, "1/0",
-                                     {"count": True}, [2]])
+                                     {"count": True}, [2], {"count": "1e70000"},
+                                     "1e999999999", {"count": 2 ** 70000},
+                                     Decimal("1e999999999")])
 def test_unreadable_x_bound_is_a_parse_error(two_tasks, x_bound):
     with pytest.raises(ParseError, match="x bound"):
         sem.normalize_x_bound(two_tasks, x_bound)
@@ -430,7 +433,10 @@ def assert_tagged_walks_match_oracle(m, raw, semantics, x_bound=None, time_bound
                 == oracle.words(raw, semantics, bound, time_bound))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+# Derandomized, so a failure reports its first failing model every run;
+# shrinking it once took minutes and never decides pass or fail.
+@settings(derandomize=True, max_examples=60, deadline=None,
+          phases=[Phase.explicit, Phase.generate])
 @given(st.integers(1, 2).flatmap(
     lambda k: st.tuples(*(live_agents(f"g{i}") for i in range(k)))))
 def test_explore_matches_oracle_on_generated_models(tmp_path_factory, agents):
