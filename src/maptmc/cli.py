@@ -25,21 +25,27 @@ def _q(text):
     return json.dumps(text)
 
 
+def _named_values(option, items):
+    """NAME=VALUE items of option as a dict of stripped texts; an item with
+    no value, or a name given twice, is an error."""
+    out = {}
+    for item in items:
+        name, _, raw = item.partition("=")
+        if not raw:
+            raise MaptError(f"bad {option} entry {item!r}, expected name=value")
+        name = name.strip()
+        if name in out:
+            raise MaptError(f"{option} name {name!r} is given twice")
+        out[name] = raw.strip()
+    return out
+
+
 def _parse_x_bound(values):
     if not values:
         return None
     if len(values) == 1 and "=" not in values[0]:
         return values[0]
-    out = {}
-    for item in values:
-        name, _, raw = item.partition("=")
-        if not raw:
-            raise MaptError(f"bad --x-bound entry {item!r}, expected name=value")
-        name = name.strip()
-        if name in out:
-            raise MaptError(f"--x-bound name {name!r} is given twice")
-        out[name] = raw.strip()
-    return out
+    return _named_values("--x-bound", values)
 
 
 # type= converters: argparse catches only ValueError, TypeError and
@@ -47,13 +53,6 @@ def _parse_x_bound(values):
 def _name_set(text):
     """A comma list of names, for --strong-set and --weak-set."""
     return frozenset(x.strip() for x in text.split(",") if x.strip())
-
-
-def _heuristic_arg(item):
-    key, _, value = item.partition("=")
-    if not value:
-        raise MaptError(f"bad --heuristic-arg {item!r}")
-    return key.strip(), value.strip()
 
 
 def _indicator(item):
@@ -181,12 +180,11 @@ def _heuristic_from(args, m):
         raise MaptError(f"unknown heuristic {args.heuristic!r}; "
                         f"available: {', '.join(sorted(registry))}")
     factory = registry[args.heuristic]
-    kwargs = dict(args.heuristic_arg)
     try:
-        inspect.signature(factory).bind(m, **kwargs)
+        inspect.signature(factory).bind(m, **args.heuristic_arg)
     except TypeError as e:
         raise MaptError(f"heuristic {args.heuristic!r}: {e}")
-    return factory(m, **kwargs)
+    return factory(m, **args.heuristic_arg)
 
 
 def _cmd_check(args, m):
@@ -302,8 +300,8 @@ def _build_parser():
                        help="comma list of weak components (the rest stay strong)")
     p.add_argument("--heuristic", default="",
                    help="name from the builtin registry")
-    p.add_argument("--heuristic-arg", type=_heuristic_arg, action="append", default=[],
-                   metavar="KEY=VALUE", help="factory argument; repeatable")
+    p.add_argument("--heuristic-arg", action="append", default=[], metavar="KEY=VALUE",
+                   help="factory argument; repeatable, one value per key")
 
     p = sub.add_parser("sweep", help="compute indicator envelopes")
     common(p, _cmd_sweep)
@@ -314,14 +312,17 @@ def _build_parser():
     p = sub.add_parser("petri-check", help="compare model and net in lockstep")
     common(p, _cmd_petri_check)
     p.add_argument("--dump-net", action="store_true",
-                   help="print the net structure before checking")
+                   help="print the net structure after checking, before "
+                        "the result line")
     return parser
 
 
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        if getattr(args, "heuristic_arg", None) and not args.heuristic:
+        args.heuristic_arg = _named_values("--heuristic-arg",
+                                           getattr(args, "heuristic_arg", ()))
+        if args.heuristic_arg and not args.heuristic:
             raise MaptError("--heuristic-arg needs --heuristic")
         args.x_bound = _parse_x_bound(getattr(args, "x_bound", None))
         return args.run(args, load_model(args.model))

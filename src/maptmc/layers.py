@@ -223,34 +223,29 @@ class CutMatcher:
         walk expands an entry there; from_seed tells that the entry is one
         of the walk's seeds.  Built once per (cid, from_seed)."""
         out = self.rows[from_seed][cid] = tuple([
-            (target, apply, memo, self._crosses(cid, target, from_seed))
+            (target, apply, memo, self.crosses(cid, target, from_seed))
             for _, target, apply, memo in self.kernel.steps(cid)])
         return out
 
-    def crosses(self, pre, entry, pre_is_seed=False):
-        """Is entry the first past (or at) a cut when coming from pre?
+    def crosses(self, pre, cid, pre_is_seed=False):
+        """Is an entry of configuration cid the first past (or at) a cut
+        when coming from one of configuration pre?
 
-        pre and entry are walk entries of the kernel; pre is None for a
-        seed.  Original semantics: entry simply shows a cut configuration.
-        Accelerated: either entry shows one and a fire or reset happens
+        Original semantics: cid simply shows a cut configuration.
+        Accelerated: either cid shows one and a fire or reset happens
         there, or the jump from pre started on or stepped over the cut
         clocks.  Walks set pre_is_seed on edges leaving their seeds: a
         seed sitting on a cut configuration is the border just crossed,
         not the next one, so the jump-from-cut case must not retrigger
-        there.  The answer reads the configuration ids alone.
+        there.
 
         An edge whose clocks grew is a delay, so its pre enables only that
         delay exactly when no fire or reset is enabled there (kernel.acts).
         """
-        return self._crosses(None if pre is None else pre[0], entry[0], pre_is_seed)
-
-    def _crosses(self, pre, cid, pre_is_seed):
         if not self.kernel.accelerated:
             return self.on_cut(cid)
         if self.on_cut(cid) and self.kernel.acts(cid):
             return True
-        if pre is None:
-            return False
         pre_locs, pre_clocks = self.kernel.configs[pre]
         locs, clocks = self.kernel.configs[cid]
         grew = pre_locs == locs and all(p < c for p, c in zip(pre_clocks, clocks))
@@ -264,35 +259,29 @@ class CutMatcher:
         return False
 
 
-def unwalked(seen, s, mark):
-    """Is (s, mark) still to walk: s is new to seen, or comes marked after
-    being walked unmarked?"""
-    return s not in seen or (mark and not seen[s])
-
-
-def walk(kernel, seeds, visit, matcher, seen=None):
+def walk(matcher, seeds, visit, seen):
     """Width-first walk over (entry, mark) pairs from seeds up to the next
-    border; entries are the kernel's (cid, vid) pairs.
+    border; entries are the pairs (cid, vid) of matcher's kernel.
 
     seen maps each entry walked so far to its strongest mark; a caller
-    passes one dict to several walks to share it, otherwise each walk
-    starts afresh.  An entry is expanded from matcher's step table (see
-    CutMatcher): a fire reads its memo and applies its transform only on
-    a miss, a reset or the delay keeps the value id, and an entry that
-    has reached the X bound has no steps.  A seed, and any successor t of
-    u whose step is not on_border, is walked only when unwalked(seen,
-    ...); a successor whose step is on_border is on the border and is not
-    walked.  visit(entry, mark) returns (stop, expand, mark): stop ends
-    the walk, and only an expanded entry passes its new mark on to its
-    successors.  Returns the border, mapping each entry to whether it was
-    reached marked (None when visit stopped the walk), and the longest
-    queue seen.
+    passes one dict to several walks to share it.  An entry is expanded
+    from matcher's step table (see CutMatcher): a fire reads its memo and
+    applies its transform only on a miss, a reset or the delay keeps the
+    value id, and an entry that has reached the X bound has no steps.  A
+    seed, and any successor t of u whose step is not on_border, is walked
+    only when it is new to seen or comes marked after being walked
+    unmarked; a successor whose step is on_border is on the border and is
+    not walked.  visit(entry, mark) returns (stop, expand, mark): stop
+    ends the walk, and only an expanded entry passes its new mark on to
+    its successors.  Returns the border, mapping each entry to whether it
+    was reached marked (None when visit stopped the walk), and the longest
+    queue seen, which is 0 exactly when no seed was left to walk.
     """
-    if seen is None:
-        seen = {}
-    queue = deque((s, mark) for s, mark in seeds if unwalked(seen, s, mark))
+    queue = deque((s, mark) for s, mark in seeds
+                  if s not in seen or (mark and not seen[s]))
     seen.update(queue)
     seed_set = frozenset(s for s, _ in queue)
+    kernel = matcher.kernel
     values, reached, intern = kernel.values, kernel._reached, kernel._vid
     rows = matcher.rows
     border = {}
@@ -322,7 +311,7 @@ def walk(kernel, seeds, visit, matcher, seen=None):
                 t = (target, t_vid)
             if on_border:
                 border[t] = border.get(t, False) or mark
-            elif t not in seen or (mark and not seen[t]):   # unwalked, inline
+            elif t not in seen or (mark and not seen[t]):
                 seen[t] = mark
                 queue.append((t, mark))
     return border, peak
@@ -342,8 +331,7 @@ def clusters(kernel, strong):
     (entry, mark) pairs in the order of configs[cid] + (values,), which is
     the State order.  Values group in kernel form and order in edge form,
     as numbers: a pair and an int do not compare.  The strong components
-    are picked once, here; an empty border has no cluster and a one-entry
-    border is one."""
+    are picked once, here."""
     configs, values, numbers = kernel.configs, kernel.values, kernel.numbers
     picks = [i for i, name in enumerate(kernel.model.component_names) if name in strong]
     # with one pick the key is the value itself, which orders as its 1-tuple
@@ -358,8 +346,6 @@ def clusters(kernel, strong):
         return strong_key(numbers(group[0][0][1]))
 
     def split(border):
-        if len(border) < 2:
-            return [tuple(border.items())] if border else []
         groups = {}
         for t, mark in border.items():
             groups.setdefault(strong_key(values[t[1]]), []).append((t, mark))
@@ -369,34 +355,16 @@ def clusters(kernel, strong):
     return split
 
 
-def _border(m, cuts, seeds, semantics, visitor, budget):
-    """Walk from the State seeds up to the next border; returns the kernel
-    and the border over its entries."""
-    for s in seeds:
-        sem.check_state(m, s)
-    kernel = sem.Kernel(m, semantics)
-    matcher = CutMatcher(kernel, cuts)
-    taken = count(1)
-
-    def visit(s, mark):
-        if next(taken) > budget:
-            raise BudgetExceeded(f"border walk exceeded {budget} states")
-        if visitor is not None:
-            visitor(kernel.state(s))
-        return False, True, mark
-
-    border, _ = walk(kernel, [(kernel.entry(s), False) for s in seeds], visit, matcher)
-    return kernel, border
-
-
 def next_border(m, cuts, s, semantics, visitor=None, *, budget=sem.DEFAULT_BUDGET):
     """Width-first walk from s up to the next border; returns the border.
 
     The seed itself is not border-tested, only states discovered from it.
-    Every expanded state is passed to visitor.
+    Every expanded state is passed to visitor.  This is
+    clustered_next_border with no strong component, whose one cluster is
+    the whole border.
     """
-    kernel, border = _border(m, cuts, [s], semantics, visitor, budget)
-    return frozenset(kernel.view(border).values())
+    return frozenset().union(*clustered_next_border(
+        m, cuts, [s], semantics, visitor, strong_set=(), budget=budget))
 
 
 def clustered_next_border(m, cuts, cluster, semantics, visitor=None, *,
@@ -409,7 +377,20 @@ def clustered_next_border(m, cuts, cluster, semantics, visitor=None, *,
     """
     strong = strong_components(m, strong_set)
     seeds = sorted(cluster)
-    kernel, border = _border(m, cuts, seeds, semantics, visitor, budget)
+    for s in seeds:
+        sem.check_state(m, s)
+    kernel = sem.Kernel(m, semantics)
+    taken = count(1)
+
+    def visit(s, mark):
+        if next(taken) > budget:
+            raise BudgetExceeded(f"border walk exceeded {budget} states")
+        if visitor is not None:
+            visitor(kernel.state(s))
+        return False, True, mark
+
+    border, _ = walk(CutMatcher(kernel, cuts),
+                     [(kernel.entry(s), False) for s in seeds], visit, {})
     view = kernel.view(border)
     return tuple(frozenset(view[t] for t, _ in c)
                  for c in clusters(kernel, strong)(border))

@@ -186,7 +186,7 @@ def _visitor(kernel, query, budget, stats):
 
 def _width(kernel, visit, stats):
     border, stats.peak_frontier = layers.walk(
-        kernel, [(kernel.start, False)], visit, layers.CutMatcher(kernel, ()))
+        layers.CutMatcher(kernel, ()), [(kernel.start, False)], visit, {})
     return border is None
 
 
@@ -229,11 +229,11 @@ def _layered(kernel, visit, stats, cuts, strong, heuristic):
     while heap:
         stats.peak_frontier = max(stats.peak_frontier, len(heap))
         cluster = heapq.heappop(heap)[2]
-        if not any(layers.unwalked(seen, s, mark) for s, mark in cluster):
-            continue
-        border, _ = layers.walk(kernel, cluster, visit, matcher, seen)
+        border, peak = layers.walk(matcher, cluster, visit, seen)
         if border is None:
             return True
+        if not peak:
+            continue
         stats.borders_crossed += 1
         found = split(border)
         stats.clusters_formed += len(found)

@@ -10,6 +10,7 @@ agent's clock.
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -492,7 +493,7 @@ def model_from_dict(data):
             if dst not in localities:
                 raise UnknownReference(f"transition {tid!r}: unknown target {dst!r}")
             fid = t_raw.get("transform")
-            if fid not in transforms:
+            if not isinstance(fid, str) or fid not in transforms:
                 raise UnknownReference(f"transition {tid!r}: unknown transform {fid!r}")
             interval = t_raw.get("interval")
             if not isinstance(interval, list) or len(interval) != 2:
@@ -556,6 +557,11 @@ def loads_model(text):
         data = json.loads(text, parse_float=str)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno)
+    except ValueError:
+        # the one other error of json.loads: int() refuses an integer
+        # longer than Python's digit limit
+        raise ParseError(f"model file: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     return model_from_dict(data)
 
 

@@ -191,6 +191,8 @@ def test_whole_space_commands_refuse_a_second_distance(two_tasks):
      "error: agent 'task_a': 'transitions' must be a list"),
     (lambda d: d["components"][1].update(x="no"),
      "error: component 'count': 'x' must be a boolean, got 'no'"),
+    (lambda d: d["agents"][0]["transitions"][0].update(transform=[]),
+     "error: transition 'early_a': unknown transform []"),
 ])
 def test_malformed_model_exits_2(capsys, tmp_path, two_tasks, mutate, message):
     path = broken_model(tmp_path, two_tasks, mutate)
@@ -359,7 +361,16 @@ def assert_one_error_line(code, err):
                  id="x-bound-repeated-name-before-load"),
     pytest.param(["check", TWO_TASKS, "EF load >= 2", "--heuristic", "distance",
                   "--heuristic-arg", "ahead"],
-                 "error: bad --heuristic-arg 'ahead'", id="heuristic-arg"),
+                 "error: bad --heuristic-arg entry 'ahead', expected name=value",
+                 id="heuristic-arg"),
+    pytest.param(["check", TWO_TASKS, "EF load >= 2", "--heuristic", "distance",
+                  "--heuristic-arg", "behind=count", "--heuristic-arg", "behind=load"],
+                 "error: --heuristic-arg name 'behind' is given twice",
+                 id="heuristic-arg-repeated-name"),
+    pytest.param(["check", "/no/such/model.json", "EF x", "--heuristic", "distance",
+                  "--heuristic-arg", "ahead=load", "--heuristic-arg", " ahead = count"],
+                 "error: --heuristic-arg name 'ahead' is given twice",
+                 id="heuristic-arg-repeated-name-before-load"),
     pytest.param(["sweep", TWO_TASKS, "--indicator", "bad"],
                  "error: bad --indicator 'bad', expected name=expr", id="indicator"),
     # argument errors come before the model is read

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maptmc import layers, semantics as sem
-from maptmc.errors import (BudgetExceeded, MalformedState, ParseError,
+from maptmc import layers, mc, semantics as sem
+from maptmc.errors import (BudgetExceeded, MalformedState, MaptError, ParseError,
                            UnknownReference)
 from maptmc.layers import CutSpec
 from maptmc.model import model_from_dict
@@ -187,6 +187,44 @@ def test_parse_cuts_errors(text):
         layers.parse_cuts(text)
 
 
+def spliced(texts, junk):
+    """A strategy of texts from texts with up to two tokens of junk put in
+    at drawn positions, so most are near misses of a valid text."""
+    def splice(drawn):
+        text, inserts = drawn
+        for at, token in inserts:
+            at %= len(text) + 1
+            text = text[:at] + token + text[at:]
+        return text
+    return st.tuples(texts, st.lists(st.tuples(st.integers(0, 400), st.sampled_from(junk)),
+                                     max_size=2)).map(splice)
+
+
+# Cut-file texts over a token alphabet: each parses and validates against
+# two_tasks, or fails with a MaptError; cuts that validate give a layered
+# check a verdict or a MaptError, never a traceback.
+CUT_LINES = st.tuples(
+    st.sampled_from(["4", "0", "5", "-1", "x", "1.5", "٣", ""]),
+    st.sampled_from(["a_start,b_start", "a_end,b_end", "a_start,b_end", "a_end",
+                     "a_start,nosuch", "b_start,a_start", "a_start,b_start,a_end"]),
+    st.sampled_from(["0,0", "4,4", "5,5", "4,5", "1,6", "4", "-1,0", "x,1", "1.5,2"]),
+).map("; ".join)
+CUT_TEXTS = spliced(st.lists(CUT_LINES, min_size=1, max_size=2).map("\n".join),
+                    [";", ",", "\n", "#", " ", "7", "x", "a_end"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(CUT_TEXTS)
+def test_cut_texts_load_or_raise_a_mapt_error(two_tasks, text):
+    try:
+        cuts = layers.parse_cuts(text)
+        layers.validate_cuts(two_tasks, cuts)
+        if cuts:
+            mc.check(two_tasks, "AG count >= 0", {"count": 1}, cuts=cuts, budget=2000)
+    except MaptError:
+        pass
+
+
 def test_load_cuts(tmp_path, two_tasks):
     path = tmp_path / "cuts.txt"
     path.write_text(layers.format_cuts(layers.find_cuts(two_tasks)), encoding="utf-8")
@@ -323,11 +361,12 @@ def test_matcher_seed_suppression(two_tasks):
     matcher = layers.CutMatcher(kernel, cuts)
     s0 = sem.initial_state(two_tasks)
     jumped = sem.step(two_tasks, s0, sem.Delay(2))
-    assert matcher.crosses(kernel.entry(s0), kernel.entry(jumped))
-    assert not matcher.crosses(kernel.entry(s0), kernel.entry(jumped), pre_is_seed=True)
+    pre, cid = kernel.entry(s0)[0], kernel.entry(jumped)[0]
+    assert matcher.crosses(pre, cid)
+    assert not matcher.crosses(pre, cid, pre_is_seed=True)
     kernel = sem.Kernel(two_tasks, "original")
     original = layers.CutMatcher(kernel, cuts)
-    assert not original.crosses(kernel.entry(s0), kernel.entry(jumped))
+    assert not original.crosses(kernel.entry(s0)[0], kernel.entry(jumped)[0])
 
 
 def test_matcher_answer_depends_on_pre_state(two_tasks):
@@ -342,7 +381,7 @@ def test_matcher_answer_depends_on_pre_state(two_tasks):
     for order in ((s0, past), (past, s0)):
         kernel = sem.Kernel(two_tasks, "accelerated")
         matcher = layers.CutMatcher(kernel, cuts)
-        assert [matcher.crosses(kernel.entry(pre), kernel.entry(jumped))
+        assert [matcher.crosses(kernel.entry(pre)[0], kernel.entry(jumped)[0])
                 for pre in order] == [pre is s0 for pre in order]
 
 
@@ -378,10 +417,17 @@ def test_clustered_border_rejects_unknown_strong_name(two_tasks):
                                      "original", strong_set={"nosuch"})
 
 
-def reference_walk(kernel, seeds, visit, matcher, seen):
+def unwalked(seen, s, mark):
+    """Is (s, mark) still to walk: s is new to seen, or comes marked after
+    being walked unmarked?"""
+    return s not in seen or (mark and not seen[s])
+
+
+def reference_walk(matcher, seeds, visit, seen):
     """The per-entry walk layers.walk replaced: every edge comes from
     kernel.moves and is border-tested by matcher.crosses."""
-    queue = deque((s, mark) for s, mark in seeds if layers.unwalked(seen, s, mark))
+    kernel = matcher.kernel
+    queue = deque((s, mark) for s, mark in seeds if unwalked(seen, s, mark))
     seen.update(queue)
     seed_set = frozenset(s for s, _ in queue)
     border = {}
@@ -396,9 +442,9 @@ def reference_walk(kernel, seeds, visit, matcher, seen):
             continue
         from_seed = s in seed_set
         for _, t in kernel.moves(s):
-            if matcher.crosses(s, t, from_seed):
+            if matcher.crosses(s[0], t[0], from_seed):
                 border[t] = border.get(t, False) or mark
-            elif layers.unwalked(seen, t, mark):
+            elif unwalked(seen, t, mark):
                 seen[t] = mark
                 queue.append((t, mark))
     return border, peak
@@ -425,7 +471,7 @@ def layered_trace(walk, m, semantics, x_bound, cuts, seed_mark, limit):
     for _ in range(60):
         if not pending:
             break
-        border, peak = walk(kernel, pending.popleft(), visit, matcher, seen)
+        border, peak = walk(matcher, pending.popleft(), visit, seen)
         if border is None:
             trace.append(("stopped", peak))
             break

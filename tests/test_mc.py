@@ -5,10 +5,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maptmc import expr, layers, mc, semantics as sem
 from maptmc.errors import (
     BudgetExceeded,
+    MaptError,
     MalformedState,
     MissingComponent,
     ParseError,
@@ -18,6 +20,8 @@ from maptmc.errors import (
 )
 from maptmc.mc import Query
 from maptmc.model import model_from_dict, model_to_dict
+
+from test_layers import spliced
 
 
 def test_parse_query_forms():
@@ -493,3 +497,38 @@ def test_long_and_deep_transforms_match_oracle(two_tasks, tmp_path):
             expected = graph.holds(form, lambda m, s, final: p(s))
             got = mc.check(m, query, x_bound={"count": 3}, semantics=semantics)
             assert got.verdict is expected, query
+
+
+# Query texts over a token alphabet: the seven forms (QUERY_FORMS) over
+# predicates built from atoms, some with unknown names, and up to two junk
+# tokens spliced in.  Each parses into a Query or raises ParseError, and a
+# query that parses is checked on two_tasks at count=1 to a verdict or a
+# MaptError, never a traceback.
+QUERY_ATOMS = st.sampled_from([
+    "load >= 2", "count < 1", "clock(task_a) = 3", "at(task_a, a_end)", "final",
+    "true", "min(load, 2) <= 1/0", "-load / 3/2 >= -1.5", "ite(load > 1, 2, 0) = 2",
+    "nosuch > 0", "clock(nosuch) > 0", "at(task_a, b_end)",
+])
+QUERY_PREDS = st.recursive(QUERY_ATOMS, lambda p: st.one_of(
+    st.tuples(p, p).map(lambda t: f"({t[0]} && {t[1]})"),
+    st.tuples(p, p).map(lambda t: f"{t[0]} || {t[1]}"),
+    p.map(lambda t: f"!{t}")), max_leaves=6)
+QUERY_TEXTS = spliced(
+    st.tuples(st.sampled_from(QUERY_FORMS), QUERY_PREDS, QUERY_PREDS).map(
+        lambda t: t[0].format(p=t[1], q=t[2])),
+    ["(", ")", "&&", "||", "!", "-->", "EF", "AG", "<", "=", "+", "/", ",", "1.5",
+     ".", "&", "@", "clock", " "])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(QUERY_TEXTS)
+def test_query_texts_parse_or_raise_parse_error(two_tasks, text):
+    try:
+        query = mc.parse_query(text)
+    except ParseError:
+        return
+    assert isinstance(query, Query)
+    try:
+        mc.check(two_tasks, query, {"count": 1}, budget=2000)
+    except MaptError:
+        pass

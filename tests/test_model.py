@@ -1,11 +1,13 @@
 """Model loading, serialization and the two validation passes."""
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
 
-from maptmc.errors import MalformedModel, ParseError, UnknownReference
+from maptmc import fixtures
+from maptmc.errors import MaptError, MalformedModel, ParseError, UnknownReference
 from maptmc.model import (
     dumps_model,
     eval_transform,
@@ -102,6 +104,16 @@ def test_parse_error_reports_line():
     assert err.value.line >= 2
 
 
+def test_integer_past_the_digit_limit_is_a_parse_error(two_tasks):
+    # Python refuses to read a decimal integer of more than 4300 digits;
+    # the error names the model file and the limit, and no interpreter
+    # setting
+    text = dumps_model(two_tasks).replace('"init": "1/2"', '"init": ' + "7" * 5000)
+    with pytest.raises(ParseError) as err:
+        loads_model(text)
+    assert str(err.value) == "model file: an integer has more than 4300 digits"
+
+
 def test_eval_transform_reads_old_values(two_tasks):
     # every effect must see the pre-transform valuation
     m = model_from_dict(
@@ -184,6 +196,16 @@ STRUCTURE_ERRORS = [
     (
         "transition uses unknown transform",
         lambda d: d["agents"][0]["transitions"][0].update(transform="triple"),
+        UnknownReference,
+    ),
+    (
+        "transition transform a list",
+        lambda d: d["agents"][0]["transitions"][0].update(transform=[]),
+        UnknownReference,
+    ),
+    (
+        "transition transform an object",
+        lambda d: d["agents"][0]["transitions"][0].update(transform={"double": 1}),
         UnknownReference,
     ),
     (
@@ -410,3 +432,52 @@ def test_validation_report_shape(two_tasks):
     report = validate(two_tasks)
     assert report.strongly_live and report.acyclic
     assert report.is_mapt
+
+
+# Every field of a bundled fixture set to each hostile value in turn: the
+# model must load and validate, or fail with a MaptError, never a
+# traceback.  BIG stands for a 5000-digit integer, which json.dumps cannot
+# write, so it is put into the text.
+BIG = "<5000 digits>"
+HOSTILE = [None, True, 1.5, "", [], {}, -1, "nosuch", BIG]
+
+
+def field_paths(node, path=()):
+    """The path of node and of every field below it, depth first."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from field_paths(child, path + (key,))
+
+
+def with_field(data, path, value):
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("name", ["two_tasks.json", "staged_cycles.json", "vehicles.json"])
+def test_every_field_refuses_hostile_values_with_a_mapt_error(name):
+    data = json.loads(fixtures.fixture_path(name).read_text(encoding="utf-8"))
+    untyped = []
+    for path in field_paths(data):
+        for value in HOSTILE:
+            text = json.dumps(with_field(data, path, value))
+            text = text.replace(json.dumps(BIG), "7" * 5000)
+            try:
+                validate(loads_model(text))
+            except MaptError:
+                pass
+            except Exception as e:
+                untyped.append((path, value, repr(e)))
+    assert untyped == []
