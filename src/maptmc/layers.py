@@ -72,21 +72,44 @@ def mandatory_chain(agent):
     return MandatoryChain(agent.name, tuple(chain), tuple(intervals))
 
 
-def _forbidden(c, period, chain, exclude_endpoints):
-    """Is clock c inside one of the chain's hop windows (open, or closed
-    under exclude_endpoints)?  At a reset instant (c == 0) the clock
-    also reads the period just ended."""
-    for x in ((0, period) if c == 0 else (c,)):
-        for lo, hi in chain.intervals:
-            if (lo <= x <= hi) if exclude_endpoints else (lo < x < hi):
-                return True
-    return False
+def _clock_table(agent, exclude_endpoints):
+    """What a cut shows of the agent at each clock value c in [0,
+    reset_period), indexed by c: None when c lies inside a hop window of
+    its chain (open, or closed under exclude_endpoints; at a reset instant
+    c == 0 the clock also reads the period just ended), else (locality, gap,
+    gap once a cycle has ended).  The locality is the chain's past every
+    window closed by c; in a strongly live model they close in chain order.
+    The gap is the distance to the nearest window of this cycle, the next
+    one and, once a cycle has ended, the previous one."""
+    chain = mandatory_chain(agent)
+    period, windows = agent.reset_period, chain.intervals
+    table = []
+    for c in range(period):
+        if any((lo <= x <= hi) if exclude_endpoints else (lo < x < hi)
+               for x in ((0, period) if c == 0 else (c,)) for lo, hi in windows):
+            table.append(None)
+            continue
+        gap = min((min(max(0, lo - c, c - hi), lo + period - c)
+                   for lo, hi in windows), default=inf)
+        ended = min((c + period - hi for _, hi in windows), default=inf)
+        table.append((chain.localities[sum(hi <= c for _, hi in windows)],
+                      gap, min(gap, ended)))
+    return table
 
 
-def _locate(c, chain):
-    """The chain locality past every hop window closed by clock c; in a
-    strongly live model the windows close in chain order."""
-    return chain.localities[sum(hi <= c for _, hi in chain.intervals)]
+def _scan(m, exclude_endpoints):
+    """Each coherent offset t in 1..lcm_periods(m), in order, as its
+    CutSpec and its gap, the least gap of any agent."""
+    agents = [(a.init_clock, a.reset_period, _clock_table(a, exclude_endpoints))
+              for a in m.agents]
+    for t in range(1, lcm_periods(m) + 1):
+        clocks = tuple([(t + init) % period for init, period, _ in agents])
+        rows = [table[c] for (_, _, table), c in zip(agents, clocks)]
+        if None in rows:
+            continue
+        yield (CutSpec(t, tuple([row[0] for row in rows]), clocks),
+               min([row[1 + (t + init >= period)]
+                    for (init, period, _), row in zip(agents, rows)]))
 
 
 def find_cuts(m, exclude_endpoints=False):
@@ -98,40 +121,16 @@ def find_cuts(m, exclude_endpoints=False):
     reset returns it to its first listed locality, so before an agent's
     first reset a cut may show it where it is not.
     """
-    chains = [mandatory_chain(a) for a in m.agents]
-    cuts = []
-    for t in range(1, lcm_periods(m) + 1):
-        clocks = tuple((t + a.init_clock) % a.reset_period for a in m.agents)
-        if any(_forbidden(c, a.reset_period, chain, exclude_endpoints)
-               for a, chain, c in zip(m.agents, chains, clocks)):
-            continue
-        localities = tuple(_locate(c, chain) for chain, c in zip(chains, clocks))
-        cuts.append(CutSpec(t, localities, clocks))
-    return tuple(cuts)
+    return tuple(cut for cut, _ in _scan(m, exclude_endpoints))
 
 
 def best_cut(m):
     """The first coherent cut farthest from every hop window; used when
     the caller supplies no cuts of their own."""
-    cuts = find_cuts(m)
-    if not cuts:
+    best = max(_scan(m, False), key=itemgetter(1), default=None)
+    if best is None:
         raise ValidationError("no coherent cut offset exists for this model")
-    chains = [mandatory_chain(a) for a in m.agents]
-
-    def gap(cut):
-        # the window in this cycle, the next one and, once a cycle has
-        # ended by t, the previous one
-        out = inf
-        for a, chain, c in zip(m.agents, chains, cut.clocks):
-            period = a.reset_period
-            ended = cut.t + a.init_clock >= period
-            for lo, hi in chain.intervals:
-                out = min(out, max(0, lo - c, c - hi), lo + period - c)
-                if ended:
-                    out = min(out, c + period - hi)
-        return out
-
-    return max(cuts, key=gap)
+    return best[0]
 
 
 # cut lists as text: "t; locality,locality; clock,clock" per line

@@ -287,14 +287,9 @@ def validate_acyclicity(m):
                     f"effect of transform {fid!r} on X component {comp!r} "
                     "cannot be proven non-decreasing",
                     transform=fid, component=comp))
-    covering = []
-    for a in m.agents:
-        path = _lazy_path(a, classes, x_names)
-        if path is None:
-            covering.append(a)
-    if not covering:
-        for a in m.agents:
-            path = _lazy_path(a, classes, x_names)
+    paths = [_lazy_path(a, classes, x_names) for a in m.agents]
+    if None not in paths:
+        for a, path in zip(m.agents, paths):
             shown = ",".join(t.id for t in path) if path else "(empty)"
             violations.append(AcyclicityViolation(
                 "no-increasing-path",
@@ -557,6 +552,8 @@ def loads_model(text):
         data = json.loads(text, parse_float=str)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno)
+    except RecursionError:
+        raise ParseError("model file: nested too deeply to read") from None
     except ValueError:
         # the one other error of json.loads: int() refuses an integer
         # longer than Python's digit limit

@@ -1,15 +1,18 @@
 """Coherent cuts, borders and clustered border walks."""
 
 import json
+import tracemalloc
 from collections import deque
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maptmc import layers, mc, semantics as sem
 from maptmc.errors import (BudgetExceeded, MalformedState, MaptError, ParseError,
-                           UnknownReference)
+                           UnknownReference, ValidationError)
+from maptmc.fixtures import fixture_path
 from maptmc.layers import CutSpec
 from maptmc.model import model_from_dict
 
@@ -73,6 +76,26 @@ def test_exclude_endpoints_keeps_strictly_clear_offsets(staged):
     assert strict < keep
 
 
+def reference_best_cut(m, cuts):
+    """best_cut's rule written out: the first cut farthest from the nearest
+    hop window of any agent, in the agent's cycle at t, the next one and,
+    once a cycle has ended by t, the previous one."""
+    chains = [layers.mandatory_chain(a) for a in m.agents]
+
+    def gap(cut):
+        out = inf
+        for a, chain, c in zip(m.agents, chains, cut.clocks):
+            period = a.reset_period
+            for lo, hi in chain.intervals:
+                out = min(out, max(0, lo - c, c - hi), lo + period - c)
+                if cut.t + a.init_clock >= period:
+                    out = min(out, c + period - hi)
+        return out
+
+    # max keeps the first of equal gaps, so ties go to the earliest offset
+    return max(cuts, key=gap)
+
+
 def assert_cuts_match_oracle(m, raw):
     # cuts describe each agent's steady cycle, which it has entered by its
     # first reset, at reset_period - init_clock; so the oracle is read over
@@ -86,12 +109,17 @@ def assert_cuts_match_oracle(m, raw):
         for i, (loc, clock) in enumerate(zip(cut.localities, cut.clocks)):
             assert (loc, clock) in valid[cut.t][i]
     if cuts:
-        assert layers.best_cut(m) in cuts
+        assert layers.best_cut(m) == reference_best_cut(m, cuts)
+    else:
+        with pytest.raises(ValidationError):
+            layers.best_cut(m)
 
 
-def test_cuts_match_per_agent_oracle(two_tasks, staged, raw_two_tasks, raw_staged):
+def test_cuts_match_per_agent_oracle(two_tasks, staged, vehicles, raw_two_tasks,
+                                     raw_staged, raw_vehicles):
     assert_cuts_match_oracle(two_tasks, raw_two_tasks)
     assert_cuts_match_oracle(staged, raw_staged)
+    assert_cuts_match_oracle(vehicles, raw_vehicles)
 
 
 def agents_model(agents, path):
@@ -159,6 +187,24 @@ def test_cuts_match_oracle_on_generated_models(tmp_path_factory, agents):
 def test_best_cut(two_tasks):
     best = layers.best_cut(two_tasks)
     assert best.t == 4
+
+
+def test_best_cut_keeps_no_cut_list():
+    # periods 101 and 103 give 10403 offsets, nearly all coherent; best_cut
+    # reads them one at a time, so its memory is the agents' clock tables
+    # (a list of every cut peaks near 2.5 MiB)
+    data = json.loads(fixture_path("vehicles.json").read_text(encoding="utf-8"))
+    for agent, period in zip(data["agents"], (101, 103)):
+        agent["reset_period"] = period
+    m = model_from_dict(data)
+    tracemalloc.start()
+    try:
+        best = layers.best_cut(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert best == reference_best_cut(m, layers.find_cuts(m))
 
 
 def test_cut_text_round_trip(staged):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from maptmc import fixtures
+from maptmc import cli, fixtures
 from maptmc.errors import MaptError, MalformedModel, ParseError, UnknownReference
 from maptmc.model import (
     dumps_model,
@@ -112,6 +112,23 @@ def test_integer_past_the_digit_limit_is_a_parse_error(two_tasks):
     with pytest.raises(ParseError) as err:
         loads_model(text)
     assert str(err.value) == "model file: an integer has more than 4300 digits"
+
+
+@pytest.mark.parametrize("opener, middle, closer",
+                         [("[", "", "]"), ('{"a":', "1", "}")], ids=["array", "object"])
+def test_nesting_past_the_recursion_limit_is_a_parse_error(
+        opener, middle, closer, tmp_path, capsys):
+    # json.loads recurses once per array or object level; the error names
+    # the model file, not Python's recursion limit, and the command line
+    # prints it as its one error line
+    text = opener * 100000 + middle + closer * 100000
+    with pytest.raises(ParseError) as err:
+        loads_model(text)
+    assert str(err.value) == "model file: nested too deeply to read"
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: model file: nested too deeply to read\n")
 
 
 def test_eval_transform_reads_old_values(two_tasks):
