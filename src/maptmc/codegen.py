@@ -24,7 +24,7 @@ import os
 import sys
 
 from .errors import PredicateError
-from .expr import (MAGNITUDE_BITS, At, Bin, BoolBin, BoolLit, Call, ClockRef, Cmp,
+from .expr import (BOOLEAN, MAGNITUDE_BITS, At, Bin, BoolBin, BoolLit, Call, ClockRef, Cmp,
                    FinalTest, Ite, Neg, Not, Num, Ref, add, capped, compare, div,
                    mul, neg, sub, to_kernel, to_text)
 
@@ -33,7 +33,6 @@ from .expr import (MAGNITUDE_BITS, At, Bin, BoolBin, BoolLit, Call, ClockRef, Cm
 # into the source
 _ARITH = {"+": ("+", add), "-": ("-", sub), "*": ("*", mul)}
 _CMP_SYMBOLS = {"<": "<", "<=": "<=", "=": "==", ">=": ">=", ">": ">"}
-_BOOL_NODES = (Cmp, BoolLit, Not, BoolBin, At, FinalTest)
 _LEAVES = (Ref, ClockRef, At, FinalTest)
 # The file name of generated code: beside expr.py and of its stem, so a
 # profile counts generated code in the expr layer, with the expressions it
@@ -140,7 +139,7 @@ def _steps(fn, node, boolean):
     """Emit the code of node into fn.  A generator: it yields each child
     as a (node, boolean) pair, is sent the child's operand back, and
     returns node's operand, a temporary or a bound name."""
-    if isinstance(node, _BOOL_NODES) != boolean:
+    if isinstance(node, BOOLEAN) != boolean:
         raise PredicateError(
             f"not {'a boolean' if boolean else 'an arithmetic'} node: {node!r}")
     if isinstance(node, _LEAVES):

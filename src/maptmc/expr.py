@@ -9,20 +9,16 @@ pair of ints, the denominator above 1, the two coprime and the sign on the
 numerator (see to_kernel and from_kernel): equal numbers are equal values,
 and a pair hashes as fast as its ints.  Literals, component values, clocks
 and the result of every operation keep their side's form, so the values
-of an all-integer model stay ints.  The grammar is deliberately tiny:
-
-    arith  := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | atom
-    atom   := NUMBER | NAME | 'clock' '(' NAME ')'
-            | 'min' '(' arith ',' arith ')' | 'max' '(' arith ',' arith ')'
-            | 'ite' '(' compare ',' arith ',' arith ')' | '(' arith ')'
-
-    pred   := conj ('||' conj)*
-    conj   := lit ('&&' lit)*
-    lit    := '!' lit | 'true' | 'false' | 'final'
-            | 'at' '(' NAME ',' NAME ')' | compare | '(' pred ')'
-    compare := arith ('<' | '<=' | '=' | '>=' | '>') arith
+of an all-integer model stay ints.  The language is deliberately tiny.
+Its operands are NUMBER, NAME, clock(agent), min(a, b), max(a, b),
+ite(a < b, c, d) with any comparison, true, false, final, at(agent,
+locality) and parenthesised expressions.  Its operators, loosest first,
+are ||, &&, the comparisons < <= = >= >, + and -, * and /; all associate
+to the left.  A prefix - binds tightest, a prefix ! negates up to the
+next && or ||.  A predicate is a comparison, true, false, final, at(...)
+or a predicate under !, && or ||; every other expression, and every
+operand of a comparison, an arithmetic operator, min, max and ite's
+numbers, is arithmetic.
 
 NUMBER literals may be integers, decimals (kept exact) or p/q rationals.
 Transforms use plain arith with component names only; indicator and
@@ -55,9 +51,9 @@ MAGNITUDE_BITS = 1 << 16
 
 # How deep the parser lets an expression nest.  Each parenthesis, min or
 # max call, unary minus and negation opens one level, an ite two (its call
-# and its comparison).  A level takes up to four Python frames of the
-# recursive descent, so a parse at the cap stays well inside Python's
-# default recursion limit of 1000, and one past it is a ParseError.
+# and its comparison).  A level takes up to three Python frames of the
+# parser, so a parse at the cap stays well inside Python's default
+# recursion limit of 1000, and one past it is a ParseError.
 MAX_NESTING = 200
 
 RESERVED = {
@@ -86,11 +82,34 @@ class Neg:
     operand: object
 
 
+def _spine_eq(a, b):
+    """a == b for a binary node a, down the left side in a loop: a + b + ...
+    parses as a tree as deep as it is long down that side, so only the
+    parentheses a right operand opens (at most MAX_NESTING) cost a frame."""
+    cls = a.__class__
+    while a.__class__ is cls and b.__class__ is cls:
+        if a.op != b.op or a.right != b.right:
+            return False
+        a, b = a.left, b.left
+    return a.__class__ is not cls and a == b
+
+
+def _spine_hash(node):
+    """A binary node's hash, down the left side in a loop (see _spine_eq)."""
+    cls, spine = node.__class__, []
+    while node.__class__ is cls:
+        spine.append((node.op, node.right))
+        node = node.left
+    return hash((node, *spine))
+
+
 @dataclass(frozen=True)
 class Bin:
     op: str
     left: object
     right: object
+    __eq__ = _spine_eq
+    __hash__ = _spine_hash
 
 
 @dataclass(frozen=True)
@@ -128,6 +147,8 @@ class BoolBin:
     op: str
     left: object
     right: object
+    __eq__ = _spine_eq
+    __hash__ = _spine_hash
 
 
 @dataclass(frozen=True)
@@ -139,6 +160,20 @@ class At:
 @dataclass(frozen=True)
 class FinalTest:
     pass
+
+
+# The node kinds of predicates; every other node is arithmetic.
+BOOLEAN = (Cmp, BoolLit, Not, BoolBin, At, FinalTest)
+
+# Each binary operator's level, the higher the more tightly it binds, and
+# the node it builds; operators of one level associate to the left.  The
+# operands of && and || are predicates, all others arithmetic.  A prefix -
+# binds more tightly than any, a prefix ! takes an operand at the level of
+# the comparisons: !x + 1 > 2 is !(x + 1 > 2).
+OPERATORS = {"||": (1, BoolBin), "&&": (2, BoolBin), "<": (3, Cmp), "<=": (3, Cmp),
+             "=": (3, Cmp), ">=": (3, Cmp), ">": (3, Cmp), "+": (4, Bin), "-": (4, Bin),
+             "*": (5, Bin), "/": (5, Bin)}
+COMPARISON, ARITHMETIC = OPERATORS["="][0], OPERATORS["+"][0]
 
 
 @dataclass(frozen=True)
@@ -208,22 +243,19 @@ def tokenize(text):
 
 
 class Parser:
-    """Recursive-descent parser over a token list; literal backtracks from
-    a comparison to a parenthesised predicate.  depth counts the levels of
-    nesting open at pos (see MAX_NESTING)."""
+    """Precedence-climbing parser over a token list (Pratt, "Top down
+    operator precedence", POPL 1973): arithmetic and predicates alike are
+    read left to right, each token once.  A binary operator waits on a
+    stack until the next one binds no more tightly, so only nesting costs
+    frames, at most three a level.  A kind error points at the operand's
+    first token, every other error at the token where reading stopped.
+    depth counts the levels of nesting open at pos (see MAX_NESTING)."""
 
     def __init__(self, text, allow_clock=False):
         self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0
         self.allow_clock = allow_clock
-
-    def mark(self):
-        """Where the parser is, for reset to backtrack to."""
-        return self.pos, self.depth
-
-    def reset(self, mark):
-        self.pos, self.depth = mark
 
     def peek(self):
         return self.tokens[self.pos]
@@ -236,12 +268,12 @@ class Parser:
     def expect(self, kind):
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
+            self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.next()
 
-    def fail(self, message):
-        tok = self.peek()
+    def fail(self, message, tok=None):
+        """Raise a ParseError at tok, by default the next token."""
+        tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.column)
 
     def deeper(self, levels=1):
@@ -251,163 +283,132 @@ class Parser:
         if self.depth > MAX_NESTING:
             self.fail(f"expression nested more than {MAX_NESTING} levels deep")
 
-    # arithmetic
+    def close(self, levels=1):
+        self.expect(")")
+        self.depth -= levels
 
-    def arith(self):
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            node = Bin(op, node, self.term())
+    def check(self, first, node, boolean):
+        """node, if it is a predicate just when boolean is; first starts it."""
+        if isinstance(node, BOOLEAN) != boolean:
+            kind = "a predicate" if boolean else "an arithmetic expression"
+            self.fail(f"expected {kind}, found {first.text!r}", first)
         return node
 
-    def term(self):
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            node = Bin(op, node, self.unary())
-        return node
+    def operand(self, boolean):
+        """A predicate, or (not boolean) arithmetic read at + and - level."""
+        first = self.peek()
+        return self.check(first, self.expression(1 if boolean else ARITHMETIC), boolean)
 
-    def unary(self):
-        if self.peek().kind == "-":
-            self.deeper()
-            self.next()
-            node = Neg(self.unary())
-            self.depth -= 1
-            return node
-        return self.atom()
+    def expression(self, level=1, node=None, first=None):
+        """The expression at pos whose operators bind at level or more
+        tightly (see OPERATORS); it stops before '&& EF' and '&& EG', which
+        only a query's nested form holds.  node, if given, is its first
+        operand, read already, and first the token that starts it."""
+        stack = []  # open operators: (level, node class, op, left operand, its first token)
+        while True:
+            if node is None:
+                first = self.peek()
+                node = self.primary()
+            tok = self.peek()
+            bind, built = OPERATORS.get(tok.kind, (0, None))
+            # the token list always ends in EOF
+            if bind < level or tok.kind == "&&" and \
+                    self.tokens[self.pos + 1].text in ("EF", "EG"):
+                bind = 0
+            while stack and stack[-1][0] >= bind:
+                _, cls, op, left, start = stack.pop()
+                node = cls(op, left, self.check(first, node, cls is BoolBin))
+                first = start
+            if not bind:
+                return node
+            stack.append((bind, built, self.next().kind,
+                          self.check(first, node, built is BoolBin), first))
+            node = None
 
-    def atom(self):
+    def primary(self):
+        """An operand: a number, a name, a call, a prefix operator and its
+        operand, or an expression of either kind in parentheses."""
         tok = self.peek()
+        name = tok.text if tok.kind == "NAME" else None
         if tok.kind == "NUM":
             self.next()
             try:
                 return Num(exact(Fraction(tok.text)))
             except ValueError:
-                raise ParseError(f"bad number {tok.text!r}", tok.line, tok.column)
+                self.fail(f"bad number {tok.text!r}", tok)
         if tok.kind == "(":
             self.deeper()
             self.next()
-            node = self.arith()
-            self.expect(")")
-            self.depth -= 1
+            node = self.expression()
+            self.close()
             return node
-        if tok.kind == "NAME":
-            name = tok.text
-            if name in ("min", "max"):
-                self.deeper()
-                self.next()
-                self.expect("(")
-                first = self.arith()
-                self.expect(",")
-                second = self.arith()
-                self.expect(")")
-                self.depth -= 1
-                return Call(name, (first, second))
+        if tok.kind in ("-", "!"):
+            self.deeper()
+            self.next()
+            first = self.peek()
+            boolean = tok.kind == "!"
+            node = self.expression(COMPARISON) if boolean else self.primary()
+            self.depth -= 1
+            return (Not if boolean else Neg)(self.check(first, node, boolean))
+        if name in ("min", "max", "ite"):
+            levels = 2 if name == "ite" else 1
+            self.deeper(levels)
+            self.next()
+            self.expect("(")
+            args = []
             if name == "ite":
-                self.deeper(2)
+                left = self.operand(False)
+                op = self.peek()
+                if OPERATORS.get(op.kind, (0, None))[1] is not Cmp:
+                    self.fail("expected a comparison operator")
                 self.next()
-                self.expect("(")
-                cond = self.compare()
+                args.append(Cmp(op.kind, left, self.operand(False)))
                 self.expect(",")
-                then = self.arith()
+            args.append(self.operand(False))
+            self.expect(",")
+            args.append(self.operand(False))
+            self.close(levels)
+            return Ite(*args) if name == "ite" else Call(name, tuple(args))
+        if name in ("clock", "at"):
+            if name == "clock" and not self.allow_clock:
+                self.fail("clock(...) is not allowed here")
+            self.next()
+            self.expect("(")
+            args = [self.expect("NAME").text]
+            if name == "at":
                 self.expect(",")
-                orelse = self.arith()
-                self.expect(")")
-                self.depth -= 2
-                return Ite(cond, then, orelse)
-            if name == "clock":
-                if not self.allow_clock:
-                    raise ParseError("clock(...) is not allowed here", tok.line, tok.column)
-                self.next()
-                self.expect("(")
-                agent = self.expect("NAME").text
-                self.expect(")")
-                return ClockRef(agent)
-            if name in RESERVED:
-                raise ParseError(f"{name!r} cannot be used as a component name",
-                                 tok.line, tok.column)
-            self.next()
-            return Ref(name)
-        self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
-
-    def compare(self):
-        left = self.arith()
-        tok = self.peek()
-        if tok.kind not in ("<", "<=", "=", ">=", ">"):
-            self.fail("expected a comparison operator")
-        self.next()
-        return Cmp(tok.kind, left, self.arith())
-
-    # predicates
-
-    def pred(self):
-        node = self.conj()
-        while self.peek().kind == "||":
-            self.next()
-            node = BoolBin("||", node, self.conj())
-        return node
-
-    def conj(self):
-        # stop before '&& EF' and '&& EG', which only a query's nested
-        # form can hold; the token list always ends in EOF
-        node = self.literal()
-        while (self.peek().kind == "&&"
-               and self.tokens[self.pos + 1].text not in ("EF", "EG")):
-            self.next()
-            node = BoolBin("&&", node, self.literal())
-        return node
-
-    def literal(self):
-        tok = self.peek()
-        if tok.kind == "!":
-            self.deeper()
-            self.next()
-            node = Not(self.literal())
-            self.depth -= 1
-            return node
-        if tok.kind == "NAME":
-            if tok.text == "true":
-                self.next()
-                return BoolLit(True)
-            if tok.text == "false":
-                self.next()
-                return BoolLit(False)
-            if tok.text == "final":
-                self.next()
-                return FinalTest()
-            if tok.text == "at":
-                self.next()
-                self.expect("(")
-                agent = self.expect("NAME").text
-                self.expect(",")
-                locality = self.expect("NAME").text
-                self.expect(")")
-                return At(agent, locality)
-        save = self.mark()
-        try:
-            return self.compare()
-        except ParseError:
-            self.reset(save)
-        if tok.kind == "(":
-            self.deeper()
-            self.next()
-            node = self.pred()
+                args.append(self.expect("NAME").text)
             self.expect(")")
-            self.depth -= 1
-            return node
-        self.fail(f"expected a predicate, found {tok.text or 'end of input'!r}")
+            return (At if name == "at" else ClockRef)(*args)
+        if name in ("true", "false", "final"):
+            self.next()
+            return FinalTest() if name == "final" else BoolLit(name == "true")
+        if name in RESERVED:
+            self.fail(f"{name!r} cannot be used as a component name")
+        if name is None:
+            self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+        self.next()
+        return Ref(name)
 
 
 def parse_arith(text, allow_clock=False):
     parser = Parser(text, allow_clock=allow_clock)
-    node = parser.arith()
+    node = parser.operand(False)
     parser.expect("EOF")
     return node
 
 
 def parse_predicate(text):
     parser = Parser(text, allow_clock=True)
-    node = parser.pred()
+    node = parser.operand(True)
+    parser.expect("EOF")
+    return node
+
+
+def parse_expression(text):
+    """An arithmetic expression or a predicate, clocks allowed."""
+    parser = Parser(text, allow_clock=True)
+    node = parser.expression()
     parser.expect("EOF")
     return node
 

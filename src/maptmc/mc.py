@@ -51,28 +51,32 @@ def parse_query(text):
     tok = parser.peek()
     if tok.kind == "NAME" and tok.text in ("EF", "EG", "AF", "AG"):
         op = parser.next().text
-        if op == "EF" and parser.peek().kind == "(":
-            save = parser.mark()
-            try:
+        start, p = parser.peek(), None
+        if op == "EF" and start.kind == "(":
+            # EF (p && EF q), EF (p && EG q), or a predicate that starts
+            # with a parenthesis: an expression stops before && only where
+            # EF or EG follows
+            parser.deeper()
+            parser.next()
+            first = parser.peek()
+            p = parser.expression()
+            if parser.peek().kind == "&&":
+                p = parser.check(first, p, True)
                 parser.next()
-                p = parser.pred()
-                # a pred stops before && only when EF or EG follows
-                parser.expect("&&")
                 inner = parser.next().text
-                q = parser.pred()
-                parser.expect(")")
+                q = parser.operand(True)
+                parser.close()
                 parser.expect("EOF")
                 return Query("EF" + inner, p, q)
-            except ParseError:
-                parser.reset(save)
-        p = parser.pred()
+            parser.close()
+        p = parser.check(start, parser.expression(1, p, start), True)
         parser.expect("EOF")
         if op in ("AF", "AG"):
             return Query("EG" if op == "AF" else "EF", expr.Not(p), negate=True)
         return Query(op, p)
-    p = parser.pred()
+    p = parser.operand(True)
     parser.expect("-->")
-    q = parser.pred()
+    q = parser.operand(True)
     parser.expect("EOF")
     return Query("EFEG", p, expr.Not(q), negate=True)
 
@@ -331,18 +335,11 @@ def sweep_indicators(m, indicators, x_bound=None, semantics="accelerated", *,
             raise ParseError(f"indicator name {name!r} is not an identifier")
         if names.count(name) > 1:
             raise ParseError(f"indicator name {name!r} is given twice")
-    nodes = []
-    for _, text in items:
-        if not isinstance(text, str):
-            nodes.append((text, False))
-            continue
-        try:
-            nodes.append((expr.parse_arith(text, allow_clock=True), False))
-        except ParseError:
-            nodes.append((expr.parse_predicate(text), True))
+    nodes = [expr.parse_expression(text) for _, text in items]
     kernel = sem.Kernel(m, semantics, x_bound, time_bound)
     readers = []
-    for node, boolean in nodes:
+    for node in nodes:
+        boolean = isinstance(node, expr.BOOLEAN)
         read = compile_entry_expr(kernel, node, boolean)
         if boolean:
             read = lambda s, holds=read: int(holds(s))

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from maptmc import codegen, expr, mc
 from maptmc.errors import (DivisionByZero, Overflow, ParseError, PredicateError,
                            UnknownReference)
+from maptmc.model import dumps_model, loads_model, model_from_dict, model_to_dict
 from maptmc.semantics import Kernel, State
 
 
@@ -253,7 +254,28 @@ PARSE_ERROR_CASES = [
     ("at(task_a)", "pred"),
     ("3 != 3", "pred"),  # negation wraps predicates, not comparisons
     ("1 @ 2", "arith"),
+    ("ite((x > 1), 1, 2)", "arith"),  # the condition is one bare comparison
+    ("min(x > 1, 2)", "arith"),
+    ("(x > 1) + 1", "pred"),  # a predicate is no operand of arithmetic
+    ("-(x > 1)", "arith"),
+    ("!x", "pred"),
+    ("x = true", "pred"),
+    ("1 < 2 < 3", "pred"),  # a comparison is no side of a comparison
 ]
+
+
+@pytest.mark.parametrize("text,rendered", [
+    ("(x + 1) > 2", "x + 1 > 2"),
+    ("((x > 1))", "x > 1"),
+    ("!(x > 1) && (y) < 2", "!x > 1 && y < 2"),
+    ("!x + 1 > 2", "!x + 1 > 2"),
+])
+def test_parenthesised_operands_of_either_kind(text, rendered):
+    assert expr.to_text(expr.parse_predicate(text)) == rendered
+    # after EF the same text starts a predicate, also where its '(' opens
+    # the first operand rather than the nested form
+    query = mc.parse_query(f"EF {text} || final")
+    assert expr.to_text(query.p) == f"{rendered} || final"
 
 
 @pytest.mark.parametrize("text,kind", PARSE_ERROR_CASES)
@@ -497,12 +519,45 @@ def test_parser_caps_nesting():
 
 
 def test_backtracking_restores_the_nesting_depth():
-    # each literal tries a comparison first, which opens the levels of
-    # every parenthesis after it before it fails; 150 such literals in a
-    # row would pass the cap if a failed attempt kept its levels
+    # a parenthesis opens a level only until its ')': 150 of these
+    # operands in a row open 300 levels, at most 2 of them at once, and
+    # would pass the cap if a closed level stayed open
     text = " && ".join(["((x >= 1) && y < 2)"] * 150)
     node = expr.parse_predicate(text)
     assert expr.parse_predicate(expr.to_text(node)) == node
+
+
+def test_parser_reads_each_token_once(monkeypatch):
+    # precedence climbing never backtracks: a parenthesised predicate 200
+    # deep, or 150 operands that each open one, read each token once
+    reads = []
+    read = expr.Parser.next
+
+    def counted(parser):
+        reads.append(parser.pos)
+        return read(parser)
+
+    monkeypatch.setattr(expr.Parser, "next", counted)
+    for text in (" && ".join(["((x >= 1) && y < 2)"] * 150),
+                 "(" * 200 + "x >= 1" + ")" * 200):
+        reads.clear()
+        expr.parse_predicate(text)
+        assert reads == list(range(len(expr.tokenize(text))))
+
+
+def test_long_trees_compare_and_hash_in_a_loop(two_tasks):
+    # a sum or a conjunction as deep as it is long down its left side
+    # compares and hashes without recursing down that side
+    data = model_to_dict(two_tasks)
+    data["transforms"]["halve"]["load"] = "load / 2" + " + 1 - 1" * 750
+    m = model_from_dict(data)
+    assert loads_model(dumps_model(m)) == m
+    effect = expr.parse_arith("load / 2" + " + 1 - 1" * 750)
+    assert hash(effect) == hash(expr.parse_arith(expr.to_text(effect)))
+    assert effect != expr.parse_arith("load / 3" + " + 1 - 1" * 750)
+    text = "EF (" + " && ".join(["load > 1"] * 1500) + ")"
+    assert hash(mc.parse_query(text)) == hash(mc.parse_query(text))
+    assert mc.parse_query(text) != mc.parse_query(text.replace("(load > 1", "(load > 2"))
 
 
 # two_tasks' agents and their localities, and its components

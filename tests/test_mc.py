@@ -2,12 +2,13 @@
 
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from maptmc import expr, layers, mc, semantics as sem
+from maptmc import cli, expr, layers, mc, semantics as sem
 from maptmc.errors import (
     BudgetExceeded,
     MaptError,
@@ -18,10 +19,11 @@ from maptmc.errors import (
     UnknownReference,
     ValidationError,
 )
+from maptmc.fixtures import fixture_path
 from maptmc.mc import Query
-from maptmc.model import model_from_dict, model_to_dict
+from maptmc.model import model_from_dict, model_to_dict, validate
 
-from test_layers import spliced
+from test_layers import agents_model, live_agents, spliced
 
 
 def test_parse_query_forms():
@@ -532,3 +534,114 @@ def test_query_texts_parse_or_raise_parse_error(two_tasks, text):
         mc.check(two_tasks, query, {"count": 1}, budget=2000)
     except MaptError:
         pass
+
+
+# The queries' errors name the token where reading stopped, and a kind
+# error the first token of the offending operand: (query, stderr line)
+MASKED_ERRORS = [
+    ("EF load > ²", "error: bad number '²' (line 1, column 11)"),
+    ("AG load <= min(1, 2, 3)", "error: expected ')', found ',' (line 1, column 20)"),
+    ("EF load > 1 && clock(task_a) > 1/0.0.1",
+     "error: bad number '0.0.1' (line 1, column 34)"),
+    ("EF load >= 1 && count", "error: expected a predicate, found 'count' (line 1, column 17)"),
+]
+
+
+@pytest.mark.parametrize("query,line", MASKED_ERRORS, ids=[q for q, _ in MASKED_ERRORS])
+def test_query_errors_point_where_reading_stopped(capsys, query, line):
+    code = cli.main(["check", str(fixture_path("two_tasks.json")), "--x-bound", "count=2",
+                     query])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", line + "\n")
+
+
+def test_nested_form_opens_a_level():
+    # the parenthesis after EF opens a level in the nested form too, so
+    # its p nests 199 levels deep at most
+    def nested(depth):
+        return "EF (" + "(" * depth + "n > 1" + ")" * depth + " && EF n > 2)"
+
+    assert mc.parse_query(nested(199)) == mc.parse_query(nested(0))
+    with pytest.raises(ParseError) as err:
+        mc.parse_query(nested(200))
+    assert str(err.value) == "expression nested more than 200 levels deep (line 1, column 204)"
+
+
+_HOLDS = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge,
+          ">": operator.gt}
+# the seven query forms, each with the oracle's name for it
+ORACLE_FORMS = [("EF {p}", "EF"), ("EG {p}", "EG"), ("AF {p}", "AF"), ("AG {p}", "AG"),
+                ("EF ({p} && EF {q})", "EFEF"), ("EF ({p} && EG {q})", "EFEG"),
+                ("{p} --> {q}", "LEADSTO")]
+
+
+@st.composite
+def generated_predicates(draw, localities):
+    """A predicate over agents_model's counter n and its first agent g0:
+    its text, with the parentheses its operators need and some more, and
+    its reading by the oracle at a state (localities, clocks, values) and
+    the state's finality."""
+    def pred(depth):
+        # text, reading, and the level of the operator that binds the text
+        # most loosely (see expr.OPERATORS): 3 if none binds looser than !
+        shape = draw(st.sampled_from(("atom", "!", "&&", "||") if depth < 3 else ("atom",)))
+        if shape == "atom":
+            atom = draw(st.sampled_from(("n", "clock", "at", "final")))
+            if atom == "final":
+                text, holds = "final", lambda s, final: final
+            elif atom == "at":
+                loc = draw(st.sampled_from(localities))
+                text, holds = f"at(g0, {loc})", lambda s, final: s[0][0] == loc
+            else:
+                op, k = draw(st.sampled_from(sorted(_HOLDS))), draw(st.integers(0, 4))
+                part = 2 if atom == "n" else 1
+                text = f"{'n' if atom == 'n' else 'clock(g0)'} {op} {k}"
+                holds = lambda s, final: _HOLDS[op](s[part][0], k)
+            level = 3
+        elif shape == "!":
+            inner, holds_inner, level = pred(depth + 1)
+            text = "!" + (inner if level >= 3 else f"({inner})")
+            holds, level = (lambda s, final: not holds_inner(s, final)), 3
+        else:
+            level = 2 if shape == "&&" else 1
+            left, right = pred(depth + 1), pred(depth + 1)
+            text = f" {shape} ".join(t if lv >= level else f"({t})" for t, _, lv in (left, right))
+            if shape == "&&":
+                holds = lambda s, final: left[1](s, final) and right[1](s, final)
+            else:
+                holds = lambda s, final: left[1](s, final) or right[1](s, final)
+        if draw(st.integers(0, 4)) == 0:
+            text, level = f"({text})", 3
+        return text, holds, level
+
+    text, holds, _ = pred(0)
+    return text, holds
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda k: st.tuples(*(live_agents(f"g{i}") for i in range(k)))), st.data())
+def test_generated_queries_match_oracle(tmp_path_factory, agents, data):
+    # every form, over predicates written as text, gets the oracle's verdict
+    # under both semantics and strategies, and under a heuristic.  Only
+    # MAPT models: check's EG reads final states, which assumes one, and
+    # the CLI refuses any other (on one locality with no hop and period 1,
+    # AF n < 0 holds in check but not in the oracle)
+    import oracle
+
+    m, raw = agents_model(agents, tmp_path_factory.mktemp("gen") / "model.json")
+    assume(validate(m).is_mapt)
+    localities = agents[0]["localities"]
+    p_text, p = data.draw(generated_predicates(localities))
+    q_text, q = data.draw(generated_predicates(localities))
+    heuristic = mc.Heuristic("n", "ascending", lambda s: s.values[0])
+    runs = [{"strategy": strategy} for strategy in mc.STRATEGIES] + [{"heuristic": heuristic}]
+    for semantics in sem.SEMANTICS:
+        graph = oracle.CtlGraph(raw, semantics, {"n": 3})
+        for form, name in ORACLE_FORMS:
+            query = form.format(p=p_text, q=q_text)
+            expected = graph.holds(name, lambda m, s, final: p(s, final),
+                                   lambda m, s, final: q(s, final))
+            for run in runs:
+                got = mc.check(m, query, {"n": 3}, semantics, **run)
+                assert got.verdict is expected, (query, semantics, run)
