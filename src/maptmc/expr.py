@@ -26,7 +26,11 @@ predicate arithmetic may also read agent clocks via clock(agent).
 MAGNITUDE_BITS caps every number, computed or read: rational reads each
 number given outside an expression, such as an X bound, under the cap.
 
-The parser refuses nesting deeper than MAX_NESTING.  Every expression is
+The parser refuses nesting deeper than MAX_NESTING, but builds a + b + ...
+and p && q && ... as trees as deep as they are long down their left side.
+spine unrolls such a chain in one loop, and all here that walks a chain
+reads it: the equality, hash, repr and pickling of Bin and BoolBin,
+eval_arith and to_text, so only nesting costs frames.  Every expression is
 compiled once into one generated Python function by the codegen module,
 which computes in kernel form: the int case of each operation inline,
 every other case through the exact helpers here, add, sub, mul, div, neg
@@ -82,25 +86,51 @@ class Neg:
     operand: object
 
 
+def spine(node):
+    """The chain of a Bin or BoolBin node down its left side, in a loop:
+    the first operand that is not of the node's class, and the chain's
+    nodes, innermost first."""
+    cls, links = node.__class__, []
+    while node.__class__ is cls:
+        links.append(node)
+        node = node.left
+    links.reverse()
+    return node, links
+
+
+def _flat(node):
+    """A binary node's chain as (first operand, ((op, right), ...)) (see spine)."""
+    first, links = spine(node)
+    return first, tuple((link.op, link.right) for link in links)
+
+
 def _spine_eq(a, b):
-    """a == b for a binary node a, down the left side in a loop: a + b + ...
-    parses as a tree as deep as it is long down that side, so only the
-    parentheses a right operand opens (at most MAX_NESTING) cost a frame."""
-    cls = a.__class__
-    while a.__class__ is cls and b.__class__ is cls:
-        if a.op != b.op or a.right != b.right:
-            return False
-        a, b = a.left, b.left
-    return a.__class__ is not cls and a == b
+    """a == b for a binary node a (see _flat)."""
+    return a.__class__ is b.__class__ and _flat(a) == _flat(b)
 
 
 def _spine_hash(node):
-    """A binary node's hash, down the left side in a loop (see _spine_eq)."""
-    cls, spine = node.__class__, []
-    while node.__class__ is cls:
-        spine.append((node.op, node.right))
-        node = node.left
-    return hash((node, *spine))
+    """A binary node's hash (see _flat)."""
+    return hash(_flat(node))
+
+
+def _spine_repr(node):
+    """A binary node's dataclass repr, its chain walked once (see spine)."""
+    first, links = spine(node)
+    opens = (f"{node.__class__.__qualname__}(op={link.op!r}, left=" for link in reversed(links))
+    return "".join([*opens, repr(first), *(f", right={link.right!r})" for link in links)])
+
+
+def _spine_reduce(node):
+    """What pickle and copy.deepcopy rebuild a binary node from: its class
+    and its chain (see _flat)."""
+    return _rebuild, (node.__class__, *_flat(node))
+
+
+def _rebuild(cls, first, links):
+    for op, right in links:
+        first = cls(op, first, right)
+    return first
 
 
 @dataclass(frozen=True)
@@ -110,6 +140,8 @@ class Bin:
     right: object
     __eq__ = _spine_eq
     __hash__ = _spine_hash
+    __repr__ = _spine_repr
+    __reduce__ = _spine_reduce
 
 
 @dataclass(frozen=True)
@@ -149,6 +181,8 @@ class BoolBin:
     right: object
     __eq__ = _spine_eq
     __hash__ = _spine_hash
+    __repr__ = _spine_repr
+    __reduce__ = _spine_reduce
 
 
 @dataclass(frozen=True)
@@ -553,6 +587,10 @@ def compare(a, b):
     return an * bd - bn * ad
 
 
+_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge,
+            ">": operator.gt}
+
+
 def eval_arith(node, values):
     """Interpret transform arithmetic over a name -> value mapping.
 
@@ -570,53 +608,28 @@ def eval_arith(node, values):
     if isinstance(node, Neg):
         return -eval_arith(node.operand, values)
     if isinstance(node, Bin):
-        left = node.left
-        left = _chain(left, values) if isinstance(left, Bin) else eval_arith(left, values)
-        right = eval_arith(node.right, values)
-        if node.op == "+":
-            return checked(left + right, node)
-        if node.op == "-":
-            return checked(left - right, node)
-        if node.op == "*":
-            return checked(left * right, node)
-        return divide(left, right, node)
+        # a single operation, as in every fixture transform, skips spine
+        first, links = spine(node) if isinstance(node.left, Bin) else (node.left, (node,))
+        value = eval_arith(first, values)
+        for link in links:
+            right = eval_arith(link.right, values)
+            if link.op == "+":
+                value = checked(value + right, link)
+            elif link.op == "-":
+                value = checked(value - right, link)
+            elif link.op == "*":
+                value = checked(value * right, link)
+            else:
+                value = divide(value, right, link)
+        return value
     if isinstance(node, Call):
         args = [eval_arith(arg, values) for arg in node.args]
         return min(args) if node.fn == "min" else max(args)
     if isinstance(node, Ite) and isinstance(node.cond, Cmp):
-        left = eval_arith(node.cond.left, values)
-        right = eval_arith(node.cond.right, values)
-        holds = {
-            "<": left < right,
-            "<=": left <= right,
-            "=": left == right,
-            ">=": left >= right,
-            ">": left > right,
-        }[node.cond.op]
+        holds = _COMPARE[node.cond.op](eval_arith(node.cond.left, values),
+                                       eval_arith(node.cond.right, values))
         return eval_arith(node.then if holds else node.orelse, values)
     raise PredicateError(f"not an arithmetic node: {node!r}")
-
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
-def _chain(node, values):
-    """eval_arith of a Bin node, down its left side in a loop.  a + b + ...
-    parses as a tree as deep as it is long down that side, so eval_arith
-    hands a left operand that is a Bin here: only the parentheses a right
-    operand opens (at most MAX_NESTING) cost a frame."""
-    spine = []
-    while isinstance(node, Bin):
-        spine.append(node)
-        node = node.left
-    left = eval_arith(node, values)
-    for node in reversed(spine):
-        right = eval_arith(node.right, values)
-        if node.op == "/":
-            left = divide(left, right, node)
-        else:
-            left = checked(_ARITH[node.op](left, right), node)
-    return left
 
 
 def refs(node):
@@ -687,20 +700,16 @@ def _render(node):
             inner = f"({inner})"
         return f"-{inner}", 7
     if isinstance(node, (Bin, BoolBin)):
-        # a left-deep chain is rendered in a loop, as eval_arith walks it
-        spine = []
-        while isinstance(node, (Bin, BoolBin)):
-            spine.append(node)
-            node = node.left
-        left, lp = _render(node)
-        for node in reversed(spine):
-            mine = _PREC[node.op]
-            right, rp = _render(node.right)
+        first, links = spine(node)
+        left, lp = _render(first)
+        for link in links:
+            mine = _PREC[link.op]
+            right, rp = _render(link.right)
             if lp < mine:
                 left = f"({left})"
             if rp <= mine:
                 right = f"({right})"
-            left, lp = f"{left} {node.op} {right}", mine
+            left, lp = f"{left} {link.op} {right}", mine
         return left, lp
     if isinstance(node, Call):
         args = ", ".join(_render(a)[0] for a in node.args)

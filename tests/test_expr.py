@@ -1,8 +1,10 @@
 """Tokenizer, parser, compiler and reference interpreter for arithmetic
 and predicate expressions."""
 
+import copy
 import math
 import os
+import pickle
 import re
 from fractions import Fraction
 
@@ -84,6 +86,11 @@ ARITH_CASES = [
     ("ite(x > 0, x, -x)", {"x": Fraction(-3)}, Fraction(3)),
     ("ite(x > 0, x, -x)", {"x": Fraction(3)}, Fraction(3)),
 ]
+# ite under each comparison, with x below, at and above 2
+ARITH_CASES += [(f"ite(x {op} 2, 1, 0)", {"x": Fraction(x)}, Fraction(int(x in holds)))
+                for op, holds in (("<", (1,)), ("<=", (1, 2)), ("=", (2,)), (">=", (2, 3)),
+                                  (">", (3,)))
+                for x in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("text,env,expected", ARITH_CASES)
@@ -362,6 +369,25 @@ def test_to_text_round_trip(tree):
     assert expr.parse_arith(text) == tree
 
 
+@given(st.data())
+def test_trees_are_equal_exactly_when_their_texts_are(data):
+    # few leaves, so equal trees, and chains one link or one operand
+    # apart, are drawn often; 1 and Fraction(1) are one number
+    sums = st.recursive(
+        st.sampled_from((expr.Num(1), expr.Num(Fraction(1)), expr.Ref("x"))),
+        lambda c: st.tuples(st.sampled_from("+*"), c, c).map(lambda t: expr.Bin(*t))
+        | c.map(expr.Neg), max_leaves=5)
+    conjunctions = st.recursive(
+        st.sampled_from((expr.Cmp("<", expr.Ref("x"), expr.Num(1)), expr.FinalTest())),
+        lambda c: st.tuples(st.sampled_from(("&&", "||")), c, c).map(lambda t: expr.BoolBin(*t))
+        | c.map(expr.Not), max_leaves=5)
+    trees = data.draw(st.sampled_from((sums, conjunctions)))
+    a, b = data.draw(trees), data.draw(trees)
+    assert (a == b) == (expr.to_text(a) == expr.to_text(b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
 COMPONENTS = ("a", "b", "c")
 HUGE = Fraction(2) ** 40000
 
@@ -418,6 +444,10 @@ def outcome(evaluate):
 # a pair whose product outgrows the cap
 @example(expr.parse_arith("(c + 1 / 3) * (c - 1 / 3)"),
          (Fraction(0), Fraction(0), Fraction(0)), True)
+# a division by zero and an overflow inside a chain, each named by the
+# link that raised it
+@example(expr.parse_arith("a * 2 / (b - b) * 3"), (Fraction(1), Fraction(2), Fraction(0)), False)
+@example(expr.parse_arith("c * 2 * c * 3 - a"), (Fraction(1), Fraction(2), Fraction(0)), True)
 @given(transform_trees(), st.tuples(small_fractions(), small_fractions(),
                                     small_fractions()), st.booleans())
 def test_compile_arith_matches_eval_arith(tree, values, huge):
@@ -547,7 +577,8 @@ def test_parser_reads_each_token_once(monkeypatch):
 
 def test_long_trees_compare_and_hash_in_a_loop(two_tasks):
     # a sum or a conjunction as deep as it is long down its left side
-    # compares and hashes without recursing down that side
+    # compares, hashes, prints, pickles and copies without recursing down
+    # that side
     data = model_to_dict(two_tasks)
     data["transforms"]["halve"]["load"] = "load / 2" + " + 1 - 1" * 750
     m = model_from_dict(data)
@@ -558,6 +589,17 @@ def test_long_trees_compare_and_hash_in_a_loop(two_tasks):
     text = "EF (" + " && ".join(["load > 1"] * 1500) + ")"
     assert hash(mc.parse_query(text)) == hash(mc.parse_query(text))
     assert mc.parse_query(text) != mc.parse_query(text.replace("(load > 1", "(load > 2"))
+    for tree in (m, mc.parse_query(text)):
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert copy.deepcopy(tree) == tree
+        assert repr(tree)
+    # 1501 in the long effect, 5 in the other transforms
+    assert repr(m).count("Bin(") == 1506
+    # the repr is the dataclasses' own
+    assert repr(expr.parse_predicate("x - 1 / 2 > 0 && !final || true")) == (
+        "BoolBin(op='||', left=BoolBin(op='&&', left=Cmp(op='>', left=Bin(op='-', "
+        "left=Ref(name='x'), right=Bin(op='/', left=Num(value=1), right=Num(value=2))), "
+        "right=Num(value=0)), right=Not(operand=FinalTest())), right=BoolLit(value=True))")
 
 
 # two_tasks' agents and their localities, and its components

@@ -122,10 +122,10 @@ def test_cuts_match_per_agent_oracle(two_tasks, staged, vehicles, raw_two_tasks,
     assert_cuts_match_oracle(vehicles, raw_vehicles)
 
 
-def agents_model(agents, path):
+def agents_model(agents, path, init=0):
     """The model with the given agents and one X counter every hop bumps,
-    and its oracle twin read back from path."""
-    data = {"components": [{"name": "n", "init": 0, "x": True}],
+    starting at init, and its oracle twin read back from path."""
+    data = {"components": [{"name": "n", "init": init, "x": True}],
             "transforms": {"tally": {"n": "n + 1"}},
             "agents": list(agents)}
     path.write_text(json.dumps(data), encoding="utf-8")

@@ -629,7 +629,9 @@ def test_generated_queries_match_oracle(tmp_path_factory, agents, data):
     # AF n < 0 holds in check but not in the oracle)
     import oracle
 
-    m, raw = agents_model(agents, tmp_path_factory.mktemp("gen") / "model.json")
+    # n starts whole or not, so the kernel computes on ints or on pairs
+    init = data.draw(st.sampled_from((0, "1/3")))
+    m, raw = agents_model(agents, tmp_path_factory.mktemp("gen") / "model.json", init)
     assume(validate(m).is_mapt)
     localities = agents[0]["localities"]
     p_text, p = data.draw(generated_predicates(localities))
@@ -645,3 +647,8 @@ def test_generated_queries_match_oracle(tmp_path_factory, agents, data):
             for run in runs:
                 got = mc.check(m, query, {"n": 3}, semantics, **run)
                 assert got.verdict is expected, (query, semantics, run)
+                # no run expands more than twice the bounded space
+                assert got.stats.states_expanded <= 2 * len(graph.states), (query, run)
+        for run in runs:
+            got = mc.check(m, "AG (true)", {"n": 3}, semantics, **run)
+            assert got.stats.states_expanded == len(graph.states), (semantics, run)

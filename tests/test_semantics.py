@@ -438,8 +438,8 @@ def assert_tagged_walks_match_oracle(m, raw, semantics, x_bound=None, time_bound
 @settings(derandomize=True, max_examples=60, deadline=None,
           phases=[Phase.explicit, Phase.generate])
 @given(st.integers(1, 2).flatmap(
-    lambda k: st.tuples(*(live_agents(f"g{i}") for i in range(k)))))
-def test_explore_matches_oracle_on_generated_models(tmp_path_factory, agents):
+    lambda k: st.tuples(*(live_agents(f"g{i}") for i in range(k)))), st.sampled_from((0, "1/3")))
+def test_explore_matches_oracle_on_generated_models(tmp_path_factory, agents, init):
     # Every hop bumps the X counter n, so validate_acyclicity proves a model
     # as soon as one agent has a hop, and only then does an X bound on n
     # close the space; a time bound of two hyperperiods always does.
@@ -447,8 +447,9 @@ def test_explore_matches_oracle_on_generated_models(tmp_path_factory, agents):
     # on every one of them, or stops with explore's error; it takes no
     # time bound.  abstract_reachable and sweep tag the states of explore's
     # space, so under each bound they match the oracle's words and
-    # versions, or stop with explore's error.
-    m, raw = agents_model(agents, tmp_path_factory.mktemp("gen") / "model.json")
+    # versions, or stop with explore's error.  n starts whole or not, so
+    # the kernel computes on ints or on (numerator, denominator) pairs.
+    m, raw = agents_model(agents, tmp_path_factory.mktemp("gen") / "model.json", init)
     horizon = 2 * layers.lcm_periods(m)
     proven = validate_acyclicity(m)[0]
     for semantics in sem.SEMANTICS:
