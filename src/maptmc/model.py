@@ -209,51 +209,30 @@ def validate_strong_liveness(m):
 def _effect_class(node, comp, positive):
     """Structural proof class of a transform effect on one component.
 
-    Returns one of 'identity', 'strict', 'nondec', 'decreasing',
-    'unprovable'.  Recognized shapes: u, u+c, u-c, c*u, u*c, u/c where u is
-    the component itself and c a literal; scaling is only provable when the
-    component is declared positive.
+    The effect is read as u * scale + shift, where u is the component
+    itself and c a literal: u, u + c, c + u, u - c, u * c, c * u, or u / c
+    with c not 0.  Returns 'identity', 'strict', 'decreasing' or
+    'unprovable' (any other shape).  A shift is classed by its sign; a
+    scale other than 1 is provable only when the component is positive.
     """
-    if node is None:
+    u = expr.Ref(comp)
+    if node is None or node == u:
         return "identity"
-    if isinstance(node, expr.Ref) and node.name == comp:
-        return "identity"
-    shift = None
-    scale = None
-    if isinstance(node, expr.Bin):
-        left, right = node.left, node.right
-        if node.op == "+":
-            if isinstance(left, expr.Ref) and left.name == comp and isinstance(right, expr.Num):
-                shift = right.value
-            elif isinstance(right, expr.Ref) and right.name == comp and isinstance(left, expr.Num):
-                shift = left.value
-        elif node.op == "-":
-            if isinstance(left, expr.Ref) and left.name == comp and isinstance(right, expr.Num):
-                shift = -right.value
-        elif node.op == "*":
-            if isinstance(left, expr.Ref) and left.name == comp and isinstance(right, expr.Num):
-                scale = right.value
-            elif isinstance(right, expr.Ref) and right.name == comp and isinstance(left, expr.Num):
-                scale = left.value
-        elif node.op == "/":
-            if isinstance(left, expr.Ref) and left.name == comp and \
-                    isinstance(right, expr.Num) and right.value != 0:
-                scale = Fraction(1, right.value)
-    if shift is not None:
-        if shift > 0:
-            return "strict"
-        if shift == 0:
-            return "identity"
-        return "decreasing"
-    if scale is not None:
-        if scale == 1:
-            return "identity"
-        if not positive:
-            return "unprovable"
-        if scale > 1:
-            return "strict"
-        return "decreasing"
-    return "unprovable"
+    if not isinstance(node, expr.Bin):
+        return "unprovable"
+    left, op, right = node.left, node.op, node.right
+    if op in "+*" and isinstance(left, expr.Num):
+        left, right = right, left
+    if left != u or not isinstance(right, expr.Num) or \
+            (op == "/" and right.value == 0):
+        return "unprovable"
+    c = right.value
+    scale = c if op == "*" else Fraction(1, c) if op == "/" else 1
+    shift = c if op == "+" else -c if op == "-" else 0
+    if scale != 1 and not positive:
+        return "unprovable"
+    growth = shift if scale == 1 else scale - 1
+    return "strict" if growth > 0 else "identity" if growth == 0 else "decreasing"
 
 
 def validate_acyclicity(m):
@@ -261,22 +240,24 @@ def validate_acyclicity(m):
     that no transform can ever shrink one.
 
     The proof is purely structural (see _effect_class); anything outside
-    the recognized shapes fails with reason 'unprovable'.
+    the recognized shapes fails with reason 'unprovable'.  A component's
+    `positive` flag counts only when its init is above 0: every effect the
+    proof accepts is then non-decreasing, so it stays above 0.
     """
-    violations = []
     x_names = sorted(m.x_names)
     if not x_names:
-        violations.append(AcyclicityViolation(
-            "no-x-components", "model declares no X components"))
-        return (False, tuple(violations))
-    positive = {c.name: c.positive for c in m.components}
-    classes = {}
+        return (False, (AcyclicityViolation(
+            "no-x-components", "model declares no X components"),))
+    positive = {c.name: c.positive and c.init > 0 for c in m.components}
+    violations = []
+    strict = set()
     for fid in sorted(m.transforms):
         f = m.transforms[fid]
         for comp in x_names:
             cls = _effect_class(f.effects.get(comp), comp, positive[comp])
-            classes[(fid, comp)] = cls
-            if cls == "decreasing":
+            if cls == "strict":
+                strict.add(fid)
+            elif cls == "decreasing":
                 violations.append(AcyclicityViolation(
                     "may-decrease",
                     f"transform {fid!r} decreases X component {comp!r}",
@@ -287,7 +268,7 @@ def validate_acyclicity(m):
                     f"effect of transform {fid!r} on X component {comp!r} "
                     "cannot be proven non-decreasing",
                     transform=fid, component=comp))
-    paths = [_lazy_path(a, classes, x_names) for a in m.agents]
+    paths = [_lazy_path(a, strict) for a in m.agents]
     if None not in paths:
         for a, path in zip(m.agents, paths):
             shown = ",".join(t.id for t in path) if path else "(empty)"
@@ -298,34 +279,17 @@ def validate_acyclicity(m):
     return (not violations, tuple(violations))
 
 
-def _lazy_path(agent, classes, x_names):
-    """A source-to-sink path using no strictly-increasing transition, or None."""
-    start = agent.initial_locality
-    goal = agent.final_locality
-    if start == goal:
-        return ()
-    parents = {start: None}
-    queue = [start]
-    while queue:
-        loc = queue.pop(0)
+def _lazy_path(agent, strict):
+    """The first source-to-sink path a width-first search finds that takes
+    no transition whose transform is in strict, or None."""
+    paths = {agent.initial_locality: ()}
+    queue = [agent.initial_locality]
+    for loc in queue:
         for t in agent.outgoing(loc):
-            strict = any(classes.get((t.transform, comp)) == "strict"
-                         for comp in x_names)
-            if strict:
-                continue
-            if t.target not in parents:
-                parents[t.target] = (loc, t)
+            if t.transform not in strict and t.target not in paths:
+                paths[t.target] = paths[loc] + (t,)
                 queue.append(t.target)
-    if goal not in parents:
-        return None
-    path = []
-    cur = goal
-    while parents[cur] is not None:
-        prev, t = parents[cur]
-        path.append(t)
-        cur = prev
-    path.reverse()
-    return tuple(path)
+    return paths.get(agent.final_locality)
 
 
 def validate(m):

@@ -126,6 +126,33 @@ def test_assume_acyclic_waives_growth_proof(capsys, tmp_path, two_tasks):
     assert code == 0
 
 
+@pytest.mark.parametrize("init", [0, -1])
+def test_positive_at_or_below_zero_is_refused(capsys, tmp_path, two_tasks, init):
+    # doubling a count that starts at 0 or below never grows it, so the
+    # scaling proof does not count `positive` there
+    def mutate(d):
+        d["components"][1].update(positive=True, init=init)
+        d["transforms"]["double_and_tally"].update(count="2 * count")
+        d["transforms"]["shift_and_tally"].update(count="2 * count")
+
+    path = broken_model(tmp_path, two_tasks, mutate)
+    code, out, _ = run_cli(capsys, "validate", path, "--format", "machine")
+    unprovable = ("acyclicity-violation kind=unprovable detail=\"effect of "
+                  "transform '{}' on X component 'count' cannot be proven non-decreasing\"")
+    lazy = ("acyclicity-violation kind=no-increasing-path detail=\"agent '{}' has "
+            "a full cycle with no strict X increase: {}\"")
+    assert (code, out.splitlines()) == (1, [
+        "validation strongly_live=true acyclic=false is_mapt=false",
+        unprovable.format("double_and_tally"), unprovable.format("shift_and_tally"),
+        lazy.format("task_a", "early_a"), lazy.format("task_b", "early_b")])
+    bound = ["--x-bound", "count=8"]
+    for argv in (["explore", *bound], ["cuts"], ["check", "AG count >= -100", *bound],
+                 ["sweep", "--indicator", "c=count", *bound], ["petri-check", *bound]):
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: model is not a valid MAPT: effect of transform")
+
+
 def drop_count(data):
     for name in ("double_and_tally", "shift_and_tally"):
         del data["transforms"][name]["count"]

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from maptmc import cli, fixtures
+from maptmc import cli, expr, fixtures
 from maptmc.errors import MaptError, MalformedModel, ParseError, UnknownReference
 from maptmc.model import (
+    _effect_class,
     dumps_model,
     eval_transform,
     lcm_periods,
@@ -17,6 +18,7 @@ from maptmc.model import (
     model_from_dict,
     model_to_dict,
     validate,
+    validate_acyclicity,
 )
 
 
@@ -426,13 +428,14 @@ def test_acyclicity_scaling_needs_positive_declaration(mutated_two_tasks):
     )
     assert "unprovable" in acyclicity_kinds(m)
 
-    def mutate(d):
-        d["components"][1].update(positive=True, init=1)
-        d["transforms"]["double_and_tally"].update(count="2 * count")
-        d["transforms"]["shift_and_tally"].update(count="2 * count")
+    # and only from an init above 0: from 0 it stays at 0, from -1 it falls
+    for init in (1, 0, -1):
+        def mutate(d):
+            d["components"][1].update(positive=True, init=init)
+            d["transforms"]["double_and_tally"].update(count="2 * count")
+            d["transforms"]["shift_and_tally"].update(count="2 * count")
 
-    m = mutated_two_tasks(mutate)
-    assert validate(m).acyclic
+        assert validate(mutated_two_tasks(mutate)).acyclic == (init > 0)
 
 
 def test_acyclicity_needs_covering_agent(mutated_two_tasks):
@@ -443,6 +446,63 @@ def test_acyclicity_needs_covering_agent(mutated_two_tasks):
     )
     kinds = acyclicity_kinds(m)
     assert kinds == ["no-increasing-path", "no-increasing-path"]
+
+
+# (effect on u, class when u is not positive, class when it is); None is no
+# effect.  A shift is classed by its sign; a scale other than 1 counts only
+# on a positive component; every other shape is unprovable.
+EFFECT_CLASSES = [
+    (None, "identity", "identity"),
+    ("u", "identity", "identity"),
+    ("u + 1", "strict", "strict"),
+    ("0.5 + u", "strict", "strict"),
+    ("u - 1", "decreasing", "decreasing"),
+    ("u + 0", "identity", "identity"),
+    ("u * 2", "unprovable", "strict"),
+    ("1.5 * u", "unprovable", "strict"),
+    ("u / 0.5", "unprovable", "strict"),
+    ("u / 2", "unprovable", "decreasing"),
+    ("u * 0", "unprovable", "decreasing"),
+    ("0.5 * u", "unprovable", "decreasing"),
+    ("u * 1", "identity", "identity"),
+    ("u / 1", "identity", "identity"),
+    ("1 - u", "unprovable", "unprovable"),
+    ("2 / u", "unprovable", "unprovable"),
+    ("u / 0", "unprovable", "unprovable"),
+    ("u + -1", "unprovable", "unprovable"),
+    ("u * u", "unprovable", "unprovable"),
+    ("u + v", "unprovable", "unprovable"),
+    ("min(u, 1)", "unprovable", "unprovable"),
+    ("(u + 1) + 1", "unprovable", "unprovable"),
+]
+
+
+@pytest.mark.parametrize("text,plain,positive", EFFECT_CLASSES)
+def test_effect_class_reads_each_shape(text, plain, positive):
+    node = None if text is None else expr.parse_arith(text)
+    assert _effect_class(node, "u", False) == plain
+    assert _effect_class(node, "u", True) == positive
+
+
+def test_lazy_path_is_the_first_found_width_first():
+    # s->x is declared first, yet the width-first search reaches e by s->e
+    # before x->e
+    def idle(tid, src, dst):
+        return {"id": tid, "from": src, "to": dst, "transform": "idle",
+                "interval": [1, 1]}
+
+    m = model_from_dict({
+        "components": [{"name": "n", "init": 0, "x": True}],
+        "transforms": {"idle": {}},
+        "agents": [{"name": "g", "localities": ["s", "x", "e"],
+                    "transitions": [idle("sx", "s", "x"), idle("xe", "x", "e"),
+                                    idle("se", "s", "e")],
+                    "reset_period": 2}]})
+    ok, violations = validate_acyclicity(m)
+    assert not ok
+    assert [(v.kind, v.detail, v.agent) for v in violations] == [
+        ("no-increasing-path",
+         "agent 'g' has a full cycle with no strict X increase: se", "g")]
 
 
 def test_validation_report_shape(two_tasks):
